@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InfeasibilityError, IntegrityError, ParseError, SchemaError
+from .errors import DataError, InfeasibilityError, IntegrityError, ParseError, SchemaError
 
 PANEL_COLUMNS = (
     "bank_id",
@@ -246,6 +246,26 @@ def close_system(panel: QuarterlyPanel) -> QuarterlyPanel:
         for r in panel.records
     )
     return replace(panel, records=records, closure_factor=factor)
+
+
+def live_subsystem(
+    panel: QuarterlyPanel,
+) -> tuple[QuarterlyPanel, tuple[tuple[str, str], ...]]:
+    """Drop banks with non-positive equity and close what is left.
+
+    Returns the closed subsystem and the excluded ``(bank_id, reason)``
+    pairs. The survivors are re-closed because exclusions unbalance the
+    interbank aggregates. Raises DataError when no bank has positive equity.
+    """
+    excluded = tuple(
+        (r.bank_id, f"non-positive starting equity ({r.equity:g})")
+        for r in panel.records
+        if r.equity <= 0
+    )
+    live = tuple(r for r in panel.records if r.equity > 0)
+    if not live:
+        raise DataError(f"panel {panel.quarter}: no banks with positive equity")
+    return close_system(QuarterlyPanel(quarter=panel.quarter, records=live)), excluded
 
 
 @dataclass(frozen=True)

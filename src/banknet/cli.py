@@ -15,8 +15,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .balance_sheets import close_system, load_panel, write_rejection_report
+from .balance_sheets import live_subsystem, load_panel, write_rejection_report
+from .debtrank import DEFAULT_ALPHA, DEFAULT_MAX_PERIODS, DEFAULT_SHOCK_FRACTION
 from .errors import DataError, NumericalError, StageError
+from .mlp import MlpConfig
 from .pipeline import (
     RunConfig,
     load_grid_file,
@@ -48,12 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-synthetic", help="emit seeded synthetic study inputs")
-    p.add_argument("--n-banks", type=int, default=1000)
-    p.add_argument("--quarters", type=int, default=4)
-    p.add_argument("--default-rate", type=float, default=0.02)
-    p.add_argument("--signal-strength", type=float, default=2.0)
-    p.add_argument("--start-quarter", default="2009Q1")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-banks", type=int, default=SyntheticSpec.n_banks)
+    p.add_argument("--quarters", type=int, default=SyntheticSpec.quarters)
+    p.add_argument("--default-rate", type=float, default=SyntheticSpec.default_rate)
+    p.add_argument("--signal-strength", type=float, default=SyntheticSpec.contagion_signal_strength)
+    p.add_argument("--start-quarter", default=SyntheticSpec.start_quarter)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.rng_seed)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("reconstruct", help="rebuild the bilateral exposure matrix")
@@ -67,10 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the contagion scenario for one quarter")
     p.add_argument("--panel", required=True)
     p.add_argument("--quarter", required=True)
-    p.add_argument("--shock-fraction", type=float, default=0.1)
+    p.add_argument("--shock-fraction", type=float, default=DEFAULT_SHOCK_FRACTION)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1e-6)
-    p.add_argument("--max-periods", type=int, default=10_000)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--max-periods", type=int, default=DEFAULT_MAX_PERIODS)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--dump-matrix")
@@ -91,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-mlp", help="tune and train the neural classifier")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--grid", default="default", help='"default" or a grid JSON file')
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--epochs", type=int, default=MlpConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=MlpConfig.batch_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model JSON path")
 
@@ -139,10 +141,7 @@ def _cmd_reconstruct(args) -> int:
     panel = load_panel(args.panel, args.quarter)
     if panel.rejections and args.rejects:
         write_rejection_report(args.rejects, panel.rejections)
-    live = [r for r in panel.records if r.equity > 0]
-    from .balance_sheets import QuarterlyPanel
-
-    sub = close_system(QuarterlyPanel(quarter=panel.quarter, records=tuple(live)))
+    sub, _ = live_subsystem(panel)
     exposures, report = reconstruct(
         sub.interbank_assets(),
         sub.interbank_liabilities(),

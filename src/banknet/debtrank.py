@@ -24,8 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .balance_sheets import QuarterlyPanel, close_system
-from .errors import DataError, DomainError, UnknownBankError
+from .balance_sheets import QuarterlyPanel, live_subsystem
+from .errors import DomainError, UnknownBankError
 from .reconstruction import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOLERANCE,
@@ -278,15 +278,7 @@ def simulate_quarter(
     unbalance the aggregates. With no explicit scenario, a uniform equity
     fraction shock of ``shock_fraction`` hits every bank.
     """
-    excluded = tuple(
-        (r.bank_id, f"non-positive starting equity ({r.equity:g})")
-        for r in panel.records
-        if r.equity <= 0
-    )
-    live = tuple(r for r in panel.records if r.equity > 0)
-    if not live:
-        raise DataError(f"panel {panel.quarter}: no banks with positive equity")
-    sub = close_system(QuarterlyPanel(quarter=panel.quarter, records=live))
+    sub, excluded = live_subsystem(panel)
     ids = sub.bank_ids
     equity = sub.equity()
 

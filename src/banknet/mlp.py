@@ -5,6 +5,11 @@ Inverted dropout after the first and second hidden layers during training
 only, so inference needs no rescale. Weights start from a truncated normal
 (mean 0, stddev 0.2, cut at two stddevs), biases at zero.
 
+Training and inference share one forward pass. During training the weights
+and biases are views into one flat parameter buffer, so SGD, Adam and RMSProp
+are each a single update formula on that buffer. Tuning trains every grid
+candidate once and returns the best one as trained.
+
 The input-sensitivity pass accumulates dY/dInput backwards through the
 layers, which is arithmetically the sum over all forward paths of the
 products of path weights and activation gradients.
@@ -13,7 +18,8 @@ products of path weights and activation gradients.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from pathlib import Path
 
@@ -31,6 +37,11 @@ DEFAULT_LEARNING_RATES = (0.001, 0.05, 0.1)
 
 _TRUNC_STDDEVS = 2.0
 _LOSS_CLIP = 1e-12
+_DROPOUT_LAYERS = 2  # hidden layers followed by dropout during training
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_RMSPROP_DECAY = 0.9
+_SOLVER_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -100,55 +111,6 @@ def _truncated_normal(rng: np.random.Generator, shape, stddev: float) -> np.ndar
     return out
 
 
-class _Sgd:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def update(self, params, grads):
-        for p, g in zip(params, grads):
-            p -= self.lr * g
-
-
-class _Adam:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = None
-        self.v = None
-        self.t = 0
-
-    def update(self, params, grads):
-        if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1**self.t)
-            vhat = v / (1 - b2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-class _RmsProp:
-    def __init__(self, lr, decay=0.9, eps=1e-8):
-        self.lr, self.decay, self.eps = lr, decay, eps
-        self.v = None
-
-    def update(self, params, grads):
-        if self.v is None:
-            self.v = [np.zeros_like(p) for p in params]
-        for p, g, v in zip(params, grads, self.v):
-            v *= self.decay
-            v += (1 - self.decay) * g * g
-            p -= self.lr * g / (np.sqrt(v) + self.eps)
-
-
-_SOLVERS = {"sgd": _Sgd, "adam": _Adam, "rmsprop": _RmsProp}
-
-
 def _check_inputs(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != N_INPUTS:
@@ -156,11 +118,44 @@ def _check_inputs(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _layer_views(buf: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive reshaped views into a flat buffer, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _forward(weights, biases, x, rng=None, p_drop=0.0):
+    """Forward pass through the four layers.
+
+    With ``p_drop > 0`` (training only) inverted dropout masks drawn from
+    ``rng`` follow the first two hidden layers. Returns the input each layer
+    saw, every layer's pre-activation and the dropout masks in layer order.
+    """
+    inputs, pres, masks = [], [], []
+    a = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        inputs.append(a)
+        z = a @ w + b
+        pres.append(z)
+        if i < len(weights) - 1:
+            a = np.maximum(z, 0.0)
+            if p_drop > 0.0 and i < _DROPOUT_LAYERS:
+                mask = (rng.random(a.shape) >= p_drop) / (1.0 - p_drop)
+                masks.append(mask)
+                a = a * mask
+    return inputs, pres, masks
+
+
 def train(x, y, config: MlpConfig) -> MlpModel:
     """Minimize binary cross-entropy with the configured solver.
 
-    Dropout is active during training only; a non-finite epoch loss raises
-    DivergenceError naming the epoch and learning rate.
+    The returned weights and biases are views into one flat parameter
+    buffer. Dropout is active during training only; a non-finite epoch loss
+    raises DivergenceError naming the epoch and learning rate.
     """
     x = _check_inputs(x)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -172,13 +167,18 @@ def train(x, y, config: MlpConfig) -> MlpModel:
         )
     rng = np.random.default_rng(config.rng_seed)
     sizes = (N_INPUTS,) + config.hidden_layers + (1,)
-    weights = [
-        _truncated_normal(rng, (sizes[i], sizes[i + 1]), config.init_stddev)
-        for i in range(4)
-    ]
-    biases = [np.zeros(sizes[i + 1]) for i in range(4)]
-    solver = _SOLVERS[config.solver](config.learning_rate)
-    p_drop = config.dropout_prob
+    shapes = [(sizes[i], sizes[i + 1]) for i in range(4)] + [(s,) for s in sizes[1:]]
+    params = np.zeros(sum(math.prod(s) for s in shapes))
+    grads = np.zeros_like(params)
+    views, grad_views = _layer_views(params, shapes), _layer_views(grads, shapes)
+    weights, biases = views[:4], views[4:]
+    gw, gb = grad_views[:4], grad_views[4:]
+    for w in weights:
+        w[...] = _truncated_normal(rng, w.shape, config.init_stddev)
+    solver, lr, p_drop = config.solver, config.learning_rate, config.dropout_prob
+    mean = np.zeros_like(params)  # Adam's first moment
+    sq_avg = np.zeros_like(params)  # Adam's and RMSProp's squared-gradient average
+    step = 0
     n = x.shape[0]
 
     for epoch in range(config.epochs):
@@ -187,54 +187,37 @@ def train(x, y, config: MlpConfig) -> MlpModel:
         for start in range(0, n, config.batch_size):
             rows = perm[start : start + config.batch_size]
             xb, yb = x[rows], y[rows]
-            m = xb.shape[0]
-
-            z1 = xb @ weights[0] + biases[0]
-            a1 = np.maximum(z1, 0.0)
-            if p_drop > 0.0:
-                mask1 = (rng.random(a1.shape) >= p_drop) / (1.0 - p_drop)
-                a1d = a1 * mask1
-            else:
-                a1d = a1
-            z2 = a1d @ weights[1] + biases[1]
-            a2 = np.maximum(z2, 0.0)
-            if p_drop > 0.0:
-                mask2 = (rng.random(a2.shape) >= p_drop) / (1.0 - p_drop)
-                a2d = a2 * mask2
-            else:
-                a2d = a2
-            z3 = a2d @ weights[2] + biases[2]
-            a3 = np.maximum(z3, 0.0)
-            z4 = (a3 @ weights[3] + biases[3]).ravel()
-            prob = expit(z4)
+            inputs, pres, masks = _forward(weights, biases, xb, rng, p_drop)
+            prob = expit(pres[-1].ravel())
 
             pc = np.clip(prob, _LOSS_CLIP, 1.0 - _LOSS_CLIP)
             epoch_loss += -float(np.sum(yb * np.log(pc) + (1 - yb) * np.log(1 - pc)))
 
-            dz4 = ((prob - yb) / m)[:, None]
-            gw4 = a3.T @ dz4
-            gb4 = dz4.sum(axis=0)
-            da3 = dz4 @ weights[3].T
-            dz3 = da3 * (z3 > 0)
-            gw3 = a2d.T @ dz3
-            gb3 = dz3.sum(axis=0)
-            da2 = dz3 @ weights[2].T
-            if p_drop > 0.0:
-                da2 = da2 * mask2
-            dz2 = da2 * (z2 > 0)
-            gw2 = a1d.T @ dz2
-            gb2 = dz2.sum(axis=0)
-            da1 = dz2 @ weights[1].T
-            if p_drop > 0.0:
-                da1 = da1 * mask1
-            dz1 = da1 * (z1 > 0)
-            gw1 = xb.T @ dz1
-            gb1 = dz1.sum(axis=0)
+            dz = ((prob - yb) / xb.shape[0])[:, None]
+            for i in reversed(range(4)):
+                np.matmul(inputs[i].T, dz, out=gw[i])
+                np.sum(dz, axis=0, out=gb[i])
+                if i:
+                    da = dz @ weights[i].T
+                    if i - 1 < len(masks):
+                        da = da * masks[i - 1]
+                    dz = da * (pres[i - 1] > 0)
 
-            solver.update(
-                weights + biases,
-                [gw1, gw2, gw3, gw4, gb1, gb2, gb3, gb4],
-            )
+            if solver == "sgd":
+                params -= lr * grads
+            elif solver == "adam":
+                step += 1
+                mean *= _ADAM_BETA1
+                mean += (1 - _ADAM_BETA1) * grads
+                sq_avg *= _ADAM_BETA2
+                sq_avg += (1 - _ADAM_BETA2) * grads * grads
+                mhat = mean / (1 - _ADAM_BETA1**step)
+                vhat = sq_avg / (1 - _ADAM_BETA2**step)
+                params -= lr * mhat / (np.sqrt(vhat) + _SOLVER_EPS)
+            else:  # rmsprop
+                sq_avg *= _RMSPROP_DECAY
+                sq_avg += (1 - _RMSPROP_DECAY) * grads * grads
+                params -= lr * grads / (np.sqrt(sq_avg) + _SOLVER_EPS)
         if not np.isfinite(epoch_loss):
             raise DivergenceError(
                 f"non-finite loss at epoch {epoch} "
@@ -245,18 +228,13 @@ def train(x, y, config: MlpConfig) -> MlpModel:
 
 def _forward_pre_activations(model: MlpModel, x: np.ndarray):
     """Pre-activations of every layer for the no-dropout forward pass."""
-    z1 = x @ model.weights[0] + model.biases[0]
-    z2 = np.maximum(z1, 0.0) @ model.weights[1] + model.biases[1]
-    z3 = np.maximum(z2, 0.0) @ model.weights[2] + model.biases[2]
-    z4 = np.maximum(z3, 0.0) @ model.weights[3] + model.biases[3]
-    return z1, z2, z3, z4
+    return tuple(_forward(model.weights, model.biases, x)[1])
 
 
 def predict(model: MlpModel, x) -> np.ndarray:
     """Output probabilities (forward pass without dropout)."""
     x = _check_inputs(x)
-    _, _, _, z4 = _forward_pre_activations(model, x)
-    return expit(z4.ravel())
+    return expit(_forward_pre_activations(model, x)[-1].ravel())
 
 
 def classify(model: MlpModel, x, threshold: float = 0.5) -> np.ndarray:
@@ -277,10 +255,12 @@ def tune(
     learning_rates=DEFAULT_LEARNING_RATES,
     base_config: MlpConfig = MlpConfig(),
 ) -> MlpModel:
-    """Grid search on validation accuracy, then retrain the winner.
+    """Grid search on validation accuracy; the best candidate is the result.
 
     Each candidate trains with its own derived seed (base seed + grid index)
-    so results do not depend on evaluation order. Ties break toward the lower
+    so results do not depend on evaluation order. ``train`` is a pure
+    function of (data, config), so the best candidate's model is kept as the
+    grid runs instead of being trained again. Ties break toward the lower
     learning rate, then grid order.
     """
     grid = list(product(structures, solvers, learning_rates))
@@ -292,6 +272,7 @@ def tune(
     xv, yv = x[splits.validation], y[splits.validation]
 
     record = []
+    best = best_key = None
     for idx, (structure, solver, lr) in enumerate(grid):
         cfg = replace(
             base_config,
@@ -301,35 +282,22 @@ def tune(
             rng_seed=base_config.rng_seed + idx,
         )
         model = train(xt, yt, cfg)
+        val_acc = accuracy(model, xv, yv)
         record.append(
             {
                 "hidden_layers": list(cfg.hidden_layers),
                 "solver": solver,
                 "learning_rate": lr,
                 "rng_seed": cfg.rng_seed,
-                "validation_accuracy": accuracy(model, xv, yv),
+                "validation_accuracy": val_acc,
             }
         )
+        # Strictly better only, so an earlier grid point keeps a full tie.
+        if best is None or (val_acc, -lr) > best_key:
+            best, best_key = model, (val_acc, -lr)
 
-    best_idx = max(
-        range(len(record)),
-        key=lambda i: (
-            record[i]["validation_accuracy"],
-            -record[i]["learning_rate"],
-            -i,
-        ),
-    )
-    structure, solver, lr = grid[best_idx]
-    best_cfg = replace(
-        base_config,
-        hidden_layers=tuple(structure),
-        solver=solver,
-        learning_rate=lr,
-        rng_seed=base_config.rng_seed + best_idx,
-    )
-    model = train(xt, yt, best_cfg)
-    model.tuning_record = tuple(record)
-    return model
+    best.tuning_record = tuple(record)
+    return best
 
 
 def input_gradients(model: MlpModel, x) -> np.ndarray:
@@ -358,16 +326,7 @@ def save_model(model: MlpModel, path, extra: dict | None = None) -> None:
         "layer_sizes": list(model.layer_sizes),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
-        "config": {
-            "hidden_layers": list(model.config.hidden_layers),
-            "solver": model.config.solver,
-            "learning_rate": model.config.learning_rate,
-            "dropout_prob": model.config.dropout_prob,
-            "init_stddev": model.config.init_stddev,
-            "epochs": model.config.epochs,
-            "batch_size": model.config.batch_size,
-            "rng_seed": model.config.rng_seed,
-        },
+        "config": asdict(model.config),
         "tuning_record": list(model.tuning_record),
     }
     if extra:
@@ -380,17 +339,7 @@ def save_model(model: MlpModel, path, extra: dict | None = None) -> None:
 def load_model(path) -> MlpModel:
     with open(Path(path), encoding="utf-8") as fh:
         payload = json.load(fh)
-    cfg = payload["config"]
-    config = MlpConfig(
-        hidden_layers=tuple(cfg["hidden_layers"]),
-        solver=cfg["solver"],
-        learning_rate=cfg["learning_rate"],
-        dropout_prob=cfg["dropout_prob"],
-        init_stddev=cfg["init_stddev"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        rng_seed=cfg["rng_seed"],
-    )
+    config = MlpConfig(**payload["config"])
     weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
     biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
     return MlpModel(

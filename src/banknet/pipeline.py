@@ -25,9 +25,8 @@ import numpy as np
 
 from . import __version__, mlp
 from .balance_sheets import (
-    QuarterlyPanel,
-    close_system,
     derive_labels,
+    live_subsystem,
     load_panel,
     write_rejection_report,
 )
@@ -249,8 +248,7 @@ def stage_simulate(
     if dump_matrix is not None:
         # Re-reconstruct only when a dump is requested; simulate_quarter does
         # not hand the matrix back to keep the hot path lean.
-        live = tuple(r for r in panel.records if r.equity > 0)
-        sub = close_system(QuarterlyPanel(quarter=panel.quarter, records=live))
+        sub, _ = live_subsystem(panel)
         if len(sub) >= 2:
             exposures, _ = reconstruct(
                 sub.interbank_assets(),

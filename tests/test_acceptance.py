@@ -18,7 +18,12 @@ from banknet.mlp import (
     predict,
     train,
 )
-from banknet.pipeline import RunConfig, rerun_from_manifest, run_pipeline
+from banknet.pipeline import (
+    VOLATILE_MANIFEST_KEYS,
+    RunConfig,
+    rerun_from_manifest,
+    run_pipeline,
+)
 from banknet.reconstruction import ExposureMatrix, marginal_errors, reconstruct
 
 from .oracles import (
@@ -289,8 +294,7 @@ def test_criterion_8_pipeline_determinism(pipeline_run, tmp_path):
     for rel in manifest["artifacts"]:
         assert (out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
     # The manifests themselves agree on everything except timestamps/paths.
-    volatile = ("created_utc", "command", "out_dir")
-    m1 = {k: v for k, v in manifest.items() if k not in volatile}
-    m2 = {k: v for k, v in manifest2.items() if k not in volatile}
+    m1 = {k: v for k, v in manifest.items() if k not in VOLATILE_MANIFEST_KEYS}
+    m2 = {k: v for k, v in manifest2.items() if k not in VOLATILE_MANIFEST_KEYS}
     assert m1 == m2
     _report(8, "pipeline determinism from manifest", started)

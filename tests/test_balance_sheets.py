@@ -9,12 +9,14 @@ from banknet.balance_sheets import (
     QuarterlyPanel,
     close_system,
     derive_labels,
+    live_subsystem,
     load_panel,
     next_quarter,
     write_panel_csv,
     write_rejection_report,
 )
 from banknet.errors import (
+    DataError,
     InfeasibilityError,
     IntegrityError,
     ParseError,
@@ -119,6 +121,27 @@ class TestLoadPanel:
         lines = report.read_text().strip().splitlines()
         assert lines[0].endswith(",reason")
         assert lines[1].startswith("B,")
+
+
+class TestLiveSubsystem:
+    def test_excludes_nonpositive_equity_and_recloses(self):
+        panel = QuarterlyPanel(
+            "2009Q1",
+            (
+                make_record("A", ia=50, il=0),
+                make_record("B", ia=0, il=40),
+                make_record("Z", ta=100, tl=150, ia=0, il=10),
+            ),
+        )
+        sub, excluded = live_subsystem(panel)
+        assert sub.bank_ids == ("A", "B")
+        assert sub.closure_factor == pytest.approx(1.25)
+        assert excluded == (("Z", "non-positive starting equity (-50)"),)
+
+    def test_no_live_bank_is_data_error(self):
+        panel = QuarterlyPanel("2009Q1", (make_record("Z", ta=100, tl=150),))
+        with pytest.raises(DataError, match="no banks with positive equity"):
+            live_subsystem(panel)
 
 
 class TestCloseSystem:

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from banknet.balance_sheets import QuarterlyPanel, write_panel_csv
 from banknet.cli import main
+
+from .test_balance_sheets import make_record
 
 CONFIG_INI = """\
 [run]
@@ -114,6 +117,17 @@ class TestStageCommands:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["reconstruct", "simulate"])
+    def test_panel_without_live_bank_is_data_error(self, command, tmp_path, capsys):
+        panel_path = tmp_path / "panel_2009Q1.csv"
+        records = (make_record("Y", ta=100, tl=100), make_record("Z", ta=100, tl=150))
+        write_panel_csv(QuarterlyPanel("2009Q1", records), panel_path)
+        argv = [command, "--panel", str(panel_path), "--quarter", "2009Q1"]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 3
+        assert "no banks with positive equity" in capsys.readouterr().err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,68 @@ class TestTrain:
             assert not b.any()
 
 
+def _flat(model):
+    return np.concatenate([p.ravel() for p in model.weights + model.biases])
+
+
+class TestUpdateRules:
+    """One full-batch step (dropout 0, one epoch) from the initial parameters."""
+
+    LR = 0.05
+
+    @staticmethod
+    def _data():
+        # Seed chosen so every initial pre-activation is at least 1e-3 from
+        # the ReLU kink, which keeps finite differences exact to O(step^2).
+        rng = np.random.default_rng(3)
+        x = rng.normal(0, 1, size=(16, 24))
+        return x, (rng.random(16) < 0.5).astype(int)
+
+    def _step(self, solver, lr):
+        x, y = self._data()
+        cfg = MlpConfig(
+            solver=solver, learning_rate=lr, dropout_prob=0.0, epochs=1,
+            batch_size=len(x), rng_seed=3,
+        )
+        before = train(x, y, replace(cfg, epochs=0))
+        return before, _flat(train(x, y, cfg)) - _flat(before)
+
+    def _gradient(self):
+        # SGD with unit rate moves the parameters by exactly minus the gradient.
+        return -self._step("sgd", 1.0)[1]
+
+    def test_sgd_step_is_minus_lr_times_mean_bce_gradient(self):
+        x, y = self._data()
+        before, step = self._step("sgd", self.LR)
+        from banknet.mlp import _forward_pre_activations
+
+        assert min(np.abs(z).min() for z in _forward_pre_activations(before, x)) > 1e-3
+        params = before.weights + before.biases
+
+        def mean_bce(theta):
+            offset = 0
+            for p in params:
+                p[...] = theta[offset : offset + p.size].reshape(p.shape)
+                offset += p.size
+            prob = predict(before, x)
+            return -float(np.mean(y * np.log(prob) + (1 - y) * np.log(1 - prob)))
+
+        grad = finite_difference_gradient(mean_bce, _flat(before))
+        assert np.abs(grad).max() > 1e-3
+        np.testing.assert_allclose(-step / self.LR, grad, rtol=0, atol=1e-7)
+
+    def test_adam_first_step_is_lr_times_normalized_gradient(self):
+        g = self._gradient()
+        step = self._step("adam", self.LR)[1]
+        np.testing.assert_allclose(step, -self.LR * g / (np.abs(g) + 1e-8), rtol=0, atol=1e-12)
+
+    def test_rmsprop_first_step_divides_by_root_of_tenth_of_squared_gradient(self):
+        g = self._gradient()
+        step = self._step("rmsprop", self.LR)[1]
+        expected = -self.LR * g / (np.sqrt(0.1) * np.abs(g) + 1e-8)
+        np.testing.assert_allclose(step, expected, rtol=0, atol=1e-12)
+
+
 class TestPredict:
     def test_zero_weights_give_half(self):
         model = random_model(0)
@@ -181,6 +245,27 @@ class TestTune:
             == max(t["validation_accuracy"] for t in model.tuning_record)
         ]
         assert model.config.rng_seed == chosen[0]["rng_seed"]
+
+    # At 10 epochs some candidates tie on accuracy and learning rate, so the
+    # grid-order tie-break decides; at 3 epochs the winner is unique.
+    @pytest.mark.parametrize("epochs", [3, 10])
+    def test_tuned_model_is_the_winner_trained_alone(self, epochs):
+        x, y, splits = self._data()
+        base = MlpConfig(epochs=epochs, rng_seed=4)
+        model = tune(
+            x, y, splits,
+            structures=((8, 16, 8), (4, 8, 16)), solvers=("sgd", "adam"),
+            learning_rates=(0.01, 0.1), base_config=base,
+        )
+        record = model.tuning_record
+        winner = max(
+            range(len(record)),
+            key=lambda i: (record[i]["validation_accuracy"], -record[i]["learning_rate"], -i),
+        )
+        assert model.config.rng_seed == base.rng_seed + winner
+        alone = train(x[splits.train], y[splits.train], model.config)
+        for got, want in zip(model.weights + model.biases, alone.weights + alone.biases):
+            np.testing.assert_array_equal(got, want)
 
     def test_deterministic_tuning(self):
         x, y, splits = self._data()
