@@ -249,6 +249,7 @@ class QuarterSimulation:
 
     quarter: str
     bank_ids: tuple[str, ...]
+    exposures: ExposureMatrix
     run: ContagionRun
     ras: RasReport
     excluded: tuple[tuple[str, str], ...]
@@ -316,6 +317,7 @@ def simulate_quarter(
     return QuarterSimulation(
         quarter=panel.quarter,
         bank_ids=ids,
+        exposures=exposures,
         run=run,
         ras=ras,
         excluded=excluded,

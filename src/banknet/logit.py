@@ -1,12 +1,22 @@
 """L1-penalized logistic regression with a post-selection refit.
 
 The penalized path minimizes mean binary cross-entropy plus lambda * sum|b_j|
-by cyclic coordinate descent with soft-thresholding on a local quadratic
-approximation (the intercept is never penalized). Thresholded coefficients
-are exactly zero. Inference on the surviving columns comes from an
-unpenalized Newton refit: Wald standard errors from the inverse observed
-information and two-sided normal-tail p-values. Those p-values are
-post-selection, not selection-adjusted.
+(the intercept is never penalized) by proximal Newton, as in glmnet
+(Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)). Each outer step
+builds the intercept-augmented weighted Gram matrix G = X'WX/n and
+c = G b + X'(y - mu)/n once, then minimizes the local quadratic model plus
+the penalty exactly, with no further pass over the rows: on a fixed support
+and sign pattern the minimizer solves G_AA b_A = c_A - lambda s_A, and an
+active-set walk adjusts the support until the signs agree and every inactive
+column satisfies |c_j - G_jA b_A| <= lambda. A backtracking line search on
+the true penalized objective guards each step, and the fit stops when the
+KKT conditions of the real problem hold within ``tol`` (ConvergenceError
+after ``max_steps`` steps). Inactive coefficients are exact zeros.
+
+Inference on the surviving columns comes from an unpenalized Newton refit:
+Wald standard errors from the inverse observed information and two-sided
+normal-tail p-values. Those p-values are post-selection, not
+selection-adjusted.
 """
 
 from __future__ import annotations
@@ -27,8 +37,10 @@ from .errors import (
     SeparationError,
 )
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_SWEEPS = 10_000
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_STEPS = 100
+_MAX_PIVOTS = 1000  # active-set changes per quadratic subproblem
+_MAX_HALVINGS = 50
 _WEIGHT_FLOOR = 1e-10
 _COEF_BOUND = 50.0  # scaled inputs; beyond this the refit is diverging
 
@@ -55,12 +67,76 @@ def _check_xy(x, y):
     return x, y
 
 
-def _soft(u: float, t: float) -> float:
-    if u > t:
-        return u - t
-    if u < -t:
-        return u + t
-    return 0.0
+def _objective(eta, y, beta, lam) -> float:
+    """Mean binary cross-entropy at linear predictor eta plus the L1 penalty
+    on the slopes (beta[0] is the intercept). Written with logaddexp rather
+    than ``_log_likelihood``'s clipped logs: it stays accurate as
+    probabilities approach 0 or 1, which the line search's small decreases
+    need."""
+    bce = float(np.mean(np.logaddexp(0.0, eta) - y * eta))
+    return bce + lam * float(np.abs(beta[1:]).sum())
+
+
+def _kkt_gap(score, beta, lam) -> float:
+    """Largest violation of the lasso optimality conditions, where ``score``
+    is the negative gradient of the smooth part at ``beta`` (intercept
+    first): the intercept score is 0, score_j = lam * sign(b_j) on active
+    slopes and |score_j| <= lam on inactive ones."""
+    slopes, s = beta[1:], score[1:]
+    violation = np.where(
+        slopes != 0.0,
+        np.abs(s - lam * np.sign(slopes)),
+        np.maximum(np.abs(s) - lam, 0.0),
+    )
+    return max(abs(float(score[0])), float(violation.max(initial=0.0)))
+
+
+def _solve_subproblem(gram, c, beta, lam, tol):
+    """Exact minimizer of 1/2 b'Gb - c'b + lam |b[1:]|_1 (beta[0], the
+    intercept, unpenalized) by an active-set walk from ``beta``.
+
+    With the support A and slope signs s held fixed, the minimizer solves
+    G_AA b_A = c_A - lam s_A. If a slope of that solution has the wrong sign,
+    the walk moves from the current point towards it only as far as the
+    first slope reaching zero and drops that column. Otherwise the solution
+    is kept, and the inactive column with the largest |c_j - G_jA b_A| above
+    lam (beyond ``tol / 10``) joins A with the sign of that score. Every move
+    lowers the subproblem objective, so no support repeats (Osborne,
+    Presnell & Turlach 2000, IMA J. Numer. Anal. 20(3)).
+    """
+    beta = beta.copy()
+    signs = np.sign(beta)
+    signs[0] = 0.0
+    active = signs != 0.0
+    active[0] = True
+    for _ in range(_MAX_PIVOTS):
+        idx = np.flatnonzero(active)
+        face = gram[np.ix_(idx, idx)]
+        rhs = c[idx] - lam * signs[idx]
+        try:
+            solution = np.linalg.solve(face, rhs)
+        except np.linalg.LinAlgError:
+            # Exact duplicate columns (same sign, so the system is consistent):
+            # every split of their mass is optimal; take the minimum-norm one.
+            solution = np.linalg.lstsq(face, rhs, rcond=None)[0]
+        wrong = 1 + np.flatnonzero(solution[1:] * signs[idx[1:]] <= 0.0)
+        if wrong.size:
+            current = beta[idx]
+            reach = current[wrong] / (current[wrong] - solution[wrong])
+            beta[idx] = current + reach.min() * (solution - current)
+            drop = idx[wrong[np.argmin(reach)]]
+            beta[drop] = signs[drop] = 0.0
+            active[drop] = False
+            continue
+        beta[idx] = solution
+        score = c - gram @ beta
+        violation = np.where(active, 0.0, np.abs(score) - lam)
+        j = int(np.argmax(violation))
+        if violation[j] <= 0.1 * tol:
+            return beta
+        signs[j] = np.sign(score[j])
+        active[j] = True
+    raise ConvergenceError(f"active-set walk did not settle within {_MAX_PIVOTS} pivots")
 
 
 def fit_lasso(
@@ -68,13 +144,18 @@ def fit_lasso(
     y,
     lam: float,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    max_steps: int = DEFAULT_MAX_STEPS,
     warm_start: tuple[float, np.ndarray] | None = None,
 ) -> LogitFit:
-    """Penalized fit; converged when the largest coefficient change in a full
-    sweep (including the intercept) drops below tol. ``warm_start`` takes an
-    (intercept, coefficients) pair, e.g. the previous solution on a lambda
-    path."""
+    """Penalized fit by proximal Newton with an exact active-set solve of
+    each quadratic model (see the module docstring).
+
+    Converged when the KKT conditions of the penalized problem hold within
+    ``tol``: the intercept score is 0, each active column's score equals
+    lam * sign(b_j) and each inactive column's lies in [-lam, lam].
+    ConvergenceError after ``max_steps`` Newton steps without that.
+    ``warm_start`` takes an (intercept, coefficients) pair, e.g. the previous
+    solution on a lambda path."""
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     x, y = _check_xy(x, y)
@@ -89,41 +170,46 @@ def fit_lasso(
         b0 = math.log(pbar / (1.0 - pbar))
         b = np.zeros(p)
 
-    max_delta = np.inf
-    for _ in range(max_sweeps):
-        eta = b0 + x @ b
+    design = np.column_stack([np.ones(n), x])
+    beta = np.concatenate([[b0], b])
+    eta = design @ beta
+    objective = _objective(eta, y, beta, lam)
+    for step in range(max_steps + 1):
         mu = expit(eta)
-        w = np.maximum(mu * (1.0 - mu), _WEIGHT_FLOOR)
-        r = (y - mu) / w  # working residual at the current iterate
-        max_delta = 0.0
-
-        d0 = float(np.dot(w, r) / w.sum())
-        b0 += d0
-        r -= d0
-        max_delta = abs(d0)
-
-        for j in range(p):
-            xj = x[:, j]
-            vj = float(np.dot(w * xj, xj)) / n
-            if vj <= 0.0:
-                continue
-            u = float(np.dot(w * xj, r)) / n + vj * b[j]
-            bj = _soft(u, lam) / vj
-            dj = bj - b[j]
-            if dj != 0.0:
-                b[j] = bj
-                r -= dj * xj
-                max_delta = max(max_delta, abs(dj))
-        if max_delta < tol:
+        score = design.T @ (y - mu) / n
+        gap = _kkt_gap(score, beta, lam)
+        if gap <= tol:
             break
-    else:
-        raise ConvergenceError(
-            f"coordinate descent did not converge within {max_sweeps} sweeps "
-            f"(last max coefficient change {max_delta:.3e})"
-        )
+        if step == max_steps:
+            raise ConvergenceError(
+                f"proximal Newton did not meet the KKT conditions within "
+                f"{max_steps} steps (gap {gap:.3e}, tol {tol:.1e})"
+            )
+        w = np.maximum(mu * (1.0 - mu), _WEIGHT_FLOOR)
+        gram = (design.T * w) @ design / n
+        target = _solve_subproblem(gram, gram @ beta + score, beta, lam, tol)
+        direction = target - beta
+        # Armijo test against the decrease the linearized objective predicts
+        # (negative); a rise within the objective's own rounding is no rise.
+        predicted = lam * (np.abs(target[1:]).sum() - np.abs(beta[1:]).sum()) - score @ direction
+        rounding = 8.0 * np.finfo(float).eps * abs(objective)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            candidate = beta + t * direction
+            cand_eta = design @ candidate
+            cand_objective = _objective(cand_eta, y, candidate, lam)
+            if cand_objective <= objective + 1e-4 * t * predicted + rounding:
+                break
+            t /= 2.0
+        else:
+            raise ConvergenceError(
+                f"proximal Newton line search found no decrease (KKT gap {gap:.3e})"
+            )
+        beta, eta, objective = candidate, cand_eta, cand_objective
+    b = beta[1:].copy()
     active = tuple(int(j) for j in np.flatnonzero(b != 0.0))
     return LogitFit(
-        intercept=b0,
+        intercept=float(beta[0]),
         coefficients=b,
         active_set=active,
         pvalues={},
@@ -236,8 +322,8 @@ def odds_interpretation(fit: LogitFit, column: int) -> float:
 def lambda_max(x, y) -> float:
     """Smallest penalty that zeroes every slope (intercept-only stationarity).
 
-    Padded by one part in 1e10 so the boundary fit really does threshold to
-    zero despite last-ulp differences against the coordinate-descent score.
+    Padded by one part in 1e10 so the boundary fit really does keep every
+    slope at zero despite last-ulp differences against the solver's score.
     """
     x, y = _check_xy(x, y)
     pbar = float(y.mean())
@@ -280,31 +366,21 @@ def select_lambda(
 
     best_lam = float(grid[0])
     best_acc = -1.0
-    sizes = []
     warm = None
     for lam in grid:
         try:
             fit = fit_lasso(xt, yt, float(lam), warm_start=warm)
         except ConvergenceError:
             warnings.warn(
-                f"lambda path stopped at {lam:.3e}: coordinate descent stalled "
-                "(quasi-separated training data)"
+                f"lambda path stopped at {lam:.3e}: proximal Newton did not meet "
+                "the KKT conditions (quasi-separated training data)"
             )
             break
         warm = (fit.intercept, fit.coefficients)
-        sizes.append(len(fit.active_set))
         acc = accuracy(fit, xv, yv)
         if acc > best_acc:
             best_acc = acc
             best_lam = float(lam)
         if _deviance_ratio(fit, xt, yt) >= 0.999:
             break
-    # Active sets should grow as the penalty shrinks; the local quadratic
-    # approximation can wobble by one column, anything more is worth flagging.
-    drops = [sizes[i] - sizes[i + 1] for i in range(len(sizes) - 1)]
-    if drops and max(drops) > 1:
-        warnings.warn(
-            f"active-set size decreased by {max(drops)} along the descending "
-            "lambda grid; check conditioning"
-        )
     return best_lam

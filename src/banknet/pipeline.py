@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__, mlp
 from .balance_sheets import (
     derive_labels,
-    live_subsystem,
     load_panel,
     write_rejection_report,
 )
@@ -56,7 +55,6 @@ from .logit import (
 from .reconstruction import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOLERANCE,
-    reconstruct,
     write_matrix,
 )
 from .synthetic import SyntheticSpec, generate, write_outputs
@@ -246,18 +244,7 @@ def stage_simulate(
                 for i, bank_id in enumerate(sim.bank_ids):
                     writer.writerow((t, bank_id, repr(float(equities[i]))))
     if dump_matrix is not None:
-        # Re-reconstruct only when a dump is requested; simulate_quarter does
-        # not hand the matrix back to keep the hot path lean.
-        sub, _ = live_subsystem(panel)
-        if len(sub) >= 2:
-            exposures, _ = reconstruct(
-                sub.interbank_assets(),
-                sub.interbank_liabilities(),
-                tolerance=tolerance,
-                max_iter=max_iter,
-                bank_ids=sub.bank_ids,
-            )
-            write_matrix(dump_matrix, exposures)
+        write_matrix(dump_matrix, sim.exposures)
     return {
         "quarter": quarter,
         "shock": {"mode": "equity_fraction", "fraction": shock_fraction, "targets": "all banks"},

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's vectorized code paths: the contagion
 re-evaluator is literal per-bank Python loops, the sensitivity oracle
-enumerates every forward path, and the logistic oracle is a direct
-Newton-Raphson solve of the score equations.
+enumerates every forward path, the logistic oracle is a direct
+Newton-Raphson solve of the score equations, and the lasso certificate checks
+the optimality conditions one column at a time.
 """
 
 from __future__ import annotations
@@ -144,3 +145,24 @@ def newton_logistic(x, y, max_iter=200, tol=1e-12):
         if np.max(np.abs(step)) < tol:
             return float(beta[0]), beta[1:].copy()
     raise FloatingPointError("logistic MLE did not converge")
+
+
+def lasso_kkt_gap(x, y, b0, b, lam):
+    """Largest violation of the KKT conditions of
+    mean BCE(y, b0 + x b) + lam * sum|b_j| at (b0, b): the intercept score
+    must vanish, each active column's score must equal lam * sign(b_j) and
+    each inactive column's must lie in [-lam, lam]."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = x.shape
+    residual = [y[i] - 1.0 / (1.0 + math.exp(-(b0 + float(x[i] @ b)))) for i in range(n)]
+    gap = abs(sum(residual) / n)
+    for j in range(p):
+        score = sum(x[i, j] * residual[i] for i in range(n)) / n
+        if b[j] > 0.0:
+            gap = max(gap, abs(score - lam))
+        elif b[j] < 0.0:
+            gap = max(gap, abs(score + lam))
+        else:
+            gap = max(gap, abs(score) - lam)
+    return gap

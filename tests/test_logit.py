@@ -5,8 +5,9 @@ import pytest
 from scipy.special import expit
 
 from banknet.dataset import SplitAssignment
-from banknet.errors import InactiveColumnError, SeparationError
+from banknet.errors import ConvergenceError, InactiveColumnError, SeparationError
 from banknet.logit import (
+    DEFAULT_TOL,
     LogitFit,
     accuracy,
     classify,
@@ -18,7 +19,7 @@ from banknet.logit import (
     select_lambda,
 )
 
-from .oracles import newton_logistic
+from .oracles import lasso_kkt_gap, newton_logistic
 
 
 def simulate(n, coefs, intercept=0.0, seed=0, p=None):
@@ -76,6 +77,71 @@ class TestFitLasso:
         x, y = simulate(50, [1.0], seed=6)
         with pytest.raises(ValueError):
             fit_lasso(x, y, -0.1)
+
+
+def _near_collinear(seed, n=300, noise=1e-3):
+    """Two pairs of columns that differ by ``noise``-scaled jitter, plus one
+    independent column; the label depends on both pairs."""
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.normal(size=(3, n))
+    x = np.column_stack(
+        [a, a + noise * rng.normal(size=n), b, b + noise * rng.normal(size=n), c]
+    )
+    y = (rng.random(n) < expit(1.2 * a - 0.8 * b + 0.3 * c)).astype(int)
+    return x, y
+
+
+def _assert_kkt_path(x, y, fractions):
+    """The warm-started descending path and a cold fit at each of its points
+    all meet the default tol, certified by the independent oracle."""
+    lmax = lambda_max(x, y)
+    warm = None
+    for fraction in fractions:
+        lam = fraction * lmax
+        fit = fit_lasso(x, y, lam, warm_start=warm)
+        warm = (fit.intercept, fit.coefficients)
+        gap = lasso_kkt_gap(x, y, fit.intercept, fit.coefficients, lam)
+        assert gap <= DEFAULT_TOL + 1e-13, (fraction, gap)
+        cold = fit_lasso(x, y, lam)
+        assert lasso_kkt_gap(x, y, cold.intercept, cold.coefficients, lam) <= DEFAULT_TOL + 1e-13
+
+
+PATH_FRACTIONS = (0.9, 0.5, 0.2, 0.05, 0.01, 1e-3)
+
+
+class TestKktCertificate:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_well_conditioned(self, seed):
+        x, y = simulate(200, [1.0, -0.6, 0.3], p=6, seed=100 + seed)
+        _assert_kkt_path(x, y, PATH_FRACTIONS)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_collinear_pairs(self, seed):
+        x, y = _near_collinear(200 + seed)
+        _assert_kkt_path(x, y, PATH_FRACTIONS)
+
+    def test_exact_duplicate_columns(self):
+        x, y = simulate(300, [1.0, -0.5], seed=300)
+        _assert_kkt_path(np.column_stack([x, x[:, 0]]), y, PATH_FRACTIONS)
+
+    def test_exact_duplicates_both_active_in_warm_start(self):
+        # Both copies start active with one sign, so the active-set solve is
+        # singular; the fit still certifies and keeps the single-copy mass.
+        x, y = simulate(300, [1.0], seed=3)
+        lam = 0.05
+        single = fit_lasso(x, y, lam)
+        doubled = np.column_stack([x, x])
+        fit = fit_lasso(doubled, y, lam, warm_start=(0.0, np.array([0.3, 0.1])))
+        assert lasso_kkt_gap(doubled, y, fit.intercept, fit.coefficients, lam) <= DEFAULT_TOL + 1e-13
+        assert fit.coefficients.sum() == pytest.approx(single.coefficients[0], abs=1e-6)
+
+    def test_step_cap_raises(self):
+        x, y = _near_collinear(400)
+        lam = 1e-3 * lambda_max(x, y)
+        with pytest.raises(ConvergenceError):
+            fit_lasso(x, y, lam, max_steps=1)
+        fit = fit_lasso(x, y, lam)
+        assert lasso_kkt_gap(x, y, fit.intercept, fit.coefficients, lam) <= DEFAULT_TOL + 1e-13
 
 
 class TestRefit:

@@ -1,10 +1,12 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from banknet.dataset import COLUMN_NAMES, FeaturePanel
+from banknet import reconstruction
 from banknet.errors import StageError
 from banknet.pipeline import (
     RunConfig,
@@ -215,6 +217,29 @@ class TestStageSimulate:
         assert len(lines) == 1 + 30 * (summary["periods"] + 1)
         assert (tmp_path / "w.bin").exists()
         assert (tmp_path / "w.bin.ids.csv").exists()
+
+
+    def test_dump_writes_the_simulated_matrix_without_a_second_ras(self, tmp_path, monkeypatch):
+        # Count reconstructions wherever banknet holds the function by name.
+        original = reconstruction.reconstruct
+        built = []
+
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            built.append(result[0])
+            return result
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("banknet") and getattr(module, "reconstruct", None) is original:
+                monkeypatch.setattr(module, "reconstruct", counting)
+        paths = write_outputs(generate(SyntheticSpec(n_banks=30, rng_seed=2)), tmp_path / "in")
+        stage_simulate(
+            paths["panel_2009Q1"], "2009Q1", tmp_path / "p.csv", dump_matrix=tmp_path / "w.bin"
+        )
+        assert len(built) == 1
+        back = reconstruction.read_matrix(tmp_path / "w.bin")
+        assert back.bank_ids == built[0].bank_ids
+        np.testing.assert_array_equal(back.w, built[0].w)
 
 
 class TestReportCorrelations:
