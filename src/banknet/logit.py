@@ -347,30 +347,35 @@ def select_lambda(
     splits: SplitAssignment,
     n_points: int = 50,
     span: float = 1e-4,
-) -> float:
-    """Pick the penalty maximizing validation accuracy over a log grid.
+) -> LogitFit:
+    """Pick the penalty maximizing validation accuracy over a log grid and
+    return the training fit at it (its ``lam`` is the chosen penalty).
 
     The grid spans [span * lambda_max, lambda_max], walked downward with warm
     starts; ties go to the larger penalty (the sparser model). The path stops
     early once the training fit is essentially saturated (deviance ratio
     above 0.999) or a point fails to converge: beyond that the data is
-    quasi-separated and smaller penalties only push coefficients out further.
+    quasi-separated and smaller penalties only push coefficients out further;
+    if the first point already fails, its ConvergenceError is raised. When
+    lambda_max is 0 no column has any signal and the fit at 0 is returned.
     """
     x, y = _check_xy(x, y)
     xt, yt = x[splits.train], y[splits.train]
     xv, yv = x[splits.validation], y[splits.validation]
     lmax = lambda_max(xt, yt)
     if lmax <= 0.0:
-        return 0.0
+        return fit_lasso(xt, yt, 0.0)
     grid = np.geomspace(lmax, span * lmax, n_points)  # descending
 
-    best_lam = float(grid[0])
+    best = None
     best_acc = -1.0
     warm = None
     for lam in grid:
         try:
             fit = fit_lasso(xt, yt, float(lam), warm_start=warm)
         except ConvergenceError:
+            if best is None:  # not even the sparsest point converged
+                raise
             warnings.warn(
                 f"lambda path stopped at {lam:.3e}: proximal Newton did not meet "
                 "the KKT conditions (quasi-separated training data)"
@@ -380,7 +385,7 @@ def select_lambda(
         acc = accuracy(fit, xv, yv)
         if acc > best_acc:
             best_acc = acc
-            best_lam = float(lam)
+            best = fit
         if _deviance_ratio(fit, xt, yt) >= 0.999:
             break
-    return best_lam
+    return best

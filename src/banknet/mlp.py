@@ -5,10 +5,15 @@ Inverted dropout after the first and second hidden layers during training
 only, so inference needs no rescale. Weights start from a truncated normal
 (mean 0, stddev 0.2, cut at two stddevs), biases at zero.
 
-Training and inference share one forward pass. During training the weights
-and biases are views into one flat parameter buffer, so SGD, Adam and RMSProp
-are each a single update formula on that buffer. Tuning trains every grid
-candidate once and returns the best one as trained.
+Training and inference share one forward pass. There is one training path,
+``_train_stack``: it trains k candidates that share a structure and schedule
+in lockstep, with parameters, gradients and solver moments in ``(k, P)``
+buffers and batched matmul over per-layer ``(k, in, out)`` views, so SGD,
+Adam and RMSProp are each one update formula on the rows that use it. Every
+candidate keeps its own random stream and comes out bit-identical to
+training it alone; ``train`` is the one-candidate case. Tuning trains each
+structure's grid candidates as one stack and returns the best one as
+trained.
 
 The input-sensitivity pass accumulates dY/dInput backwards through the
 layers, which is arithmetically the sum over all forward paths of the
@@ -65,6 +70,10 @@ class MlpConfig:
             raise ValueError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 @dataclass
@@ -119,23 +128,26 @@ def _check_inputs(x: np.ndarray) -> np.ndarray:
 
 
 def _layer_views(buf: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive reshaped views into a flat buffer, one per shape."""
+    """Consecutive reshaped views into the last axis of a buffer, one per
+    shape; a ``(k, P)`` buffer gives views of shape ``(k, *shape)``."""
     views, start = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        views.append(buf[start : start + size].reshape(shape))
+        views.append(buf[..., start : start + size].reshape(buf.shape[:-1] + tuple(shape)))
         start += size
     return views
 
 
-def _forward(weights, biases, x, rng=None, p_drop=0.0):
+def _forward(weights, biases, x, masks=()):
     """Forward pass through the four layers.
 
-    With ``p_drop > 0`` (training only) inverted dropout masks drawn from
-    ``rng`` follow the first two hidden layers. Returns the input each layer
-    saw, every layer's pre-activation and the dropout masks in layer order.
+    Works on one network (``x`` of shape ``(m, 24)``) or on a stack of k
+    networks (weights ``(k, in, out)``, biases ``(k, 1, out)``, ``x`` of shape
+    ``(k, m, 24)``). Inverted-dropout ``masks`` (training only) multiply the
+    first hidden layers. Returns the input each layer saw and every layer's
+    pre-activation.
     """
-    inputs, pres, masks = [], [], []
+    inputs, pres = [], []
     a = x
     for i, (w, b) in enumerate(zip(weights, biases)):
         inputs.append(a)
@@ -143,87 +155,147 @@ def _forward(weights, biases, x, rng=None, p_drop=0.0):
         pres.append(z)
         if i < len(weights) - 1:
             a = np.maximum(z, 0.0)
-            if p_drop > 0.0 and i < _DROPOUT_LAYERS:
-                mask = (rng.random(a.shape) >= p_drop) / (1.0 - p_drop)
-                masks.append(mask)
-                a = a * mask
-    return inputs, pres, masks
+            if i < len(masks):
+                a = a * masks[i]
+    return inputs, pres
 
 
-def train(x, y, config: MlpConfig) -> MlpModel:
-    """Minimize binary cross-entropy with the configured solver.
+def _train_stack(x, y, configs) -> list:
+    """Train k candidates that share a structure and schedule in lockstep.
 
-    The returned weights and biases are views into one flat parameter
-    buffer. Dropout is active during training only; a non-finite epoch loss
-    raises DivergenceError naming the epoch and learning rate.
+    The configs must agree on ``hidden_layers``, ``epochs``, ``batch_size``,
+    ``dropout_prob`` and ``init_stddev``. Parameters, gradients and solver
+    moments are ``(k, P)`` buffers whose per-layer views are used with
+    batched matmul, so every minibatch step is one set of numpy calls for all
+    k candidates; rows are independent, each computed exactly as it would be
+    alone. Candidate c draws from its own ``default_rng(rng_seed)`` in a
+    fixed order: the truncated-normal init layer by layer, then each epoch
+    a permutation of the rows and, with dropout, the uniforms for every
+    minibatch's two masks in one draw.
+
+    Returns one entry per config, in order: the trained MlpModel, whose
+    weights and biases are views into that candidate's row of the parameter
+    buffer, or the DivergenceError naming the first epoch with a non-finite
+    loss.
     """
     x = _check_inputs(x)
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != x.shape[0]:
         raise DimensionError(f"{y.size} labels for {x.shape[0]} rows")
-    if x.shape[0] < config.batch_size:
-        raise ValueError(
-            f"{x.shape[0]} rows is fewer than batch_size={config.batch_size}"
-        )
-    rng = np.random.default_rng(config.rng_seed)
-    sizes = (N_INPUTS,) + config.hidden_layers + (1,)
-    shapes = [(sizes[i], sizes[i + 1]) for i in range(4)] + [(s,) for s in sizes[1:]]
-    params = np.zeros(sum(math.prod(s) for s in shapes))
+    first = configs[0]
+    n, batch_size = x.shape[0], first.batch_size
+    if n < batch_size:
+        raise ValueError(f"{n} rows is fewer than batch_size={batch_size}")
+    # Rows sorted by solver, so each update formula acts on one slice.
+    order = sorted(range(len(configs)), key=lambda c: DEFAULT_SOLVERS.index(configs[c].solver))
+    cfgs = [configs[c] for c in order]
+    solvers = [cfg.solver for cfg in cfgs]
+    spans = {
+        s: slice(solvers.index(s), solvers.index(s) + solvers.count(s))
+        for s in dict.fromkeys(solvers)
+    }
+    k = len(cfgs)
+    rngs = [np.random.default_rng(cfg.rng_seed) for cfg in cfgs]
+    lr = np.array([cfg.learning_rate for cfg in cfgs])[:, None]
+
+    sizes = (N_INPUTS,) + first.hidden_layers + (1,)
+    weight_shapes = [(sizes[i], sizes[i + 1]) for i in range(4)]
+    params = np.zeros((k, sum(math.prod(s) for s in weight_shapes) + sum(sizes[1:])))
     grads = np.zeros_like(params)
-    views, grad_views = _layer_views(params, shapes), _layer_views(grads, shapes)
+    stack_shapes = weight_shapes + [(1, s) for s in sizes[1:]]  # biases broadcast over rows
+    views, grad_views = _layer_views(params, stack_shapes), _layer_views(grads, stack_shapes)
     weights, biases = views[:4], views[4:]
     gw, gb = grad_views[:4], grad_views[4:]
-    for w in weights:
-        w[...] = _truncated_normal(rng, w.shape, config.init_stddev)
-    solver, lr, p_drop = config.solver, config.learning_rate, config.dropout_prob
+    for c, rng in enumerate(rngs):
+        for w in weights:
+            w[c] = _truncated_normal(rng, w.shape[1:], first.init_stddev)
+    p_drop = first.dropout_prob
+    widths = sizes[1 : 1 + _DROPOUT_LAYERS] if p_drop > 0.0 else ()
     mean = np.zeros_like(params)  # Adam's first moment
     sq_avg = np.zeros_like(params)  # Adam's and RMSProp's squared-gradient average
+    diverged = [None] * k
     step = 0
-    n = x.shape[0]
 
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            rows = perm[start : start + config.batch_size]
+    for epoch in range(first.epochs):
+        perms = np.stack([rng.permutation(n) for rng in rngs])
+        if widths:
+            uniforms = np.stack([rng.random(n * sum(widths)) for rng in rngs])
+            dropout = (uniforms >= p_drop) / (1.0 - p_drop)  # every mask this epoch
+        epoch_loss = np.zeros(k)
+        for start in range(0, n, batch_size):
+            rows = perms[:, start : start + batch_size]
+            b = rows.shape[1]
             xb, yb = x[rows], y[rows]
-            inputs, pres, masks = _forward(weights, biases, xb, rng, p_drop)
-            prob = expit(pres[-1].ravel())
+            masks, offset = [], start * sum(widths)
+            for h in widths:
+                masks.append(dropout[:, offset : offset + b * h].reshape(k, b, h))
+                offset += b * h
+            inputs, pres = _forward(weights, biases, xb, masks)
+            prob = expit(pres[-1][..., 0])
 
             pc = np.clip(prob, _LOSS_CLIP, 1.0 - _LOSS_CLIP)
-            epoch_loss += -float(np.sum(yb * np.log(pc) + (1 - yb) * np.log(1 - pc)))
+            epoch_loss -= np.sum(yb * np.log(pc) + (1 - yb) * np.log(1 - pc), axis=1)
 
-            dz = ((prob - yb) / xb.shape[0])[:, None]
+            dz = ((prob - yb) / b)[..., None]
             for i in reversed(range(4)):
-                np.matmul(inputs[i].T, dz, out=gw[i])
-                np.sum(dz, axis=0, out=gb[i])
+                np.matmul(inputs[i].transpose(0, 2, 1), dz, out=gw[i])
+                np.sum(dz, axis=1, keepdims=True, out=gb[i])
                 if i:
-                    da = dz @ weights[i].T
+                    da = dz @ weights[i].transpose(0, 2, 1)
                     if i - 1 < len(masks):
                         da = da * masks[i - 1]
                     dz = da * (pres[i - 1] > 0)
 
-            if solver == "sgd":
-                params -= lr * grads
-            elif solver == "adam":
-                step += 1
-                mean *= _ADAM_BETA1
-                mean += (1 - _ADAM_BETA1) * grads
-                sq_avg *= _ADAM_BETA2
-                sq_avg += (1 - _ADAM_BETA2) * grads * grads
-                mhat = mean / (1 - _ADAM_BETA1**step)
-                vhat = sq_avg / (1 - _ADAM_BETA2**step)
-                params -= lr * mhat / (np.sqrt(vhat) + _SOLVER_EPS)
-            else:  # rmsprop
-                sq_avg *= _RMSPROP_DECAY
-                sq_avg += (1 - _RMSPROP_DECAY) * grads * grads
-                params -= lr * grads / (np.sqrt(sq_avg) + _SOLVER_EPS)
-        if not np.isfinite(epoch_loss):
-            raise DivergenceError(
-                f"non-finite loss at epoch {epoch} "
-                f"(learning_rate={config.learning_rate})"
-            )
-    return MlpModel(weights=weights, biases=biases, config=config)
+            step += 1
+            for solver, sl in spans.items():
+                p, g, rate = params[sl], grads[sl], lr[sl]
+                if solver == "sgd":
+                    p -= rate * g
+                elif solver == "adam":
+                    m, v = mean[sl], sq_avg[sl]
+                    m *= _ADAM_BETA1
+                    m += (1 - _ADAM_BETA1) * g
+                    v *= _ADAM_BETA2
+                    v += (1 - _ADAM_BETA2) * g * g
+                    mhat = m / (1 - _ADAM_BETA1**step)
+                    vhat = v / (1 - _ADAM_BETA2**step)
+                    p -= rate * mhat / (np.sqrt(vhat) + _SOLVER_EPS)
+                else:  # rmsprop
+                    v = sq_avg[sl]
+                    v *= _RMSPROP_DECAY
+                    v += (1 - _RMSPROP_DECAY) * g * g
+                    p -= rate * g / (np.sqrt(v) + _SOLVER_EPS)
+        for c in np.flatnonzero(~np.isfinite(epoch_loss)):
+            if diverged[c] is None:
+                diverged[c] = DivergenceError(
+                    f"non-finite loss at epoch {epoch} "
+                    f"(learning_rate={cfgs[c].learning_rate})"
+                )
+        if all(diverged):
+            break
+
+    model_shapes = weight_shapes + [(s,) for s in sizes[1:]]
+    results = [None] * k
+    for c, cfg in enumerate(cfgs):
+        row = _layer_views(params[c], model_shapes)
+        model = MlpModel(weights=row[:4], biases=row[4:], config=cfg)
+        results[order[c]] = diverged[c] or model
+    return results
+
+
+def train(x, y, config: MlpConfig) -> MlpModel:
+    """Minimize binary cross-entropy with the configured solver.
+
+    The single-candidate case of the stacked trainer that ``tune`` uses, so
+    a model trained alone is bit-identical to the same candidate trained in
+    a grid. The returned weights and biases are views into one flat
+    parameter buffer. Dropout is active during training only; a non-finite
+    epoch loss raises DivergenceError naming the epoch and learning rate.
+    """
+    (result,) = _train_stack(x, y, [config])
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
 
 
 def _forward_pre_activations(model: MlpModel, x: np.ndarray):
@@ -258,10 +330,14 @@ def tune(
     """Grid search on validation accuracy; the best candidate is the result.
 
     Each candidate trains with its own derived seed (base seed + grid index)
-    so results do not depend on evaluation order. ``train`` is a pure
-    function of (data, config), so the best candidate's model is kept as the
-    grid runs instead of being trained again. Ties break toward the lower
-    learning rate, then grid order.
+    so results do not depend on evaluation order. The candidates that share
+    a hidden-layer structure train together as one stack (``_train_stack``,
+    the path ``train`` also takes), one stack per structure in order of first
+    appearance; each candidate comes out bit-identical to ``train`` on its
+    own config, and the best one is kept as trained. Validation accuracy,
+    the record and the tie-break then run in grid order: ties break toward
+    the lower learning rate, then grid order. If candidates diverge, the
+    DivergenceError of the first one in grid order is raised.
     """
     grid = list(product(structures, solvers, learning_rates))
     if not grid:
@@ -270,31 +346,43 @@ def tune(
     y = np.asarray(y, dtype=int).reshape(-1)
     xt, yt = x[splits.train], y[splits.train]
     xv, yv = x[splits.validation], y[splits.validation]
-
-    record = []
-    best = best_key = None
-    for idx, (structure, solver, lr) in enumerate(grid):
-        cfg = replace(
+    configs = [
+        replace(
             base_config,
             hidden_layers=tuple(structure),
             solver=solver,
             learning_rate=lr,
             rng_seed=base_config.rng_seed + idx,
         )
-        model = train(xt, yt, cfg)
+        for idx, (structure, solver, lr) in enumerate(grid)
+    ]
+    groups: dict[tuple, list[int]] = {}
+    for idx, cfg in enumerate(configs):
+        groups.setdefault(cfg.hidden_layers, []).append(idx)
+    results = [None] * len(configs)
+    for indices in groups.values():
+        stacked = _train_stack(xt, yt, [configs[i] for i in indices])
+        for idx, result in zip(indices, stacked):
+            results[idx] = result
+
+    record = []
+    best = best_key = None
+    for cfg, model in zip(configs, results):
+        if isinstance(model, DivergenceError):
+            raise model
         val_acc = accuracy(model, xv, yv)
         record.append(
             {
                 "hidden_layers": list(cfg.hidden_layers),
-                "solver": solver,
-                "learning_rate": lr,
+                "solver": cfg.solver,
+                "learning_rate": cfg.learning_rate,
                 "rng_seed": cfg.rng_seed,
                 "validation_accuracy": val_acc,
             }
         )
         # Strictly better only, so an earlier grid point keeps a full tie.
-        if best is None or (val_acc, -lr) > best_key:
-            best, best_key = model, (val_acc, -lr)
+        if best is None or (val_acc, -cfg.learning_rate) > best_key:
+            best, best_key = model, (val_acc, -cfg.learning_rate)
 
     best.tuning_record = tuple(record)
     return best

@@ -489,12 +489,12 @@ def stage_logit(data_dir, out_path, *, lam: float | str = "auto") -> dict:
     panel, splits, scaler = load_dataset_dir(data_dir)
     scaled = apply_scaler(scaler, panel)
     target = 1 - panel.y  # default indicator, as for the MLP
-    if lam == "auto":
-        lam_value = select_lambda(scaled.x, target, splits)
-    else:
-        lam_value = float(lam)
     xt, yt = scaled.x[splits.train], target[splits.train]
-    lasso = fit_lasso(xt, yt, lam_value)
+    if lam == "auto":
+        lasso = select_lambda(scaled.x, target, splits)
+    else:
+        lasso = fit_lasso(xt, yt, float(lam))
+    lam_value = lasso.lam
     refit = refit_active(xt, yt, lasso.active_set)
     oos = logit_accuracy(refit, scaled.x[splits.test], target[splits.test])
 

@@ -3,15 +3,29 @@
 These deliberately avoid the library's vectorized code paths: the contagion
 re-evaluator is literal per-bank Python loops, the sensitivity oracle
 enumerates every forward path, the logistic oracle is a direct
-Newton-Raphson solve of the score equations, and the lasso certificate checks
-the optimality conditions one column at a time.
+Newton-Raphson solve of the score equations, the lasso certificate checks
+the optimality conditions one column at a time, and the MLP trainer oracle
+trains one candidate at a time with per-minibatch dropout draws.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
+from scipy.special import expit
+
+from banknet.errors import DimensionError, DivergenceError
+from banknet.mlp import (
+    DEFAULT_LEARNING_RATES,
+    DEFAULT_SOLVERS,
+    DEFAULT_STRUCTURES,
+    MlpConfig,
+    MlpModel,
+    accuracy,
+)
 
 
 def debtrank_reference(w, e0, post_shock, beta, alpha, max_periods=10_000):
@@ -166,3 +180,152 @@ def lasso_kkt_gap(x, y, b0, b, lam):
         else:
             gap = max(gap, abs(score) - lam)
     return gap
+
+
+def _reference_truncated_normal(rng, shape, stddev):
+    out = rng.normal(0.0, stddev, size=shape)
+    bound = 2.0 * stddev
+    mask = np.abs(out) > bound
+    while mask.any():
+        out[mask] = rng.normal(0.0, stddev, size=int(mask.sum()))
+        mask = np.abs(out) > bound
+    return out
+
+
+def _reference_layer_views(buf, shapes):
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _reference_forward(weights, biases, x, rng=None, p_drop=0.0):
+    inputs, pres, masks = [], [], []
+    a = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        inputs.append(a)
+        z = a @ w + b
+        pres.append(z)
+        if i < len(weights) - 1:
+            a = np.maximum(z, 0.0)
+            if p_drop > 0.0 and i < 2:
+                mask = (rng.random(a.shape) >= p_drop) / (1.0 - p_drop)
+                masks.append(mask)
+                a = a * mask
+    return inputs, pres, masks
+
+
+def reference_train(x, y, config):
+    """One candidate at a time: flat parameter buffer, dropout masks drawn
+    from the candidate's generator at every minibatch, and the SGD, Adam
+    (0.9, 0.999) and RMSProp (0.9) updates with eps 1e-8 on that buffer.
+    Raises DivergenceError at the end of the first epoch with a non-finite
+    loss."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.size != x.shape[0]:
+        raise DimensionError(f"{y.size} labels for {x.shape[0]} rows")
+    rng = np.random.default_rng(config.rng_seed)
+    sizes = (24,) + config.hidden_layers + (1,)
+    shapes = [(sizes[i], sizes[i + 1]) for i in range(4)] + [(s,) for s in sizes[1:]]
+    params = np.zeros(sum(math.prod(s) for s in shapes))
+    grads = np.zeros_like(params)
+    views, grad_views = _reference_layer_views(params, shapes), _reference_layer_views(grads, shapes)
+    weights, biases = views[:4], views[4:]
+    gw, gb = grad_views[:4], grad_views[4:]
+    for w in weights:
+        w[...] = _reference_truncated_normal(rng, w.shape, config.init_stddev)
+    solver, lr, p_drop = config.solver, config.learning_rate, config.dropout_prob
+    mean = np.zeros_like(params)
+    sq_avg = np.zeros_like(params)
+    step = 0
+    n = x.shape[0]
+
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            rows = perm[start : start + config.batch_size]
+            xb, yb = x[rows], y[rows]
+            inputs, pres, masks = _reference_forward(weights, biases, xb, rng, p_drop)
+            prob = expit(pres[-1].ravel())
+
+            pc = np.clip(prob, 1e-12, 1.0 - 1e-12)
+            epoch_loss += -float(np.sum(yb * np.log(pc) + (1 - yb) * np.log(1 - pc)))
+
+            dz = ((prob - yb) / xb.shape[0])[:, None]
+            for i in reversed(range(4)):
+                np.matmul(inputs[i].T, dz, out=gw[i])
+                np.sum(dz, axis=0, out=gb[i])
+                if i:
+                    da = dz @ weights[i].T
+                    if i - 1 < len(masks):
+                        da = da * masks[i - 1]
+                    dz = da * (pres[i - 1] > 0)
+
+            if solver == "sgd":
+                params -= lr * grads
+            elif solver == "adam":
+                step += 1
+                mean *= 0.9
+                mean += (1 - 0.9) * grads
+                sq_avg *= 0.999
+                sq_avg += (1 - 0.999) * grads * grads
+                mhat = mean / (1 - 0.9**step)
+                vhat = sq_avg / (1 - 0.999**step)
+                params -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+            else:  # rmsprop
+                sq_avg *= 0.9
+                sq_avg += (1 - 0.9) * grads * grads
+                params -= lr * grads / (np.sqrt(sq_avg) + 1e-8)
+        if not np.isfinite(epoch_loss):
+            raise DivergenceError(
+                f"non-finite loss at epoch {epoch} "
+                f"(learning_rate={config.learning_rate})"
+            )
+    return MlpModel(weights=weights, biases=biases, config=config)
+
+
+def reference_tune(
+    x,
+    y,
+    splits,
+    structures=DEFAULT_STRUCTURES,
+    solvers=DEFAULT_SOLVERS,
+    learning_rates=DEFAULT_LEARNING_RATES,
+    base_config=MlpConfig(),
+):
+    """The grid search as a loop over ``reference_train``, one candidate at
+    a time in grid order, with seed base + grid index; ties go to the lower
+    learning rate, then the earlier grid point."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=int).reshape(-1)
+    xt, yt = x[splits.train], y[splits.train]
+    xv, yv = x[splits.validation], y[splits.validation]
+    record = []
+    best = best_key = None
+    for idx, (structure, solver, lr) in enumerate(product(structures, solvers, learning_rates)):
+        cfg = replace(
+            base_config,
+            hidden_layers=tuple(structure),
+            solver=solver,
+            learning_rate=lr,
+            rng_seed=base_config.rng_seed + idx,
+        )
+        model = reference_train(xt, yt, cfg)
+        val_acc = accuracy(model, xv, yv)
+        record.append(
+            {
+                "hidden_layers": list(cfg.hidden_layers),
+                "solver": solver,
+                "learning_rate": lr,
+                "rng_seed": cfg.rng_seed,
+                "validation_accuracy": val_acc,
+            }
+        )
+        if best is None or (val_acc, -lr) > best_key:
+            best, best_key = model, (val_acc, -lr)
+    best.tuning_record = tuple(record)
+    return best

@@ -179,6 +179,16 @@ class TestRunCommand:
     def test_run_requires_exactly_one_source(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, field", [("--batch-size", "0", "batch_size"), ("--epochs", "-1", "epochs")]
+    )
+    def test_train_mlp_rejects_invalid_schedule(self, full_run, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "model.json"
+        argv = ["train-mlp", "--data", str(full_run / "dataset"), "--out", str(out), flag, value]
+        assert main(argv) == 3
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_chained_stages_match_run_artifacts(self, full_run, tmp_path):
         # build-dataset through report, driven stage by stage on the files
         # the full run produced: stage isolation means identical artifacts.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from banknet import logit
 from banknet.dataset import SplitAssignment
 from banknet.errors import ConvergenceError, InactiveColumnError, SeparationError
 from banknet.logit import (
@@ -222,7 +223,7 @@ class TestSelectLambda:
 
     def test_strong_single_signal_is_retained(self):
         x, y = simulate(600, [2.5], p=5, seed=11)
-        lam = select_lambda(x, y, self._splits(600))
+        lam = select_lambda(x, y, self._splits(600)).lam
         fit = fit_lasso(x[: 200], y[: 200], lam)
         assert 0 in fit.active_set
 
@@ -233,10 +234,35 @@ class TestSelectLambda:
         x = rng.normal(size=(300, 6))
         y = (rng.random(300) < 0.5).astype(int)
         splits = self._splits(300)
-        lam = select_lambda(x, y, splits)
+        lam = select_lambda(x, y, splits).lam
         lmax = lambda_max(x[splits.train], y[splits.train])
         assert lam == pytest.approx(lmax, rel=1e-12)
         fit = fit_lasso(x[splits.train], y[splits.train], lam)
+        assert fit.active_set == ()
+
+    def test_returns_the_certified_path_fit_at_the_chosen_penalty(self):
+        x, y = simulate(600, [2.5, -1.0], p=6, seed=11)
+        splits = self._splits(600)
+        fit = select_lambda(x, y, splits)
+        xt, yt = x[splits.train], y[splits.train]
+        lmax = lambda_max(xt, yt)
+        assert fit.lam in np.geomspace(lmax, 1e-4 * lmax, 50).tolist()
+        assert lasso_kkt_gap(xt, yt, fit.intercept, fit.coefficients, fit.lam) <= 1e-9
+        assert fit_lasso(xt, yt, fit.lam).active_set == fit.active_set
+
+    def test_path_failing_at_its_first_point_raises(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceError("KKT conditions not met")
+
+        monkeypatch.setattr(logit, "fit_lasso", no_convergence)
+        x, y = simulate(150, [1.2, -0.8], seed=10)
+        with pytest.raises(ConvergenceError, match="KKT"):
+            select_lambda(x, y, self._splits(150))
+
+    def test_no_signal_at_all_returns_the_fit_at_zero(self):
+        x = np.random.default_rng(1).normal(size=(90, 3))
+        fit = select_lambda(x, np.ones(90, dtype=int), self._splits(90))
+        assert fit.lam == 0.0
         assert fit.active_set == ()
 
     def test_active_set_grows_as_penalty_shrinks(self):

@@ -16,11 +16,17 @@ from banknet.mlp import (
     predict,
     save_model,
     sigmoid_grad,
+    _train_stack,
     train,
     tune,
 )
 
-from .oracles import finite_difference_gradient, path_sum_gradient
+from .oracles import (
+    finite_difference_gradient,
+    path_sum_gradient,
+    reference_train,
+    reference_tune,
+)
 
 
 def toy_clusters(m=200, seed=0, gap=3.0):
@@ -103,6 +109,146 @@ class TestTrain:
             assert np.abs(w).max() <= 2.0 * 0.2
         for b in model.biases:
             assert not b.any()
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("epochs", [-1, -5])
+    def test_negative_epochs_rejected(self, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            MlpConfig(epochs=epochs)
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_nonpositive_batch_size_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            MlpConfig(batch_size=batch_size)
+
+    def test_zero_epochs_and_unit_batch_are_valid(self):
+        cfg = MlpConfig(epochs=0, batch_size=1)
+        assert (cfg.epochs, cfg.batch_size) == (0, 1)
+
+
+def _assert_same_parameters(got, want):
+    assert len(got.weights) == len(want.weights) == 4
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+class TestAgainstReferenceLoop:
+    """The stacked trainer against the one-candidate-at-a-time loop of
+    ``oracles.reference_train``: every weight and bias bit-identical."""
+
+    @staticmethod
+    def _data():
+        # 70 rows in minibatches of 16: the last minibatch has 6 rows.
+        return toy_clusters(m=70, seed=21, gap=0.5)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("lr", [0.01, 0.1])
+    @pytest.mark.parametrize("solver", ["sgd", "adam", "rmsprop"])
+    def test_train_alone(self, solver, lr, dropout):
+        x, y = self._data()
+        cfg = MlpConfig(
+            hidden_layers=(4, 8, 16), solver=solver, learning_rate=lr,
+            dropout_prob=dropout, epochs=4, batch_size=16, rng_seed=5,
+        )
+        _assert_same_parameters(train(x, y, cfg), reference_train(x, y, cfg))
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_every_row_of_a_stack(self, dropout):
+        x, y = self._data()
+        configs = [
+            MlpConfig(
+                hidden_layers=(8, 16, 8), solver=solver, learning_rate=lr,
+                dropout_prob=dropout, epochs=4, batch_size=16, rng_seed=seed,
+            )
+            for seed, (solver, lr) in enumerate(
+                [("rmsprop", 0.01), ("sgd", 0.1), ("adam", 0.01), ("sgd", 0.01), ("adam", 0.1)]
+            )
+        ]
+        stacked = _train_stack(x, y, configs)
+        for cfg, model in zip(configs, stacked):
+            assert model.config == cfg
+            _assert_same_parameters(model, reference_train(x, y, cfg))
+            assert model.weights[0].base is not None  # a view, not a copy
+
+    def _splits(self):
+        x, y = toy_clusters(m=120, seed=8, gap=0.8)
+        idx = np.arange(120)
+        return x, y, SplitAssignment(idx[:60], idx[60:90], idx[90:], rng_seed=0)
+
+    def _assert_same_tuning(self, kw):
+        x, y, splits = self._splits()
+        got = tune(x, y, splits, **kw)
+        want = reference_tune(x, y, splits, **kw)
+        assert got.tuning_record == want.tuning_record
+        assert got.config == want.config
+        _assert_same_parameters(got, want)
+
+    def test_tune_full_solver_grid(self):
+        self._assert_same_tuning(
+            dict(
+                structures=((8, 16, 8), (16, 8, 4)), solvers=("sgd", "adam", "rmsprop"),
+                learning_rates=(0.01, 0.1), base_config=MlpConfig(epochs=4, rng_seed=3),
+            )
+        )
+
+    def test_tune_interleaved_solvers_and_repeated_structure(self):
+        self._assert_same_tuning(
+            dict(
+                structures=((4, 8, 16), (8, 16, 8), (4, 8, 16)),
+                solvers=("adam", "sgd", "adam"),
+                learning_rates=(0.01, 0.05),
+                base_config=MlpConfig(epochs=3, batch_size=16, rng_seed=6),
+            )
+        )
+
+
+class TestDivergenceInStack:
+    KW = dict(
+        structures=((8, 16, 8), (4, 8, 16)),
+        solvers=("adam", "sgd"),  # the stack puts sgd rows first
+        # 1e100 diverges at epoch 1, 1e307 already at epoch 0.
+        learning_rates=(0.01, 1e100, 1e307),
+        base_config=MlpConfig(epochs=3, dropout_prob=0.0, rng_seed=1),
+    )
+
+    def _data(self):
+        x, y = toy_clusters(m=96, seed=4)
+        idx = np.arange(96)
+        return 1e6 * x, y, SplitAssignment(idx[:48], idx[48:72], idx[72:], rng_seed=0)
+
+    def test_tune_raises_the_first_diverging_candidate_in_grid_order(self):
+        x, y, splits = self._data()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as want:
+                reference_tune(x, y, splits, **self.KW)
+            with pytest.raises(DivergenceError) as got:
+                tune(x, y, splits, **self.KW)
+        assert "epoch 1 (learning_rate=1e+100)" in str(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_healthy_rows_are_untouched_by_a_diverging_row(self):
+        x, y, splits = self._data()
+        xt, yt = x[splits.train], y[splits.train]
+        base = self.KW["base_config"]
+        configs = [
+            replace(base, solver=solver, learning_rate=lr, rng_seed=seed)
+            for seed, (solver, lr) in enumerate(
+                [("adam", 1e100), ("sgd", 0.01), ("sgd", 1e307), ("adam", 0.01)]
+            )
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = _train_stack(xt, yt, configs)
+            for cfg, result in zip(configs, stacked):
+                if cfg.learning_rate > 1.0:
+                    assert isinstance(result, DivergenceError)
+                    with pytest.raises(DivergenceError) as alone:
+                        reference_train(xt, yt, cfg)
+                    assert str(result) == str(alone.value)
+                else:
+                    _assert_same_parameters(result, train(xt, yt, cfg))
+                    _assert_same_parameters(result, reference_train(xt, yt, cfg))
 
 
 def _flat(model):

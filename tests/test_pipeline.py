@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from banknet.dataset import COLUMN_NAMES, FeaturePanel
-from banknet import reconstruction
+from banknet import pipeline, reconstruction
 from banknet.errors import StageError
+from banknet.dataset import apply_scaler
+from banknet.logit import select_lambda
 from banknet.pipeline import (
     RunConfig,
     load_dataset_dir,
@@ -15,6 +17,7 @@ from banknet.pipeline import (
     rerun_from_manifest,
     run_pipeline,
     stage_build_dataset,
+    stage_logit,
     stage_simulate,
 )
 from banknet.synthetic import SyntheticSpec, generate, write_outputs
@@ -108,6 +111,22 @@ class TestRunPipeline:
         assert summary["mlp"]["oos_accuracy"] == model["oos_accuracy"]
         assert summary["logit"]["lambda"] == fit["lambda"]
         assert len(summary["sensitivity_gradients"]) == 24
+
+    def test_auto_lambda_reports_the_fit_that_won_validation(self, small_run, tmp_path, monkeypatch):
+        out, _ = small_run
+        panel, splits, scaler = load_dataset_dir(out / "dataset")
+        selected = select_lambda(apply_scaler(scaler, panel).x, 1 - panel.y, splits)
+
+        def no_refit(*args, **kwargs):
+            raise AssertionError("stage_logit fitted the lasso again")
+
+        monkeypatch.setattr(pipeline, "fit_lasso", no_refit)
+        stage_logit(out / "dataset", tmp_path / "fit.json", lam="auto")
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert fit["lambda"] == selected.lam
+        lasso = {c["name"]: c["lasso_coefficient"] for c in fit["columns"] if "lasso_coefficient" in c}
+        assert lasso == {panel.column_names[j]: selected.coefficients[j] for j in selected.active_set}
+        assert (tmp_path / "fit.json").read_bytes() == (out / "fit.json").read_bytes()
 
     def test_missing_quarter_file_fails_at_build_dataset(self, small_run, tmp_path):
         out, _ = small_run
