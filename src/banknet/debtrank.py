@@ -7,10 +7,15 @@ equity loss, measured against the pre-run baseline,
     E_i(t+1) = max(0, E_i(t) + sum_j phi_ij * beta * (E_j(t) - E_j(t-1)))
 
 with phi_ij = W0_ij / E0_j frozen at its initial value. Equity is floored at
-zero; a bank that reaches the floor is insolvent and its phi column is zeroed
-before the next period so it transmits nothing further. beta scales the
-pass-through (beta = 1 is plain proportional transmission, beta = 0 disables
-contagion entirely).
+zero; a bank that reaches the floor is insolvent and, from the next period
+on, its equity changes are skipped as a borrower, so it transmits nothing
+further (the same as zeroing its phi column). beta scales the pass-through
+(beta = 1 is plain proportional transmission, beta = 0 disables contagion
+entirely).
+
+The exposure matrix and the starting equity are the only network state:
+phi is never stored, and ``propagate`` derives its borrower-major ratios
+from them once per run.
 
 The per-bank contagion proxy is the percentage equity loss between the
 post-shock state and the converged state, i.e. the damage attributable to
@@ -68,12 +73,11 @@ class ShockSpec:
 
 @dataclass
 class NetworkState:
-    """Mutable simulation state; phi is frozen except for insolvency zero-outs."""
+    """Simulation state: the frozen network and starting equity ``e0``, plus
+    the current (possibly shocked) equity and the insolvent mask."""
 
     exposures: ExposureMatrix
     e0: np.ndarray
-    phi: np.ndarray
-    e_prev: np.ndarray
     e_curr: np.ndarray
     insolvent: np.ndarray
     shocked: bool = False
@@ -106,7 +110,7 @@ class ContagionRun:
 
 
 def init_state(w: ExposureMatrix, equity) -> NetworkState:
-    """Build phi = W0 / E0 (column-wise by borrower equity) and freeze it."""
+    """Pair the network with its strictly positive starting equity."""
     equity = np.asarray(equity, dtype=float)
     if equity.shape != (w.n,):
         raise DomainError(f"equity vector of length {equity.size} for n={w.n}")
@@ -116,21 +120,18 @@ def init_state(w: ExposureMatrix, equity) -> NetworkState:
         raise DomainError(
             f"non-positive starting equity for bank(s): {names}; exclude them upstream"
         )
-    phi = w.w / equity[None, :]
     return NetworkState(
         exposures=w,
         e0=equity.copy(),
-        phi=phi,
-        e_prev=equity.copy(),
         e_curr=equity.copy(),
         insolvent=np.zeros(w.n, dtype=bool),
     )
 
 
 def apply_shock(state: NetworkState, shock: ShockSpec) -> NetworkState:
-    """Reduce current equity per the shock; the pre-shock vector is kept as
-    the previous period so the first propagation step sees the shock as the
-    equity change. Banks driven to zero stop transmitting immediately."""
+    """Reduce current equity per the shock; ``e0`` stays the previous period,
+    so the first propagation step sees the shock as the equity change. Banks
+    driven to zero are marked insolvent and transmit nothing."""
     if state.shocked:
         raise ValueError("state already shocked; apply_shock expects a fresh state")
     index = {b: i for i, b in enumerate(state.bank_ids)}
@@ -144,18 +145,11 @@ def apply_shock(state: NetworkState, shock: ShockSpec) -> NetworkState:
             e_curr[i] = state.e_curr[i] * (1.0 - size)
         else:
             e_curr[i] = max(0.0, state.e_curr[i] - size)
-    killed = e_curr == 0.0
-    phi = state.phi
-    if killed.any():
-        phi = phi.copy()
-        phi[:, killed] = 0.0
     return NetworkState(
         exposures=state.exposures,
         e0=state.e0,
-        phi=phi,
-        e_prev=state.e_prev.copy(),
         e_curr=e_curr,
-        insolvent=killed,
+        insolvent=e_curr == 0.0,
         shocked=True,
     )
 
@@ -179,20 +173,21 @@ def propagate(
     """Iterate the contagion update until the largest relative equity change
     falls below alpha, or max_periods is reached (reported, not raised).
 
-    The passed state is not mutated; newly insolvent banks have their phi
-    column zeroed before the next period.
+    The passed state is not mutated. Insolvent borrowers are skipped in the
+    per-period sum, so a bank transmits its losses up to the period in which
+    it hits zero and nothing after.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     # Borrower-major layout: phi_by_borrower[j] holds every lender's exposure
-    # ratio to borrower j, so the per-period reduction below runs left to
-    # right over borrowers (a fixed order, reproducible and matching a
-    # literal per-term evaluation bit for bit).
-    phi_by_borrower = np.ascontiguousarray(state.phi.T)
+    # ratio W0_ij / E0_j to borrower j, so the per-period reduction below runs
+    # left to right over borrowers (a fixed order, reproducible and matching
+    # a literal per-term evaluation bit for bit). One row-major allocation.
+    phi_by_borrower = np.divide(state.exposures.w.T, state.e0[:, None], order="C")
     insolvent = state.insolvent.copy()
-    e_prev = state.e_prev.copy()
+    e_prev = state.e0.copy()
     e_curr = state.e_curr.copy()
     e_post_shock = state.e_curr.copy()
     trajectory = [e_post_shock.copy()] if record_trajectory else None
@@ -202,13 +197,10 @@ def propagate(
     for t in range(1, max_periods + 1):
         delta = e_curr - e_prev
         e_next = e_curr.copy()
-        for j in np.flatnonzero(delta != 0.0):
+        for j in np.flatnonzero((delta != 0.0) & ~insolvent):
             e_next += phi_by_borrower[j] * (beta * delta[j])
         np.maximum(e_next, 0.0, out=e_next)
-        newly = (e_next == 0.0) & ~insolvent
-        if newly.any():
-            phi_by_borrower[newly, :] = 0.0
-            insolvent |= newly
+        insolvent |= e_next == 0.0
         periods = t
         if record_trajectory:
             trajectory.append(e_next.copy())
@@ -234,13 +226,6 @@ def propagate(
         defaults_cascaded=int(cascade_defaulted.sum()),
         trajectory=tuple(trajectory) if record_trajectory else None,
     )
-
-
-def contagion_proxy(run: ContagionRun) -> np.ndarray:
-    """Percentage equity lost to contagion alone; banks killed by the initial
-    shock get 0 (their loss belongs to the shock, flagged initially_defaulted)."""
-    proxy, _ = _proxy_vector(run.e_post_shock, run.e_final)
-    return proxy
 
 
 @dataclass(frozen=True)
@@ -291,7 +276,8 @@ def simulate_quarter(
             raise UnknownBankError(
                 f"shock targets unknown bank_id(s): {', '.join(unknown)}"
             )
-        kept = {b: s for b, s in scenario.targets.items() if b in set(ids)}
+        live = set(ids)
+        kept = {b: s for b, s in scenario.targets.items() if b in live}
         scenario = replace(scenario, targets=kept)
 
     if len(ids) == 1:
@@ -323,14 +309,3 @@ def simulate_quarter(
         excluded=excluded,
         closure_factor=float(sub.closure_factor or 1.0),
     )
-
-
-def quarterly_proxies(
-    panel: QuarterlyPanel,
-    scenario: ShockSpec | None = None,
-    beta: float = 1.0,
-    alpha: float = DEFAULT_ALPHA,
-    **kwargs,
-) -> dict[str, float]:
-    """Contagion proxy per bank for one quarter (excluded banks are absent)."""
-    return simulate_quarter(panel, scenario, beta, alpha, **kwargs).proxies

@@ -47,12 +47,6 @@ class ExposureMatrix:
     def n(self) -> int:
         return self.w.shape[0]
 
-    def row_sums(self) -> np.ndarray:
-        return self.w.sum(axis=1)
-
-    def col_sums(self) -> np.ndarray:
-        return self.w.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class RasReport:
@@ -61,17 +55,16 @@ class RasReport:
     converged: bool
 
 
-def _row_scaled(w: np.ndarray, ia: np.ndarray) -> np.ndarray:
-    """Rescale rows to hit the asset marginals; 0/0 rows stay exactly zero."""
+def _scale_rows(w: np.ndarray, ia: np.ndarray) -> None:
+    """Rescale rows in place to hit the asset marginals; 0/0 rows stay zero."""
     rs = w.sum(axis=1)
-    scale = np.divide(ia, rs, out=np.zeros_like(ia), where=rs > 0)
-    return w * scale[:, None]
+    w *= np.divide(ia, rs, out=np.zeros_like(ia), where=rs > 0)[:, None]
 
 
-def _col_scaled(w: np.ndarray, il: np.ndarray) -> np.ndarray:
+def _scale_cols(w: np.ndarray, il: np.ndarray) -> None:
+    """Rescale columns in place to hit the liability marginals."""
     cs = w.sum(axis=0)
-    scale = np.divide(il, cs, out=np.zeros_like(il), where=cs > 0)
-    return w * scale[None, :]
+    w *= np.divide(il, cs, out=np.zeros_like(il), where=cs > 0)[None, :]
 
 
 def _relative_errors(w, ia, il):
@@ -155,8 +148,8 @@ def reconstruct(
     err = np.inf
     converged = False
     for iterations in range(1, max_iter + 1):
-        w = _row_scaled(w, ia)  # even step: rows match assets
-        w = _col_scaled(w, il)  # odd step: columns match liabilities
+        _scale_rows(w, ia)  # even step: rows match assets
+        _scale_cols(w, il)  # odd step: columns match liabilities
         row_err, col_err = _relative_errors(w, ia, il)
         err = float(max(row_err.max(), col_err.max()))
         if err <= tolerance:
@@ -187,13 +180,23 @@ def write_matrix(path, exposures: ExposureMatrix) -> None:
 
 
 def read_matrix(path) -> ExposureMatrix:
+    """Read a ``write_matrix`` dump; the file size must match the header's n."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
             raise SchemaError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        w = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n)
+        header = fh.read(8)
+        if len(header) != 8:
+            raise SchemaError(f"{path}: truncated header, {8 + len(header)} of 16 bytes")
+        (n,) = struct.unpack("<Q", header)
+        expected = 16 + 8 * n * n
+        actual = path.stat().st_size
+        if actual != expected:
+            raise SchemaError(
+                f"{path}: header n={n} needs {expected} bytes, file has {actual}"
+            )
+        w = np.frombuffer(fh.read(), dtype="<f8").reshape(n, n)
     ids_path = Path(f"{path}.ids.csv")
     if ids_path.exists():
         with open(ids_path, newline="", encoding="utf-8") as fh:
@@ -201,4 +204,4 @@ def read_matrix(path) -> ExposureMatrix:
         bank_ids = tuple(r[0] for r in rows[1:])
     else:
         bank_ids = tuple(str(i) for i in range(n))
-    return ExposureMatrix(bank_ids=bank_ids, w=w.astype(float))
+    return ExposureMatrix(bank_ids=bank_ids, w=w)

@@ -1,19 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from banknet.balance_sheets import QuarterlyPanel
 from banknet.debtrank import (
-    ContagionRun,
     ShockSpec,
+    _proxy_vector,
     apply_shock,
-    contagion_proxy,
     init_state,
     propagate,
-    quarterly_proxies,
     simulate_quarter,
 )
 from banknet.errors import DomainError, UnknownBankError
-from banknet.reconstruction import ExposureMatrix
+from banknet.reconstruction import ExposureMatrix, reconstruct
 
 from .oracles import debtrank_reference
 from .test_balance_sheets import make_record
@@ -43,12 +43,18 @@ def random_instance(rng, n=None, max_phi=0.9):
 
 class TestInitState:
     def test_phi_is_exposure_over_borrower_equity(self):
-        state = init_state(em([[0, 50], [0, 0]]), [100.0, 100.0])
-        assert state.phi.tolist() == [[0.0, 0.5], [0.0, 0.0]]
+        # A lends 50 to B. Halving B's 200 of equity costs A 50 / 200 = 0.25
+        # of B's 100 loss; normalizing by A's own 400 would cost it 12.5.
+        state = init_state(em([[0, 50], [0, 0]]), [400.0, 200.0])
+        run = propagate(apply_shock(state, ShockSpec("equity_fraction", {"B": 0.5})))
+        assert run.e_final.tolist() == [375.0, 100.0]
+        assert run.proxy.tolist() == [-6.25, 0.0]
 
-    def test_zero_matrix_gives_zero_phi(self):
+    def test_zero_matrix_gives_zero_proxies(self):
         state = init_state(em(np.zeros((3, 3))), [10.0, 20.0, 30.0])
-        assert not state.phi.any()
+        run = propagate(apply_shock(state, ShockSpec.uniform(("A", "B", "C"), 0.5)))
+        np.testing.assert_array_equal(run.e_final, run.e_post_shock)
+        assert run.proxy.tolist() == [0.0, 0.0, 0.0]
 
     def test_zero_equity_is_domain_error(self):
         with pytest.raises(DomainError, match="B"):
@@ -57,17 +63,27 @@ class TestInitState:
 
 class TestApplyShock:
     def test_fractional_shock(self):
-        state = init_state(em(np.zeros((2, 2))), [100.0, 100.0])
+        state = init_state(em([[0, 50], [0, 0]]), [100.0, 100.0])
         shocked = apply_shock(state, ShockSpec("equity_fraction", {"B": 0.5}))
         assert shocked.e_curr.tolist() == [100.0, 50.0]
-        assert shocked.e_prev.tolist() == [100.0, 100.0]  # pre-shock baseline
+        # The shock is the first period's equity change: A absorbs
+        # 0.5 * (50 - 100) in period one, then nothing moves.
+        run = propagate(shocked, record_trajectory=True)
+        assert [e.tolist() for e in run.trajectory] == [
+            [100.0, 50.0],
+            [75.0, 50.0],
+            [75.0, 50.0],
+        ]
 
     def test_full_shock_kills_and_silences(self):
         state = init_state(em([[0, 50], [0, 0]]), [100.0, 100.0])
         shocked = apply_shock(state, ShockSpec("equity_fraction", {"B": 1.0}))
         assert shocked.e_curr[1] == 0.0
         assert shocked.insolvent.tolist() == [False, True]
-        assert not shocked.phi[:, 1].any()
+        # Silenced: B's loss of its whole 100 never reaches its lender A.
+        run = propagate(shocked)
+        assert run.e_final.tolist() == [100.0, 0.0]
+        assert run.proxy.tolist() == [0.0, 0.0]
 
     def test_empty_targets_is_identity(self):
         state = init_state(em(np.zeros((2, 2))), [100.0, 100.0])
@@ -141,13 +157,17 @@ class TestPropagate:
         assert run.e_final[1] == 0.0
 
     def test_state_not_mutated(self):
-        state = init_state(em([[0, 50], [50, 0]]), [100.0, 100.0])
-        shocked = apply_shock(state, ShockSpec.uniform(("A", "B"), 0.5))
-        phi_before = shocked.phi.copy()
+        # B defaults during the run, so the run's own insolvent mask changes.
+        state = init_state(em([[0, 0], [500, 0]], ids=("A", "B")), [1000.0, 50.0])
+        shocked = apply_shock(state, ShockSpec("equity_fraction", {"A": 0.5}))
+        w_before = shocked.exposures.w.copy()
         e_before = shocked.e_curr.copy()
-        propagate(shocked)
-        np.testing.assert_array_equal(shocked.phi, phi_before)
+        run = propagate(shocked)
+        assert run.defaults_cascaded == 1
+        np.testing.assert_array_equal(shocked.exposures.w, w_before)
         np.testing.assert_array_equal(shocked.e_curr, e_before)
+        assert shocked.insolvent.tolist() == [False, False]
+        assert shocked.e0.tolist() == [1000.0, 50.0]
 
 
 class TestInvariants:
@@ -242,38 +262,17 @@ class TestOracleEquivalence:
 
 class TestProxy:
     def test_formula(self):
-        run = _run(e_post=[100.0], e_final=[75.0])
-        assert contagion_proxy(run).tolist() == [-25.0]
+        proxy, _ = _proxy_vector(np.array([100.0]), np.array([75.0]))
+        assert proxy.tolist() == [-25.0]
 
     def test_no_change_is_zero(self):
-        run = _run(e_post=[50.0], e_final=[50.0])
-        assert contagion_proxy(run).tolist() == [0.0]
+        proxy, _ = _proxy_vector(np.array([50.0]), np.array([50.0]))
+        assert proxy.tolist() == [0.0]
 
     def test_initially_defaulted_marker(self):
-        run = _run(e_post=[0.0], e_final=[0.0])
-        assert contagion_proxy(run).tolist() == [0.0]
-        assert run.initially_defaulted.tolist() == [True]
-
-
-def _run(e_post, e_final):
-    e_post = np.asarray(e_post, dtype=float)
-    e_final = np.asarray(e_final, dtype=float)
-    from banknet.debtrank import _proxy_vector
-
-    proxy, marker = _proxy_vector(e_post, e_final)
-    return ContagionRun(
-        bank_ids=tuple(str(i) for i in range(e_post.size)),
-        beta=1.0,
-        alpha=1e-6,
-        e_post_shock=e_post,
-        e_final=e_final,
-        proxy=proxy,
-        initially_defaulted=marker,
-        cascade_defaulted=(e_final == 0) & ~marker,
-        periods=1,
-        converged=True,
-        defaults_cascaded=int(((e_final == 0) & ~marker).sum()),
-    )
+        proxy, marker = _proxy_vector(np.array([0.0]), np.array([0.0]))
+        assert proxy.tolist() == [0.0]
+        assert marker.tolist() == [True]
 
 
 class TestQuarterlyProxies:
@@ -288,18 +287,18 @@ class TestQuarterlyProxies:
         )
 
     def test_composition_matches_worked_example(self):
-        proxies = quarterly_proxies(
+        proxies = simulate_quarter(
             self._panel(), ShockSpec("equity_fraction", {"B": 0.5})
-        )
+        ).proxies
         assert proxies == {"A": -25.0, "B": 0.0}
 
     def test_beta_zero_all_zero(self):
-        proxies = quarterly_proxies(self._panel(), beta=0.0, shock_fraction=0.2)
+        proxies = simulate_quarter(self._panel(), beta=0.0, shock_fraction=0.2).proxies
         assert proxies == {"A": 0.0, "B": 0.0}
 
     def test_single_bank_panel(self):
         panel = QuarterlyPanel("2009Q1", (make_record("A", ia=0, il=0),))
-        assert quarterly_proxies(panel) == {"A": 0.0}
+        assert simulate_quarter(panel).proxies == {"A": 0.0}
 
     def test_nonpositive_equity_excluded_and_reclosed(self):
         panel = QuarterlyPanel(
@@ -319,4 +318,52 @@ class TestQuarterlyProxies:
 
     def test_shock_targets_outside_panel_rejected(self):
         with pytest.raises(UnknownBankError):
-            quarterly_proxies(self._panel(), ShockSpec("equity_fraction", {"Q": 0.1}))
+            simulate_quarter(self._panel(), ShockSpec("equity_fraction", {"Q": 0.1}))
+
+
+class TestAllocations:
+    """Peak traced allocation of each engine step at n=500, in units of one
+    n x n float64 matrix: the exposure matrix is the only n x n network
+    state, propagation adds one borrower-major ratio matrix, and RAS
+    rescales a single buffer in place."""
+
+    N = 500
+
+    def _peak_matrices(self, fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - base) / (8 * self.N * self.N), result
+
+    def _instance(self):
+        rng = np.random.default_rng(5)
+        exposures, _ = reconstruct(
+            np.full(self.N, 10.0), np.full(self.N, 10.0), bank_ids=tuple(map(str, range(self.N)))
+        )
+        equity = rng.uniform(50.0, 100.0, self.N)
+        shock = ShockSpec("equity_fraction", {"0": 1.0, "1": 0.5, "2": 0.2})
+        return exposures, equity, shock
+
+    def test_init_and_shock_copy_no_matrix(self):
+        exposures, equity, shock = self._instance()
+        peak, _ = self._peak_matrices(lambda: apply_shock(init_state(exposures, equity), shock))
+        assert peak < 0.25
+
+    def test_propagate_holds_one_ratio_matrix(self):
+        exposures, equity, shock = self._instance()
+        state = apply_shock(init_state(exposures, equity), shock)
+        peak, run = self._peak_matrices(lambda: propagate(state))
+        assert run.converged and run.periods > 1
+        assert peak < 1.5
+
+    def test_reconstruct_rescales_in_place(self):
+        rng = np.random.default_rng(6)
+        ia = rng.uniform(1.0, 10.0, self.N)
+        il = rng.permutation(ia)
+        peak, (_, report) = self._peak_matrices(lambda: reconstruct(ia, il))
+        assert report.converged and report.iterations > 1
+        assert peak < 2.5

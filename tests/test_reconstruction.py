@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banknet.errors import DimensionError, InfeasibilityError
+from banknet.errors import DimensionError, InfeasibilityError, SchemaError
 from banknet.reconstruction import (
     ExposureMatrix,
-    _col_scaled,
-    _row_scaled,
+    _scale_cols,
+    _scale_rows,
     marginal_errors,
     read_matrix,
     reconstruct,
@@ -105,8 +105,8 @@ class TestSteps:
         w = rng.uniform(0, 5, (n, n))
         np.fill_diagonal(w, 0.0)
         ia = rng.uniform(1, 10, n)
-        scaled = _row_scaled(w, ia)
-        assert abs(scaled.sum() - ia.sum()) <= 1e-12 * ia.sum()
+        _scale_rows(w, ia)
+        assert abs(w.sum() - ia.sum()) <= 1e-12 * ia.sum()
 
     def test_odd_step_matches_columns(self):
         rng = np.random.default_rng(10)
@@ -114,8 +114,8 @@ class TestSteps:
         w = rng.uniform(0.1, 5, (n, n))
         np.fill_diagonal(w, 0.0)
         il = rng.uniform(1, 10, n)
-        scaled = _col_scaled(w, il)
-        np.testing.assert_allclose(scaled.sum(axis=0), il, rtol=1e-12)
+        _scale_cols(w, il)
+        np.testing.assert_allclose(w.sum(axis=0), il, rtol=1e-12)
 
     def test_steps_preserve_zero_diagonal_and_nonnegativity(self):
         rng = np.random.default_rng(11)
@@ -125,10 +125,10 @@ class TestSteps:
         ia = rng.uniform(0, 10, n)
         il = rng.uniform(0, 10, n)
         for _ in range(5):
-            w = _row_scaled(w, ia)
+            _scale_rows(w, ia)
             assert np.diagonal(w).tolist() == [0.0] * n
             assert (w >= 0).all()
-            w = _col_scaled(w, il)
+            _scale_cols(w, il)
             assert np.diagonal(w).tolist() == [0.0] * n
             assert (w >= 0).all()
 
@@ -169,3 +169,33 @@ class TestMatrixDump:
         back = read_matrix(path)
         assert back.bank_ids == ("x", "y", "z")
         np.testing.assert_array_equal(back.w, em.w)
+
+    def _dump(self, tmp_path):
+        em, _ = reconstruct([6, 6, 6], [6, 6, 6])
+        path = tmp_path / "matrix.bin"
+        write_matrix(path, em)
+        return path, path.read_bytes()
+
+    def test_truncated_body_is_schema_error(self, tmp_path):
+        path, raw = self._dump(tmp_path)
+        path.write_bytes(raw[:-8])
+        with pytest.raises(SchemaError, match="needs 88 bytes, file has 80"):
+            read_matrix(path)
+
+    def test_trailing_bytes_are_schema_error(self, tmp_path):
+        path, raw = self._dump(tmp_path)
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(SchemaError, match="needs 88 bytes, file has 89"):
+            read_matrix(path)
+
+    def test_huge_header_n_is_schema_error(self, tmp_path):
+        path, raw = self._dump(tmp_path)
+        path.write_bytes(raw[:8] + (2**40).to_bytes(8, "little") + raw[16:])
+        with pytest.raises(SchemaError, match=f"n={2**40} needs {16 + 8 * 4**40} bytes"):
+            read_matrix(path)
+
+    def test_truncated_header_is_schema_error(self, tmp_path):
+        path, raw = self._dump(tmp_path)
+        path.write_bytes(raw[:12])
+        with pytest.raises(SchemaError, match="truncated header"):
+            read_matrix(path)
