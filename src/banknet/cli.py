@@ -16,12 +16,11 @@ from pathlib import Path
 
 from . import __version__
 from .balance_sheets import live_subsystem, load_panel, write_rejection_report
-from .debtrank import DEFAULT_ALPHA, DEFAULT_MAX_PERIODS, DEFAULT_SHOCK_FRACTION
 from .errors import DataError, NumericalError, StageError
-from .mlp import MlpConfig
 from .pipeline import (
     RunConfig,
-    load_grid_file,
+    parse_grid,
+    parse_lambda,
     rerun_from_manifest,
     run_pipeline,
     stage_build_dataset,
@@ -31,12 +30,7 @@ from .pipeline import (
     stage_simulate,
     stage_train_mlp,
 )
-from .reconstruction import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOLERANCE,
-    reconstruct,
-    write_matrix,
-)
+from .reconstruction import reconstruct, write_matrix
 from .synthetic import SyntheticSpec, generate, write_outputs
 
 
@@ -61,20 +55,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="rebuild the bilateral exposure matrix")
     p.add_argument("--panel", required=True)
     p.add_argument("--quarter", required=True)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--tolerance", type=float, default=RunConfig.tolerance)
+    p.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
     p.add_argument("--dump-matrix", help="binary matrix dump path")
     p.add_argument("--rejects", help="rejection report path")
 
     p = sub.add_parser("simulate", help="run the contagion scenario for one quarter")
     p.add_argument("--panel", required=True)
     p.add_argument("--quarter", required=True)
-    p.add_argument("--shock-fraction", type=float, default=DEFAULT_SHOCK_FRACTION)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--max-periods", type=int, default=DEFAULT_MAX_PERIODS)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--shock-fraction", type=float, default=RunConfig.shock_fraction)
+    p.add_argument("--beta", type=float, default=RunConfig.beta)
+    p.add_argument("--alpha", type=float, default=RunConfig.alpha)
+    p.add_argument("--max-periods", type=int, default=RunConfig.max_periods)
+    p.add_argument("--tolerance", type=float, default=RunConfig.tolerance)
+    p.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
     p.add_argument("--dump-matrix")
     p.add_argument("--trajectory", help="per-period equity dump path")
     p.add_argument("--rejects", help="rejection report path")
@@ -85,17 +79,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--q{k}", required=True, help=f"quarter {k} panel CSV")
     p.add_argument("--proxies", required=True, help="directory of proxies_<tag>.csv files")
     p.add_argument("--labels", required=True, help="failed-bank CSV")
-    p.add_argument("--total", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--total", type=int, default=RunConfig.total)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--rebalance-after-split", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train-mlp", help="tune and train the neural classifier")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--grid", default="default", help='"default" or a grid JSON file')
-    p.add_argument("--epochs", type=int, default=MlpConfig.epochs)
-    p.add_argument("--batch-size", type=int, default=MlpConfig.batch_size)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid", type=parse_grid, default=RunConfig.grid, help="default or a JSON file")
+    p.add_argument("--epochs", type=int, default=RunConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=RunConfig.batch_size)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--out", required=True, help="model JSON path")
 
     p = sub.add_parser("sensitivity", help="mean output gradient per input column")
@@ -105,7 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("logit", help="L1-penalized logistic fit with refit inference")
     p.add_argument("--data", required=True)
-    p.add_argument("--lambda", dest="lam", default="auto", help='"auto" or a value')
+    p.add_argument(
+        "--lambda", dest="lam", type=parse_lambda, default=RunConfig.lam, help="auto or a value"
+    )
     p.add_argument("--out", required=True, help="fit JSON path")
 
     p = sub.add_parser("report", help="correlation matrix and summary report")
@@ -200,12 +196,11 @@ def _cmd_build_dataset(args) -> int:
 
 
 def _cmd_train_mlp(args) -> int:
-    grid = None if args.grid == "default" else load_grid_file(args.grid)
     summary = stage_train_mlp(
         args.data,
         args.out,
         seed=args.seed,
-        grid=grid,
+        grid=args.grid,
         epochs=args.epochs,
         batch_size=args.batch_size,
     )
@@ -220,8 +215,7 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_logit(args) -> int:
-    lam = args.lam if args.lam == "auto" else float(args.lam)
-    summary = stage_logit(args.data, args.out, lam=lam)
+    summary = stage_logit(args.data, args.out, lam=args.lam)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -274,15 +268,11 @@ def exit_code_for(exc: BaseException) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args)
-    except StageError as exc:
+        args = _build_parser().parse_args(argv)  # --grid reads its file here
+        return _HANDLERS[args.command](args)
+    except (StageError, DataError, NumericalError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
-    except (DataError, NumericalError, OSError, ValueError, KeyError) as exc:
-        print(f"error ({args.command}): {exc}", file=sys.stderr)
         return exit_code_for(exc)
 
 

@@ -40,6 +40,7 @@ from .reconstruction import (
 )
 
 DEFAULT_ALPHA = 1e-6
+DEFAULT_BETA = 1.0
 DEFAULT_MAX_PERIODS = 10_000
 DEFAULT_SHOCK_FRACTION = 0.1
 _EPS = 1e-12
@@ -165,7 +166,7 @@ def _proxy_vector(e_post_shock: np.ndarray, e_final: np.ndarray):
 
 def propagate(
     state: NetworkState,
-    beta: float = 1.0,
+    beta: float = DEFAULT_BETA,
     alpha: float = DEFAULT_ALPHA,
     max_periods: int = DEFAULT_MAX_PERIODS,
     record_trajectory: bool = False,
@@ -248,7 +249,7 @@ class QuarterSimulation:
 def simulate_quarter(
     panel: QuarterlyPanel,
     scenario: ShockSpec | None = None,
-    beta: float = 1.0,
+    beta: float = DEFAULT_BETA,
     alpha: float = DEFAULT_ALPHA,
     *,
     shock_fraction: float = DEFAULT_SHOCK_FRACTION,

@@ -14,7 +14,8 @@ class DataError(ToolkitError):
 
 
 class SchemaError(DataError):
-    """A required column is missing or a file is structurally unreadable."""
+    """A required column is missing, a config key is unknown, or a file is
+    structurally unreadable."""
 
 
 class ParseError(DataError):

@@ -156,8 +156,8 @@ def fit_lasso(
     ConvergenceError after ``max_steps`` Newton steps without that.
     ``warm_start`` takes an (intercept, coefficients) pair, e.g. the previous
     solution on a lambda path."""
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not 0.0 <= lam < math.inf:  # also rejects NaN
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     x, y = _check_xy(x, y)
     n, p = x.shape
     if warm_start is not None:

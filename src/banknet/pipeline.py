@@ -17,7 +17,8 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from .dataset import (
 )
 from .debtrank import (
     DEFAULT_ALPHA,
+    DEFAULT_BETA,
     DEFAULT_MAX_PERIODS,
     DEFAULT_SHOCK_FRACTION,
     simulate_quarter,
@@ -64,35 +66,67 @@ _MANIFEST_NAME = "run_manifest.json"
 VOLATILE_MANIFEST_KEYS = ("created_utc", "command", "out_dir")
 
 
+LAMBDA_AUTO = "auto"  # the lam value that selects lambda on the validation split
+
+
+def parse_grid(raw: str) -> dict | None:
+    """``default`` (the 27-point grid, stored as None) or a grid JSON file."""
+    if raw == "default":
+        return None
+    try:
+        grid = json.loads(Path(raw).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"grid file {raw} is not valid JSON: {exc}") from None
+    for key in ("structures", "solvers", "learning_rates"):
+        if key not in grid:
+            raise SchemaError(f"grid file {raw} is missing {key!r}")
+    return grid
+
+
+def parse_lambda(raw: str) -> float | str:
+    """LAMBDA_AUTO or a fixed lasso penalty."""
+    return raw if raw == LAMBDA_AUTO else float(raw)
+
+
+def _parse_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+def _ini(section: str, default, *keys: str, parse=None):
+    """A RunConfig field read from ``[section]`` under ``keys`` (default: its
+    name); ``parse`` maps the raw strings to the value, else the annotation."""
+    return field(default=default, metadata={"section": section, "keys": keys, "parse": parse})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved parameters of one pipeline run."""
+    """Fully resolved parameters of one pipeline run, and the stage and CLI defaults."""
 
-    seed: int = 0
-    # inputs
-    synthetic: bool = True
-    n_banks: int = 1000
-    default_rate: float = 0.02
-    contagion_signal_strength: float = 2.0
-    start_quarter: str = "2009Q1"
-    quarter_files: tuple[str, ...] = ()
-    labels_file: str = ""
-    # reconstruction
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iter: int = DEFAULT_MAX_ITER
-    # simulation
-    shock_fraction: float = DEFAULT_SHOCK_FRACTION
-    beta: float = 1.0
-    alpha: float = DEFAULT_ALPHA
-    max_periods: int = DEFAULT_MAX_PERIODS
-    # dataset
-    total: int = 1000
-    rebalance_after_split: bool = False
-    # classifiers
-    epochs: int = 300
-    batch_size: int = 32
-    grid: dict | None = None  # None = the default 27-point grid
-    lam: float | str = "auto"
+    seed: int = _ini("run", SyntheticSpec.rng_seed)
+    synthetic: bool = _ini("inputs", True)
+    n_banks: int = _ini("inputs", SyntheticSpec.n_banks)
+    default_rate: float = _ini("inputs", SyntheticSpec.default_rate)
+    contagion_signal_strength: float = _ini("inputs", SyntheticSpec.contagion_signal_strength)
+    start_quarter: str = _ini("inputs", SyntheticSpec.start_quarter)
+    quarter_files: tuple[str, ...] = _ini(
+        "inputs", (), "q1", "q2", "q3", "q4", parse=lambda *paths: paths
+    )
+    labels_file: str = _ini("inputs", "", "labels")
+    tolerance: float = _ini("reconstruct", DEFAULT_TOLERANCE)
+    max_iter: int = _ini("reconstruct", DEFAULT_MAX_ITER)
+    shock_fraction: float = _ini("simulate", DEFAULT_SHOCK_FRACTION)
+    beta: float = _ini("simulate", DEFAULT_BETA)
+    alpha: float = _ini("simulate", DEFAULT_ALPHA)
+    max_periods: int = _ini("simulate", DEFAULT_MAX_PERIODS)
+    total: int = _ini("dataset", 1000)
+    rebalance_after_split: bool = _ini("dataset", False)
+    epochs: int = _ini("mlp", mlp.MlpConfig.epochs)
+    batch_size: int = _ini("mlp", mlp.MlpConfig.batch_size)
+    grid: dict | None = _ini("mlp", None, parse=parse_grid)
+    lam: float | str = _ini("logit", LAMBDA_AUTO, "lambda", parse=parse_lambda)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -101,69 +135,43 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        d["quarter_files"] = tuple(d.get("quarter_files", ()))
-        return cls(**d)
+        """Inverse of ``to_dict``; a key that names no field is a SchemaError."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise SchemaError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**{**d, "quarter_files": tuple(d.get("quarter_files", ()))})
 
     @classmethod
     def from_ini(cls, path) -> "RunConfig":
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise OSError(f"cannot read config file {path}")
-        base = cls()
-
-        def get(section, option, cast, default):
-            if parser.has_option(section, option):
-                if cast is bool:
-                    return parser.getboolean(section, option)
-                return cast(parser.get(section, option))
-            return default
-
-        grid = get("mlp", "grid", str, "default")
-        grid_dict = None if grid == "default" else load_grid_file(grid)
-        lam_raw = get("logit", "lambda", str, "auto")
-        lam = "auto" if lam_raw == "auto" else float(lam_raw)
-        quarter_files = tuple(
-            parser.get("inputs", f"q{k}")
-            for k in range(1, 5)
-            if parser.has_option("inputs", f"q{k}")
-        )
-        return cls(
-            seed=get("run", "seed", int, base.seed),
-            synthetic=get("inputs", "synthetic", bool, not quarter_files),
-            n_banks=get("inputs", "n_banks", int, base.n_banks),
-            default_rate=get("inputs", "default_rate", float, base.default_rate),
-            contagion_signal_strength=get(
-                "inputs", "contagion_signal_strength", float, base.contagion_signal_strength
-            ),
-            start_quarter=get("inputs", "start_quarter", str, base.start_quarter),
-            quarter_files=quarter_files,
-            labels_file=get("inputs", "labels", str, base.labels_file),
-            tolerance=get("reconstruct", "tolerance", float, base.tolerance),
-            max_iter=get("reconstruct", "max_iter", int, base.max_iter),
-            shock_fraction=get("simulate", "shock_fraction", float, base.shock_fraction),
-            beta=get("simulate", "beta", float, base.beta),
-            alpha=get("simulate", "alpha", float, base.alpha),
-            max_periods=get("simulate", "max_periods", int, base.max_periods),
-            total=get("dataset", "total", int, base.total),
-            rebalance_after_split=get(
-                "dataset", "rebalance_after_split", bool, base.rebalance_after_split
-            ),
-            epochs=get("mlp", "epochs", int, base.epochs),
-            batch_size=get("mlp", "batch_size", int, base.batch_size),
-            grid=grid_dict,
-            lam=lam,
-        )
-
-
-def load_grid_file(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        grid = json.load(fh)
-    for key in ("structures", "solvers", "learning_rates"):
-        if key not in grid:
-            raise SchemaError(f"grid file {path} is missing {key!r}")
-    return grid
+        """Absent keys keep their defaults; anything unknown or malformed is a SchemaError."""
+        # No default section, so [DEFAULT] is an unknown section like any
+        # other; no interpolation, so a value is taken as written.
+        parser = configparser.ConfigParser(default_section="", interpolation=None)
+        try:
+            if not parser.read(path, encoding="utf-8"):
+                raise OSError(f"cannot read config file {path}")
+        except configparser.Error as exc:
+            raise SchemaError(f"{path}: {exc}") from None
+        layout = [(f, f.metadata["section"], f.metadata["keys"] or (f.name,)) for f in fields(cls)]
+        known = {(section, key) for _, section, keys in layout for key in keys}
+        sections = {section for section, _ in known}
+        unknown = [f"[{s}]" for s in parser.sections() if s not in sections]
+        unknown += [f"[{s}] {k}" for s in parser for k in parser[s] if (s, k) not in known]
+        if unknown:
+            raise SchemaError(f"{path}: unknown config section or key: {', '.join(unknown)}")
+        types = typing.get_type_hints(cls)
+        values = {}
+        for f, section, keys in layout:
+            raw = [parser[section][k] for k in keys if parser.has_option(section, k)]
+            if raw:
+                cast = types[f.name]
+                parse = f.metadata["parse"] or (_parse_bool if cast is bool else cast)
+                try:
+                    values[f.name] = parse(*raw)
+                except ValueError as exc:
+                    raise SchemaError(f"{path}: [{section}] {keys[0]}: {exc}") from None
+        values.setdefault("synthetic", not values.get("quarter_files"))
+        return cls(**values)
 
 
 def _grid_args(grid: dict | None) -> dict:
@@ -199,12 +207,12 @@ def stage_simulate(
     quarter: str,
     out_csv,
     *,
-    shock_fraction: float = DEFAULT_SHOCK_FRACTION,
-    beta: float = 1.0,
-    alpha: float = DEFAULT_ALPHA,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iter: int = DEFAULT_MAX_ITER,
-    max_periods: int = DEFAULT_MAX_PERIODS,
+    shock_fraction: float = RunConfig.shock_fraction,
+    beta: float = RunConfig.beta,
+    alpha: float = RunConfig.alpha,
+    tolerance: float = RunConfig.tolerance,
+    max_iter: int = RunConfig.max_iter,
+    max_periods: int = RunConfig.max_periods,
     dump_matrix=None,
     trajectory_path=None,
     rejects_path=None,
@@ -286,9 +294,9 @@ def stage_build_dataset(
     labels_path,
     out_dir,
     *,
-    total: int = 1000,
-    seed: int = 0,
-    rebalance_after_split: bool = False,
+    total: int = RunConfig.total,
+    seed: int = RunConfig.seed,
+    rebalance_after_split: bool = RunConfig.rebalance_after_split,
     horizon: str | None = None,
 ) -> dict:
     """Assemble the 24-column panel, rebalance, split and fit the scaler.
@@ -441,10 +449,10 @@ def stage_train_mlp(
     data_dir,
     out_path,
     *,
-    seed: int = 0,
-    grid: dict | None = None,
-    epochs: int = 300,
-    batch_size: int = 32,
+    seed: int = RunConfig.seed,
+    grid: dict | None = RunConfig.grid,
+    epochs: int = RunConfig.epochs,
+    batch_size: int = RunConfig.batch_size,
 ) -> dict:
     panel, splits, scaler = load_dataset_dir(data_dir)
     scaled = apply_scaler(scaler, panel)
@@ -485,12 +493,12 @@ def stage_sensitivity(model_path, data_dir, out_csv) -> dict:
     }
 
 
-def stage_logit(data_dir, out_path, *, lam: float | str = "auto") -> dict:
+def stage_logit(data_dir, out_path, *, lam: float | str = RunConfig.lam) -> dict:
     panel, splits, scaler = load_dataset_dir(data_dir)
     scaled = apply_scaler(scaler, panel)
     target = 1 - panel.y  # default indicator, as for the MLP
     xt, yt = scaled.x[splits.train], target[splits.train]
-    if lam == "auto":
+    if lam == LAMBDA_AUTO:
         lasso = select_lambda(scaled.x, target, splits)
     else:
         lasso = fit_lasso(xt, yt, float(lam))

@@ -39,8 +39,12 @@ class ExposureMatrix:
             raise DimensionError(
                 f"{len(self.bank_ids)} bank_ids for a {w.shape[0]}x{w.shape[1]} matrix"
             )
-        w = w.copy()
-        w.setflags(write=False)
+        # A frozen array that owns its data is taken over as is (reconstruct
+        # hands over its RAS buffer so); a writeable array or a view, which a
+        # caller could still write through, is copied.
+        if w.flags.writeable or not w.flags.owndata:
+            w = w.copy()
+            w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
     @property
@@ -156,6 +160,7 @@ def reconstruct(
             converged = True
             break
 
+    w.setflags(write=False)
     return (
         ExposureMatrix(bank_ids=tuple(bank_ids), w=w),
         RasReport(iterations=iterations, max_marginal_error=err, converged=converged),
@@ -196,7 +201,9 @@ def read_matrix(path) -> ExposureMatrix:
             raise SchemaError(
                 f"{path}: header n={n} needs {expected} bytes, file has {actual}"
             )
-        w = np.frombuffer(fh.read(), dtype="<f8").reshape(n, n)
+        w = np.empty((n, n), dtype="<f8")
+        fh.readinto(w)  # the size check above guarantees a full read
+        w.setflags(write=False)
     ids_path = Path(f"{path}.ids.csv")
     if ids_path.exists():
         with open(ids_path, newline="", encoding="utf-8") as fh:

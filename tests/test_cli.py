@@ -4,6 +4,7 @@ import pytest
 
 from banknet.balance_sheets import QuarterlyPanel, write_panel_csv
 from banknet.cli import main
+from banknet.pipeline import RunConfig
 
 from .test_balance_sheets import make_record
 
@@ -178,6 +179,33 @@ class TestRunCommand:
 
     def test_run_requires_exactly_one_source(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (
+                "[simulate]\nshock_fracton = 0.5\n\n[mlp]\nepoch = 5\n",
+                ["[simulate] shock_fracton", "[mlp] epoch"],
+            ),
+            ("[simulatoin]\nbeta = 0.5\n", ["[simulatoin]"]),
+            ("[mlp]\nepochs = 5\n\n[mlp]\nbatch_size = 8\n", ["'mlp' already exists"]),
+        ],
+        ids=["misspelt-keys", "unknown-section", "duplicate-section"],
+    )
+    def test_run_rejects_unknown_or_malformed_config(self, tmp_path, capsys, text, named):
+        config_path = tmp_path / "typo.ini"
+        config_path.write_text(text)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert all(n in err for n in named), err
+        assert not (tmp_path / "out").exists()
+
+    def test_rerun_rejects_unknown_manifest_config_key(self, tmp_path, capsys):
+        manifest = tmp_path / "run_manifest.json"
+        config = {**RunConfig().to_dict(), "shock_fracton": 0.5}
+        manifest.write_text(json.dumps({"config": config}))
+        assert main(["run", "--from-manifest", str(manifest), "--out", str(tmp_path / "out")]) == 3
+        assert "shock_fracton" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, field", [("--batch-size", "0", "batch_size"), ("--epochs", "-1", "epochs")]

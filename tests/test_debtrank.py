@@ -366,4 +366,4 @@ class TestAllocations:
         il = rng.permutation(ia)
         peak, (_, report) = self._peak_matrices(lambda: reconstruct(ia, il))
         assert report.converged and report.iterations > 1
-        assert peak < 2.5
+        assert peak < 1.5

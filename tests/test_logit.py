@@ -76,8 +76,9 @@ class TestFitLasso:
 
     def test_negative_lambda_rejected(self):
         x, y = simulate(50, [1.0], seed=6)
-        with pytest.raises(ValueError):
-            fit_lasso(x, y, -0.1)
+        for lam in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                fit_lasso(x, y, lam)
 
 
 def _near_collinear(seed, n=300, noise=1e-3):

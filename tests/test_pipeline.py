@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import json
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +193,60 @@ class TestRunPipeline:
             "exclusions"
         ]
         assert [victim, "missing from quarter 2009Q2"] in exclusions
+
+
+# One non-default value per RunConfig field, in field order: its INI section,
+# the INI lines that set it and the value they parse to.
+NON_DEFAULT_INI = {
+    "seed": ("run", "seed = 5", 5),
+    "synthetic": ("inputs", "synthetic = false", False),
+    "n_banks": ("inputs", "n_banks = 300", 300),
+    "default_rate": ("inputs", "default_rate = 0.1", 0.1),
+    "contagion_signal_strength": ("inputs", "contagion_signal_strength = 1.5", 1.5),
+    "start_quarter": ("inputs", "start_quarter = 2008Q3", "2008Q3"),
+    "quarter_files": (
+        "inputs",
+        "q1 = a.csv\nq2 = b.csv\nq3 = c.csv\nq4 = d.csv",
+        ("a.csv", "b.csv", "c.csv", "d.csv"),
+    ),
+    "labels_file": ("inputs", "labels = failed.csv", "failed.csv"),
+    "tolerance": ("reconstruct", "tolerance = 1e-10", 1e-10),
+    "max_iter": ("reconstruct", "max_iter = 50", 50),
+    "shock_fraction": ("simulate", "shock_fraction = 0.25", 0.25),
+    "beta": ("simulate", "beta = 0.5", 0.5),
+    "alpha": ("simulate", "alpha = 1e-4", 1e-4),
+    "max_periods": ("simulate", "max_periods = 7", 7),
+    "total": ("dataset", "total = 400", 400),
+    "rebalance_after_split": ("dataset", "rebalance_after_split = yes", True),
+    "epochs": ("mlp", "epochs = 5", 5),
+    "batch_size": ("mlp", "batch_size = 8", 8),
+    "grid": ("mlp", "grid = {grid_path}", SMALL_GRID),
+    "lam": ("logit", "lambda = 0.02", 0.02),
+}
+
+
+class TestRunConfigSchema:
+    def test_ini_round_trip_covers_every_field(self, tmp_path):
+        assert list(NON_DEFAULT_INI) == [f.name for f in dataclasses.fields(RunConfig)]
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(SMALL_GRID))
+        sections = {}
+        for section, lines, _ in NON_DEFAULT_INI.values():
+            sections.setdefault(section, []).append(lines.format(grid_path=grid_path))
+        ini = tmp_path / "all.ini"
+        ini.write_text("".join(f"[{s}]\n" + "\n".join(v) + "\n\n" for s, v in sections.items()))
+        expected = RunConfig(**{name: value for name, (_, _, value) in NON_DEFAULT_INI.items()})
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(expected, f.name) != f.default, f.name
+        assert RunConfig.from_ini(ini).to_dict() == expected.to_dict()
+        assert RunConfig.from_dict(expected.to_dict()) == expected
+
+    def test_readme_example_and_empty_ini_parse_to_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"Example `run.ini`.*?```ini\n(.*?)```", readme, re.S).group(1)
+        for name, text in (("readme.ini", example), ("empty.ini", "")):
+            (tmp_path / name).write_text(text)
+            assert RunConfig.from_ini(tmp_path / name) == RunConfig(), name
 
 
 class TestRebalanceAfterSplit:

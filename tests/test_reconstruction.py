@@ -157,6 +157,16 @@ def test_returned_matrix_is_immutable():
         em.w[0, 1] = 99.0
 
 
+def test_caller_arrays_are_copied():
+    base = np.array([[0.0, 1.0], [2.0, 0.0]])
+    frozen_view = base.view()
+    frozen_view.setflags(write=False)
+    matrices = [ExposureMatrix(("a", "b"), w) for w in (base, frozen_view)]
+    base[0, 1] = 99.0
+    for em in matrices:
+        assert em.w[0, 1] == 1.0
+
+
 class TestMatrixDump:
     def test_roundtrip_and_header(self, tmp_path):
         em, _ = reconstruct([6, 6, 6], [6, 6, 6], bank_ids=("x", "y", "z"))
