@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .balance_sheets import live_subsystem, load_panel, write_rejection_report
+from .debtrank import live_network
 from .errors import DataError, NumericalError, StageError
 from .pipeline import (
     RunConfig,
@@ -30,7 +31,7 @@ from .pipeline import (
     stage_simulate,
     stage_train_mlp,
 )
-from .reconstruction import reconstruct, write_matrix
+from .reconstruction import write_matrix
 from .synthetic import SyntheticSpec, generate, write_outputs
 
 
@@ -138,13 +139,7 @@ def _cmd_reconstruct(args) -> int:
     if panel.rejections and args.rejects:
         write_rejection_report(args.rejects, panel.rejections)
     sub, _ = live_subsystem(panel)
-    exposures, report = reconstruct(
-        sub.interbank_assets(),
-        sub.interbank_liabilities(),
-        tolerance=args.tolerance,
-        max_iter=args.max_iter,
-        bank_ids=sub.bank_ids,
-    )
+    exposures, report = live_network(sub, tolerance=args.tolerance, max_iter=args.max_iter)
     if args.dump_matrix:
         write_matrix(args.dump_matrix, exposures)
     print(

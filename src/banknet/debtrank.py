@@ -246,6 +246,27 @@ class QuarterSimulation:
         return {b: float(p) for b, p in zip(self.bank_ids, self.run.proxy)}
 
 
+def live_network(
+    sub: QuarterlyPanel,
+    *,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[ExposureMatrix, RasReport]:
+    """Reconstructed exposure network of a live subsystem (the closed panel
+    ``live_subsystem`` returns). A lone live bank has no counterparties: its
+    network is the 1 x 1 zero matrix, settled in zero RAS iterations."""
+    if len(sub.bank_ids) == 1:
+        exposures = ExposureMatrix(bank_ids=sub.bank_ids, w=np.zeros((1, 1)))
+        return exposures, RasReport(iterations=0, max_marginal_error=0.0, converged=True)
+    return reconstruct(
+        sub.interbank_assets(),
+        sub.interbank_liabilities(),
+        tolerance=tolerance,
+        max_iter=max_iter,
+        bank_ids=sub.bank_ids,
+    )
+
+
 def simulate_quarter(
     panel: QuarterlyPanel,
     scenario: ShockSpec | None = None,
@@ -281,18 +302,7 @@ def simulate_quarter(
         kept = {b: s for b, s in scenario.targets.items() if b in live}
         scenario = replace(scenario, targets=kept)
 
-    if len(ids) == 1:
-        # No counterparties: an empty network, nothing to propagate.
-        exposures = ExposureMatrix(bank_ids=ids, w=np.zeros((1, 1)))
-        ras = RasReport(iterations=0, max_marginal_error=0.0, converged=True)
-    else:
-        exposures, ras = reconstruct(
-            sub.interbank_assets(),
-            sub.interbank_liabilities(),
-            tolerance=tolerance,
-            max_iter=max_iter,
-            bank_ids=ids,
-        )
+    exposures, ras = live_network(sub, tolerance=tolerance, max_iter=max_iter)
     state = apply_shock(init_state(exposures, equity), scenario)
     run = propagate(
         state,

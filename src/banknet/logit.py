@@ -13,8 +13,9 @@ the true penalized objective guards each step, and the fit stops when the
 KKT conditions of the real problem hold within ``tol`` (ConvergenceError
 after ``max_steps`` steps). Inactive coefficients are exact zeros.
 
-Inference on the surviving columns comes from an unpenalized Newton refit:
-Wald standard errors from the inverse observed information and two-sided
+Inference on the surviving columns comes from the same solver at lambda = 0
+on those columns alone, stopping on the same KKT conditions: Wald standard
+errors from the inverse observed information at that optimum and two-sided
 normal-tail p-values. Those p-values are post-selection, not
 selection-adjusted.
 """
@@ -43,6 +44,7 @@ _MAX_PIVOTS = 1000  # active-set changes per quadratic subproblem
 _MAX_HALVINGS = 50
 _WEIGHT_FLOOR = 1e-10
 _COEF_BOUND = 50.0  # scaled inputs; beyond this the refit is diverging
+_SATURATION_STEP = 0.1  # logit units; about 1 on separated rows, ~1e-9 at a real MLE
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class LogitFit:
     standard_errors: dict[int, float]
     lam: float
     intercept_pvalue: float | None = None
-    oos_accuracy: float | None = None
 
 
 def _check_xy(x, y):
@@ -67,12 +68,12 @@ def _check_xy(x, y):
     return x, y
 
 
-def _objective(eta, y, beta, lam) -> float:
+def _objective(eta, y, beta=(), lam=0.0) -> float:
     """Mean binary cross-entropy at linear predictor eta plus the L1 penalty
-    on the slopes (beta[0] is the intercept). Written with logaddexp rather
-    than ``_log_likelihood``'s clipped logs: it stays accurate as
-    probabilities approach 0 or 1, which the line search's small decreases
-    need."""
+    on the slopes (beta[0] is the intercept); without a penalty, half the
+    deviance per row. Written with logaddexp rather than clipped logs: it
+    stays accurate as probabilities approach 0 or 1, which the line search's
+    small decreases need."""
     bce = float(np.mean(np.logaddexp(0.0, eta) - y * eta))
     return bce + lam * float(np.abs(beta[1:]).sum())
 
@@ -218,81 +219,55 @@ def fit_lasso(
     )
 
 
-def _log_likelihood(y, eta):
-    mu = np.clip(expit(eta), 1e-300, 1.0 - 1e-16)
-    return float(np.dot(y, np.log(mu)) + np.dot(1.0 - y, np.log(1.0 - mu)))
+def refit_active(x, y, active_set) -> LogitFit:
+    """Unpenalized MLE on the active columns (plus intercept): ``fit_lasso``
+    at lambda = 0, so the refit stops on the same KKT certificate, with Wald
+    standard errors from the inverse observed information at that optimum.
 
-
-def refit_active(x, y, active_set, max_iter: int = 100) -> LogitFit:
-    """Unpenalized Newton-Raphson MLE on the active columns (plus intercept).
-
-    Raises SeparationError if the estimates diverge or the information matrix
-    is singular; an empty active set fits the intercept alone.
+    The MLE does not exist when the classes are separated, completely or
+    quasi-completely (Albert & Anderson 1984, Biometrika 71(1)). The KKT
+    stop is still met there, because the separated rows saturate and their
+    score vanishes, but a Newton step from that point keeps moving their
+    linear predictor by about one unit: score and information both shrink
+    like exp(-margin). At a finite MLE the same step is rounding-sized.
+    SeparationError when that step moves any row's linear predictor by more
+    than ``_SATURATION_STEP``, when a coefficient exceeds ``_COEF_BOUND`` or
+    when the information matrix is singular. A ConvergenceError from
+    ``fit_lasso`` passes through. An empty active set fits the intercept
+    alone.
     """
     x, y = _check_xy(x, y)
     active = tuple(int(j) for j in active_set)
-    n = x.shape[0]
-    design = np.column_stack([np.ones(n)] + [x[:, j] for j in active])
-    k = design.shape[1]
-    beta = np.zeros(k)
-    ll = _log_likelihood(y, design @ beta)
-
-    converged = False
-    for _ in range(max_iter):
-        eta = design @ beta
-        mu = expit(eta)
-        w = mu * (1.0 - mu)
-        grad = design.T @ (y - mu)
-        info = design.T @ (design * w[:, None])
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            raise SeparationError(
-                "singular observed information; separation or exact collinearity"
-            ) from None
-        # Damped update: halve the step while the likelihood worsens.
-        for _ in range(30):
-            candidate = beta + step
-            ll_new = _log_likelihood(y, design @ candidate)
-            if ll_new >= ll - 1e-12:
-                break
-            step = step / 2.0
-        beta = beta + step
-        ll = _log_likelihood(y, design @ beta)
-        if float(np.max(np.abs(beta))) > _COEF_BOUND:
-            raise SeparationError(
-                "coefficients diverging during refit; classes appear perfectly separated"
-            )
-        if float(np.max(np.abs(step))) < 1e-10:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(f"Newton refit did not converge in {max_iter} iterations")
-
-    mu = expit(design @ beta)
-    w = mu * (1.0 - mu)
-    info = design.T @ (design * w[:, None])
+    cols = list(active)
+    design = np.column_stack([np.ones(x.shape[0]), x[:, cols]])
+    fit = fit_lasso(design[:, 1:], y, 0.0)
+    beta = np.concatenate([[fit.intercept], fit.coefficients])
+    eta = design @ beta
+    mu = expit(eta)
+    info = (design.T * (mu * (1.0 - mu))) @ design
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
         raise SeparationError("singular observed information at the optimum") from None
+    newton_move = design @ (cov @ (design.T @ (y - mu)))
+    if (
+        float(np.max(np.abs(beta))) > _COEF_BOUND
+        or float(np.max(np.abs(newton_move))) > _SATURATION_STEP
+    ):
+        raise SeparationError(
+            "refit saturates on separated classes; the unpenalized MLE does not exist"
+        )
     se = np.sqrt(np.diag(cov))
-    zvals = beta / se
-    pvals = 2.0 * norm.sf(np.abs(zvals))
+    pvals = 2.0 * norm.sf(np.abs(beta / se))
 
     coefficients = np.zeros(x.shape[1])
-    pvalues = {}
-    standard_errors = {}
-    for pos, j in enumerate(active, start=1):
-        coefficients[j] = beta[pos]
-        pvalues[j] = float(pvals[pos])
-        standard_errors[j] = float(se[pos])
+    coefficients[cols] = beta[1:]
     return LogitFit(
         intercept=float(beta[0]),
         coefficients=coefficients,
         active_set=active,
-        pvalues=pvalues,
-        standard_errors=standard_errors,
+        pvalues={j: float(pvals[pos]) for pos, j in enumerate(active, start=1)},
+        standard_errors={j: float(se[pos]) for pos, j in enumerate(active, start=1)},
         lam=0.0,
         intercept_pvalue=float(pvals[0]),
     )
@@ -336,8 +311,8 @@ def _deviance_ratio(fit: LogitFit, x, y) -> float:
     eta = fit.intercept + x @ fit.coefficients
     pbar = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
     null_eta = np.full(y.shape, math.log(pbar / (1.0 - pbar)))
-    dev = -2.0 * _log_likelihood(y, eta)
-    null_dev = -2.0 * _log_likelihood(y, null_eta)
+    dev = _objective(eta, y)
+    null_dev = _objective(null_eta, y)
     return 1.0 - dev / null_dev if null_dev > 0 else 1.0
 
 

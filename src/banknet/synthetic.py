@@ -125,8 +125,7 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
     t1r_latent = np.clip(0.14 + 0.03 * quality + rng.normal(0, 0.015, n), 0.02, None)
     t1l_latent = np.clip(0.095 + 0.02 * quality + rng.normal(0, 0.008, n), 0.01, None)
 
-    edges = _hidden_edges(rng, n)
-    base_weights = np.where(edges, rng.lognormal(0.0, 0.5, (n, n)), 0.0)
+    base_weights = np.where(_hidden_edges(rng, n), rng.lognormal(0.0, 0.5, (n, n)), 0.0)
 
     panels = []
     growth = np.ones(n)
@@ -143,7 +142,6 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
         # quarterly contagion columns are correlated but not collinear.
         iba_q = np.clip(iba * np.exp(rng.normal(0.0, 0.35, n)), 1e-4, 0.25)
         w = base_weights * np.exp(rng.normal(0.0, 0.4, (n, n)))
-        w[~edges] = 0.0
         rs = w.sum(axis=1)
         w *= (iba_q * ta / rs)[:, None]
         # Borrowing capacity cap: no bank owes more than 40% of liabilities.

@@ -130,6 +130,21 @@ class TestStageCommands:
         assert main(argv) == 3
         assert "no banks with positive equity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("panel", ["generated", "one-live-bank"])
+    def test_reconstruct_and_simulate_dump_the_same_matrix(self, panel, inputs_dir, tmp_path):
+        panel_path = inputs_dir / "panel_2009Q1.csv"
+        if panel == "one-live-bank":
+            panel_path = tmp_path / "panel_2009Q1.csv"
+            records = (make_record("A"), make_record("Z", ta=100, tl=150))
+            write_panel_csv(QuarterlyPanel("2009Q1", records), panel_path)
+        source = ["--panel", str(panel_path), "--quarter", "2009Q1"]
+        assert main(["reconstruct", *source, "--dump-matrix", str(tmp_path / "r.bin")]) == 0
+        argv = ["simulate", *source, "--dump-matrix", str(tmp_path / "s.bin")]
+        assert main(argv + ["--out", str(tmp_path / "proxies.csv")]) == 0
+        for suffix in ("", ".ids.csv"):
+            dumped = (tmp_path / f"r.bin{suffix}").read_bytes()
+            assert dumped == (tmp_path / f"s.bin{suffix}").read_bytes(), suffix
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--panel"])  # missing value and required args

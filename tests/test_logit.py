@@ -152,6 +152,25 @@ class TestRefit:
         x = (2.0 * y - 1.0).reshape(-1, 1)  # column equals the label, recoded +-1
         with pytest.raises(SeparationError):
             refit_active(x, y, (0,))
+        # One class only: the intercept alone separates it.
+        with pytest.raises(SeparationError):
+            refit_active(x, np.zeros_like(y), ())
+        # Quasi-complete: x = -1 rows all 0, x = +1 rows all 1, x = 0 rows mixed.
+        y = np.array([0] * 10 + [0, 1] * 5 + [1] * 10)
+        x = np.repeat([-1.0, 0.0, 1.0], 10).reshape(-1, 1)
+        with pytest.raises(SeparationError):
+            refit_active(x, y, (0,))
+
+    def test_saturated_rows_of_a_finite_mle_refit(self):
+        # A strong signal puts some rows at weight mu(1 - mu) ~ 1e-13, but a
+        # misclassified row keeps the MLE finite: no SeparationError.
+        x, y = simulate(60, [4.0, -3.0], p=3, seed=701)
+        fit = refit_active(x, y, (0, 1))
+        b0, b = newton_logistic(x[:, :2], y)
+        assert fit.intercept == pytest.approx(b0, abs=1e-8)
+        np.testing.assert_allclose(fit.coefficients[:2], b, atol=1e-8)
+        gap = lasso_kkt_gap(x[:, :2], y, fit.intercept, fit.coefficients[:2], 0.0)
+        assert gap <= DEFAULT_TOL
 
     def test_intercept_only_balanced(self):
         y = np.array([0, 1] * 25)
