@@ -5,6 +5,10 @@ rescale every row to its interbank-asset marginal, odd steps rescale every
 column to its liability marginal, starting from a uniform matrix with a hard
 zero diagonal. The fixed point is the maximum-entropy matrix consistent with
 the observed aggregates and no self-lending.
+
+From that start every iterate is W = diag(x)(J - I)diag(y), whose row i sums
+to x_i (sum(y) - y_i) and column j to y_j (sum(x) - x_j), so the loop only
+updates the two scaling vectors and the n x n matrix is formed once, at the end.
 """
 
 from __future__ import annotations
@@ -59,24 +63,6 @@ class RasReport:
     converged: bool
 
 
-def _scale_rows(w: np.ndarray, ia: np.ndarray) -> None:
-    """Rescale rows in place to hit the asset marginals; 0/0 rows stay zero."""
-    rs = w.sum(axis=1)
-    w *= np.divide(ia, rs, out=np.zeros_like(ia), where=rs > 0)[:, None]
-
-
-def _scale_cols(w: np.ndarray, il: np.ndarray) -> None:
-    """Rescale columns in place to hit the liability marginals."""
-    cs = w.sum(axis=0)
-    w *= np.divide(il, cs, out=np.zeros_like(il), where=cs > 0)[None, :]
-
-
-def _relative_errors(w, ia, il):
-    row = np.abs(w.sum(axis=1) - ia) / np.maximum(ia, _EPS)
-    col = np.abs(w.sum(axis=0) - il) / np.maximum(il, _EPS)
-    return row, col
-
-
 def marginal_errors(exposures: ExposureMatrix, ia, il):
     """Relative row/column marginal errors of a matrix against targets."""
     ia = np.asarray(ia, dtype=float)
@@ -85,7 +71,14 @@ def marginal_errors(exposures: ExposureMatrix, ia, il):
         raise DimensionError(
             f"marginals of length {ia.size}/{il.size} for n={exposures.n}"
         )
-    return _relative_errors(exposures.w, ia, il)
+    row = np.abs(exposures.w.sum(axis=1) - ia) / np.maximum(ia, _EPS)
+    col = np.abs(exposures.w.sum(axis=0) - il) / np.maximum(il, _EPS)
+    return row, col
+
+
+def _scaling(target: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """One RAS step on a scaling vector; 0/0 (no capacity) stays zero."""
+    return np.divide(target, capacity, out=np.zeros_like(target), where=capacity > 0)
 
 
 def reconstruct(
@@ -145,21 +138,26 @@ def reconstruct(
             "no zero-diagonal matrix can satisfy the marginals"
         )
 
-    w = np.ones((n, n), dtype=float)
-    np.fill_diagonal(w, 0.0)
-
+    ia_scale = np.maximum(ia, _EPS)
+    il_scale = np.maximum(il, _EPS)
+    x = np.ones(n)
+    y = np.ones(n)
     iterations = 0
     err = np.inf
     converged = False
     for iterations in range(1, max_iter + 1):
-        _scale_rows(w, ia)  # even step: rows match assets
-        _scale_cols(w, il)  # odd step: columns match liabilities
-        row_err, col_err = _relative_errors(w, ia, il)
+        x = _scaling(ia, y.sum() - y)  # even step: rows match assets
+        col_capacity = x.sum() - x
+        y = _scaling(il, col_capacity)  # odd step: columns match liabilities
+        row_err = np.abs(x * (y.sum() - y) - ia) / ia_scale
+        col_err = np.abs(y * col_capacity - il) / il_scale
         err = float(max(row_err.max(), col_err.max()))
         if err <= tolerance:
             converged = True
             break
 
+    w = np.multiply.outer(x, y)
+    np.fill_diagonal(w, 0.0)
     w.setflags(write=False)
     return (
         ExposureMatrix(bank_ids=tuple(bank_ids), w=w),

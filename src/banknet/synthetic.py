@@ -129,8 +129,7 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
 
     panels = []
     growth = np.ones(n)
-    last_hidden = None
-    last_equity = None
+    w = np.empty((n, n))  # the hidden bilaterals, redrawn in place each quarter
     for tag in tags:
         growth = growth * np.exp(rng.normal(0.0, 0.02, n))
         ta = ta0 * growth
@@ -141,7 +140,11 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
         # Interbank books churn noticeably quarter over quarter, so the
         # quarterly contagion columns are correlated but not collinear.
         iba_q = np.clip(iba * np.exp(rng.normal(0.0, 0.35, n)), 1e-4, 0.25)
-        w = base_weights * np.exp(rng.normal(0.0, 0.4, (n, n)))
+        # w = base_weights * exp(0.4 z), z standard normal, in the one buffer.
+        rng.standard_normal(out=w)
+        w *= 0.4
+        np.exp(w, out=w)
+        w *= base_weights
         rs = w.sum(axis=1)
         w *= (iba_q * ta / rs)[:, None]
         # Borrowing capacity cap: no bank owes more than 40% of liabilities.
@@ -175,12 +178,13 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
             for i in range(n)
         )
         panels.append(QuarterlyPanel(quarter=tag, records=records))
-        last_hidden = w
-        last_equity = equity
 
     # Ground-truth contagion damage: run the propagation on the hidden
     # bilaterals of the last quarter (the pipeline only ever sees aggregates).
-    state = init_state(ExposureMatrix(bank_ids=ids, w=last_hidden), last_equity)
+    # Frozen, the buffer is taken over by ExposureMatrix without a copy.
+    del base_weights
+    w.setflags(write=False)
+    state = init_state(ExposureMatrix(bank_ids=ids, w=w), equity)
     run = propagate(apply_shock(state, ShockSpec.uniform(ids, spec.shock_fraction)))
     damage = -run.proxy  # percent equity lost to contagion, >= 0
     z_damage = _standardize(damage)

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 These deliberately avoid the library's vectorized code paths: the contagion
-re-evaluator is literal per-bank Python loops, the sensitivity oracle
+re-evaluator is literal per-bank Python loops, the RAS reference rescales the
+dense n x n matrix in place every step, the sensitivity oracle
 enumerates every forward path, the logistic oracle is a direct
 Newton-Raphson solve of the score equations, the lasso certificate checks
 the optimality conditions one column at a time, and the MLP trainer oracle
@@ -74,6 +75,37 @@ def debtrank_reference(w, e0, post_shock, beta, alpha, max_periods=10_000):
             converged = True
             break
     return trajectory, periods, converged
+
+
+def ras_reference(ia, il, tolerance=1e-8, max_iter=10_000):
+    """Dense RAS: rescale every row, then every column, of the n x n matrix
+    in place, starting from the uniform zero-diagonal matrix, until both
+    marginal errors (read off the matrix's own sums) are within tolerance.
+
+    Returns (w, iterations, converged).
+    """
+    ia = np.asarray(ia, dtype=float)
+    il = np.asarray(il, dtype=float)
+    n = ia.size
+    eps = 1e-12
+    w = np.ones((n, n), dtype=float)
+    np.fill_diagonal(w, 0.0)
+
+    iterations = 0
+    err = np.inf
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        rs = w.sum(axis=1)  # even step: rows match assets
+        w *= np.divide(ia, rs, out=np.zeros_like(ia), where=rs > 0)[:, None]
+        cs = w.sum(axis=0)  # odd step: columns match liabilities
+        w *= np.divide(il, cs, out=np.zeros_like(il), where=cs > 0)[None, :]
+        row_err = np.abs(w.sum(axis=1) - ia) / np.maximum(ia, eps)
+        col_err = np.abs(w.sum(axis=0) - il) / np.maximum(il, eps)
+        err = float(max(row_err.max(), col_err.max()))
+        if err <= tolerance:
+            converged = True
+            break
+    return w, iterations, converged
 
 
 def path_sum_gradient(weights, biases, x):

@@ -324,8 +324,8 @@ class TestQuarterlyProxies:
 class TestAllocations:
     """Peak traced allocation of each engine step at n=500, in units of one
     n x n float64 matrix: the exposure matrix is the only n x n network
-    state, propagation adds one borrower-major ratio matrix, and RAS
-    rescales a single buffer in place."""
+    state, propagation adds one borrower-major ratio matrix, and RAS forms
+    its matrix once, from two scaling vectors, after the loop."""
 
     N = 500
 

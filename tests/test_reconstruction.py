@@ -3,16 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banknet.balance_sheets import live_subsystem
 from banknet.errors import DimensionError, InfeasibilityError, SchemaError
 from banknet.reconstruction import (
     ExposureMatrix,
-    _scale_cols,
-    _scale_rows,
     marginal_errors,
     read_matrix,
     reconstruct,
     write_matrix,
 )
+from banknet.synthetic import SyntheticSpec, generate
+
+from .oracles import ras_reference
 
 
 class TestReconstruct:
@@ -98,39 +100,108 @@ class TestReconstruct:
             reconstruct([15.0, 5.0, 4.0], [10.0, 7.0, 7.0])
 
 
-class TestSteps:
-    def test_even_step_conserves_total_mass(self):
-        rng = np.random.default_rng(9)
-        n = 12
-        w = rng.uniform(0, 5, (n, n))
-        np.fill_diagonal(w, 0.0)
-        ia = rng.uniform(1, 10, n)
-        _scale_rows(w, ia)
-        assert abs(w.sum() - ia.sum()) <= 1e-12 * ia.sum()
+def _witness(rng, n, density=1.0):
+    """A random zero-diagonal matrix; marginals read off it are feasible."""
+    witness = rng.uniform(0.1, 10.0, (n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(witness, 0.0)
+    return witness
 
-    def test_odd_step_matches_columns(self):
-        rng = np.random.default_rng(10)
-        n = 6
-        w = rng.uniform(0.1, 5, (n, n))
-        np.fill_diagonal(w, 0.0)
-        il = rng.uniform(1, 10, n)
-        _scale_cols(w, il)
-        np.testing.assert_allclose(w.sum(axis=0), il, rtol=1e-12)
 
-    def test_steps_preserve_zero_diagonal_and_nonnegativity(self):
-        rng = np.random.default_rng(11)
-        n = 9
-        w = rng.uniform(0, 5, (n, n))
-        np.fill_diagonal(w, 0.0)
-        ia = rng.uniform(0, 10, n)
-        il = rng.uniform(0, 10, n)
-        for _ in range(5):
-            _scale_rows(w, ia)
-            assert np.diagonal(w).tolist() == [0.0] * n
-            assert (w >= 0).all()
-            _scale_cols(w, il)
-            assert np.diagonal(w).tolist() == [0.0] * n
-            assert (w >= 0).all()
+class TestFirstIteration:
+    """One RAS iteration (a row step, then a column step) keeps the mass,
+    matches the columns and keeps the matrix nonnegative with a zero
+    diagonal."""
+
+    def test_one_iteration_conserves_total_mass(self):
+        w = _witness(np.random.default_rng(9), 12)
+        ia, il = w.sum(axis=1), w.sum(axis=0)
+        em, report = reconstruct(ia, il, max_iter=1)
+        assert report.iterations == 1
+        assert abs(em.w.sum() - ia.sum()) <= 1e-12 * ia.sum()
+
+    def test_one_iteration_matches_columns(self):
+        w = _witness(np.random.default_rng(10), 6)
+        ia, il = w.sum(axis=1), w.sum(axis=0)
+        em, _ = reconstruct(ia, il, max_iter=1)
+        np.testing.assert_allclose(em.w.sum(axis=0), il, rtol=1e-12)
+
+    def test_iterations_keep_zero_diagonal_and_nonnegativity(self):
+        w = _witness(np.random.default_rng(11), 9, density=0.5)
+        w[0, :] = w[:, 1] = 0.0  # a bank that only borrows, one that only lends
+        ia, il = w.sum(axis=1), w.sum(axis=0)
+        for max_iter in range(1, 6):
+            em, _ = reconstruct(ia, il, max_iter=max_iter)
+            assert np.diagonal(em.w).tolist() == [0.0] * 9
+            assert (em.w >= 0).all()
+
+
+def _oracle_rtol(ia, il, iterations):
+    """Largest relative cell difference expected between the two-vector RAS
+    and the dense in-place reference after `iterations` iterations.
+
+    Each step of either implementation rounds a sum of at most n
+    nonnegative terms (pairwise: about log2(n) eps), a division and a
+    product. The two-vector form takes its capacities as sum(v) - v_i, which
+    magnifies the sum's rounding by kappa = sum(v) / (sum(v) - v_i) over the
+    scaling vectors v = y (row steps) and x (column steps). Errors carried
+    into a step pass through unmagnified, so they add up over the 2 steps x
+    2 implementations of every iteration.
+    """
+    v = np.ones(ia.size)  # y before the first row step
+    kappa = 1.0
+    for target in (ia, il) * iterations:
+        capacity = v.sum() - v
+        used = (target > 0) & (capacity > 0)
+        kappa = max(kappa, float(np.max(v.sum() / capacity[used], initial=1.0)))
+        v = np.divide(target, capacity, out=np.zeros_like(target), where=capacity > 0)
+    return 4 * iterations * (np.ceil(np.log2(ia.size)) + 2) * kappa * np.finfo(float).eps
+
+
+class TestDenseOracle:
+    """reconstruct against ``oracles.ras_reference``, the dense loop that
+    rescales the n x n matrix in place: the same stopping decisions, and
+    matrices that differ only by rounding in the scaling capacities."""
+
+    def _check(self, ia, il, max_iter=10_000):
+        em, report = reconstruct(ia, il, max_iter=max_iter)
+        w, iterations, converged = ras_reference(ia, il, max_iter=max_iter)
+        assert (report.iterations, report.converged) == (iterations, converged)
+        np.testing.assert_array_equal(em.w == 0.0, w == 0.0)
+        np.testing.assert_allclose(em.w, w, rtol=_oracle_rtol(ia, il, iterations), atol=0.0)
+
+    def test_random_witnesses_including_sparse_and_budget_limited(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(150):
+            n = int(rng.integers(2, 40))
+            w = _witness(rng, n, density=float(rng.uniform(0.05, 1.0)))
+            ia, il = w.sum(axis=1), w.sum(axis=0)
+            if ia.sum() == 0.0:
+                continue
+            self._check(ia, il, max_iter=(1, 2, 10_000)[trial % 3])
+
+    def test_dominant_borrower(self):
+        # One bank owes 90%, 99% or 99.9% of all interbank liabilities, so
+        # its own row's capacity sum(y) - y_j cancels most of sum(y).
+        rng = np.random.default_rng(2025)
+        for trial in range(60):
+            n = int(rng.integers(3, 40))
+            witness = _witness(rng, n)
+            j = int(rng.integers(n))
+            share = (0.9, 0.99, 0.999)[trial % 3]
+            rest = witness.sum() - witness[:, j].sum()
+            witness[:, j] *= share / (1.0 - share) * rest / witness[:, j].sum()
+            budget = (1, 2, 10_000)[trial // 3 % 3]
+            self._check(witness.sum(axis=1), witness.sum(axis=0), max_iter=budget)
+
+    @pytest.mark.parametrize("n_banks", [300, 2000])
+    def test_generated_panels(self, n_banks):
+        result = generate(SyntheticSpec(n_banks=n_banks, quarters=2, rng_seed=n_banks))
+        for panel in result.panels:
+            sub, _ = live_subsystem(panel)
+            self._check(
+                np.array([r.interbank_assets for r in sub.records]),
+                np.array([r.interbank_liabilities for r in sub.records]),
+            )
 
 
 class TestMarginalErrors:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,3 +102,18 @@ class TestGenerate:
         expected = {b for b, v in medium_result.labels.labels.items() if v == 0}
         assert listed == expected
         assert "ground_truth" in paths
+
+
+def test_generate_holds_one_hidden_matrix_buffer():
+    # Traced peak of a whole generate in units of one n x n float64 matrix:
+    # the edge weights and the hidden matrix, redrawn in place each quarter,
+    # then the hidden matrix and propagation's ratio matrix.
+    n = 600
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        generate(SyntheticSpec(n_banks=n, rng_seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / (8 * n * n) < 3.0
