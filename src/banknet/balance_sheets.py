@@ -8,17 +8,18 @@ real-world panels degrade gracefully.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DataError, InfeasibilityError, IntegrityError, ParseError, SchemaError
+from .artifacts import read_csv, write_csv
+from .errors import DataError, InfeasibilityError, IntegrityError, ParseError
 
 PANEL_COLUMNS = (
     "bank_id",
@@ -153,14 +154,7 @@ def load_panel(path, quarter: str) -> QuarterlyPanel:
     quarter) land in ``panel.rejections`` rather than aborting the load.
     """
     validate_quarter(quarter)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file, no header row")
-        missing = [c for c in PANEL_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-        rows = list(reader)
+    rows = read_csv(path, PANEL_COLUMNS)
 
     counts = Counter(row["bank_id"] for row in rows)
     dupes = sorted(b for b, c in counts.items() if c > 1)
@@ -194,33 +188,13 @@ def load_panel(path, quarter: str) -> QuarterlyPanel:
 
 def write_panel_csv(panel: QuarterlyPanel, path) -> None:
     """Write a panel back out in the ingestion schema (repr-exact floats)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PANEL_COLUMNS)
-        for r in panel.records:
-            writer.writerow(
-                (
-                    r.bank_id,
-                    r.quarter,
-                    repr(r.total_assets),
-                    repr(r.total_liabilities),
-                    repr(r.interbank_assets),
-                    repr(r.interbank_liabilities),
-                    repr(r.roa),
-                    repr(r.roe),
-                    repr(r.short_term_past_due_ratio),
-                    repr(r.tier1_capital_ratio),
-                    repr(r.tier1_leverage_ratio),
-                )
-            )
+    row = attrgetter(*(_FIELD_FOR_COLUMN.get(c, c) for c in PANEL_COLUMNS))
+    write_csv(path, PANEL_COLUMNS, map(row, panel.records))
 
 
 def write_rejection_report(path, rejections: Iterable[RejectedRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PANEL_COLUMNS + ("reason",))
-        for rej in rejections:
-            writer.writerow(rej.values + (rej.reason,))
+    rows = (rej.values + (rej.reason,) for rej in rejections)
+    write_csv(path, PANEL_COLUMNS + ("reason",), rows)
 
 
 def close_system(panel: QuarterlyPanel) -> QuarterlyPanel:
@@ -286,16 +260,7 @@ def derive_labels(universe: QuarterlyPanel, failed_list, horizon: str | None = N
     Failed-list entries not present in the universe are reported via
     ``unmatched`` (and a warning), never raised.
     """
-    with open(failed_list, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{failed_list}: empty file, no header row")
-        missing = [c for c in FAILED_LIST_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(
-                f"{failed_list}: missing required column(s): {', '.join(missing)}"
-            )
-        failed_ids = {row["bank_id"] for row in reader}
+    failed_ids = {row["bank_id"] for row in read_csv(failed_list, FAILED_LIST_COLUMNS)}
 
     ids = set(universe.bank_ids)
     labels = {b: (0 if b in failed_ids else 1) for b in universe.bank_ids}

@@ -4,7 +4,8 @@ Subcommands mirror the pipeline stages so each can be run in isolation on
 files; `run` chains the lot from a config file and writes a manifest.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error,
-5 I/O error.
+5 I/O error. `reconstruct` and `simulate` exit 4 when RAS (or, for
+`simulate`, the propagation) did not converge, after writing their outputs.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def _cmd_simulate(args) -> int:
         rejects_path=args.rejects,
     )
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
+    return 0 if summary["ras_converged"] and summary["converged"] else 4
 
 
 def _cmd_build_dataset(args) -> int:

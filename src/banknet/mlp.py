@@ -22,19 +22,16 @@ products of path weights and activation gradients.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
-from .dataset import SplitAssignment
+from .artifacts import read_json, write_json
+from .dataset import N_COLUMNS, SplitAssignment
 from .errors import DimensionError, DivergenceError
-
-N_INPUTS = 24
 
 DEFAULT_STRUCTURES = ((8, 16, 8), (4, 8, 16), (16, 8, 4))
 DEFAULT_SOLVERS = ("sgd", "adam", "rmsprop")
@@ -97,8 +94,8 @@ class SensitivityReport:
 
     def __post_init__(self):
         g = np.asarray(self.gradients, dtype=float)
-        if g.shape != (N_INPUTS,):
-            raise DimensionError(f"expected {N_INPUTS} gradients, got shape {g.shape}")
+        if g.ndim != 1:
+            raise DimensionError(f"expected a vector of gradients, got shape {g.shape}")
         if not np.isfinite(g).all():
             raise ValueError("sensitivity gradients must be finite")
         object.__setattr__(self, "gradients", g)
@@ -120,10 +117,12 @@ def _truncated_normal(rng: np.random.Generator, shape, stddev: float) -> np.ndar
     return out
 
 
-def _check_inputs(x: np.ndarray) -> np.ndarray:
+def _check_inputs(x: np.ndarray, width: int = N_COLUMNS) -> np.ndarray:
+    """``x`` as an (m, width) float matrix; training takes the dataset's
+    width, a trained model its own input width."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != N_INPUTS:
-        raise DimensionError(f"expected an (m, {N_INPUTS}) matrix, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] != width:
+        raise DimensionError(f"expected an (m, {width}) matrix, got shape {x.shape}")
     return x
 
 
@@ -198,7 +197,7 @@ def _train_stack(x, y, configs) -> list:
     rngs = [np.random.default_rng(cfg.rng_seed) for cfg in cfgs]
     lr = np.array([cfg.learning_rate for cfg in cfgs])[:, None]
 
-    sizes = (N_INPUTS,) + first.hidden_layers + (1,)
+    sizes = (N_COLUMNS,) + first.hidden_layers + (1,)
     weight_shapes = [(sizes[i], sizes[i + 1]) for i in range(4)]
     params = np.zeros((k, sum(math.prod(s) for s in weight_shapes) + sum(sizes[1:])))
     grads = np.zeros_like(params)
@@ -305,7 +304,7 @@ def _forward_pre_activations(model: MlpModel, x: np.ndarray):
 
 def predict(model: MlpModel, x) -> np.ndarray:
     """Output probabilities (forward pass without dropout)."""
-    x = _check_inputs(x)
+    x = _check_inputs(x, model.weights[0].shape[0])
     return expit(_forward_pre_activations(model, x)[-1].ravel())
 
 
@@ -394,7 +393,7 @@ def input_gradients(model: MlpModel, x) -> np.ndarray:
     ReLU contributes gradient 1 only where the pre-activation is strictly
     positive (0 at and below zero); the sigmoid contributes e^z/(1+e^z)^2.
     """
-    x = _check_inputs(x)
+    x = _check_inputs(x, model.weights[0].shape[0])
     z1, z2, z3, z4 = _forward_pre_activations(model, x)
     g = sigmoid_grad(z4)  # dY/dz at the output node
     g = (g @ model.weights[3].T) * (z3 > 0)
@@ -419,14 +418,11 @@ def save_model(model: MlpModel, path, extra: dict | None = None) -> None:
     }
     if extra:
         payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> MlpModel:
-    with open(Path(path), encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     config = MlpConfig(**payload["config"])
     weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
     biases = [np.asarray(b, dtype=float) for b in payload["biases"]]

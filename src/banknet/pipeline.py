@@ -13,9 +13,7 @@ log-odds-of-default scale.
 from __future__ import annotations
 
 import configparser
-import csv
 import hashlib
-import json
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -25,9 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, mlp
+from .artifacts import read_csv, read_json, write_csv, write_json
 from .balance_sheets import (
     derive_labels,
     load_panel,
+    validate_quarter,
     write_rejection_report,
 )
 from .dataset import (
@@ -73,10 +73,7 @@ def parse_grid(raw: str) -> dict | None:
     """``default`` (the 27-point grid, stored as None) or a grid JSON file."""
     if raw == "default":
         return None
-    try:
-        grid = json.loads(Path(raw).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"grid file {raw} is not valid JSON: {exc}") from None
+    grid = read_json(raw)
     for key in ("structures", "solvers", "learning_rates"):
         if key not in grid:
             raise SchemaError(f"grid file {raw} is missing {key!r}")
@@ -192,12 +189,6 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -231,26 +222,27 @@ def stage_simulate(
         max_periods=max_periods,
         record_trajectory=trajectory_path is not None,
     )
-    with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("bank_id", "proxy_pct", "initially_defaulted", "cascade_defaulted"))
-        run = sim.run
-        for i, bank_id in enumerate(sim.bank_ids):
-            writer.writerow(
-                (
-                    bank_id,
-                    repr(float(run.proxy[i])),
-                    int(run.initially_defaulted[i]),
-                    int(run.cascade_defaulted[i]),
-                )
-            )
+    run = sim.run
+    write_csv(
+        out_csv,
+        ("bank_id", "proxy_pct", "initially_defaulted", "cascade_defaulted"),
+        zip(
+            sim.bank_ids,
+            run.proxy,
+            run.initially_defaulted.astype(int),
+            run.cascade_defaulted.astype(int),
+        ),
+    )
     if trajectory_path is not None:
-        with open(trajectory_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("period", "bank_id", "equity"))
-            for t, equities in enumerate(sim.run.trajectory):
-                for i, bank_id in enumerate(sim.bank_ids):
-                    writer.writerow((t, bank_id, repr(float(equities[i]))))
+        write_csv(
+            trajectory_path,
+            ("period", "bank_id", "equity"),
+            (
+                (t, bank_id, e)
+                for t, equities in enumerate(run.trajectory)
+                for bank_id, e in zip(sim.bank_ids, equities)
+            ),
+        )
     if dump_matrix is not None:
         write_matrix(dump_matrix, sim.exposures)
     return {
@@ -272,11 +264,8 @@ def stage_simulate(
 
 
 def _read_proxies(path) -> dict[str, float]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "proxy_pct" not in reader.fieldnames:
-            raise SchemaError(f"{path}: not a proxy CSV (missing proxy_pct)")
-        return {row["bank_id"]: float(row["proxy_pct"]) for row in reader}
+    rows = read_csv(path, ("bank_id", "proxy_pct"))
+    return {row["bank_id"]: float(row["proxy_pct"]) for row in rows}
 
 
 def _take(panel: FeaturePanel, rows: np.ndarray) -> FeaturePanel:
@@ -353,15 +342,11 @@ def stage_build_dataset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     panel_path = out / "panel.csv"
-    with open(panel_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("bank_id",) + final.column_names + ("label",))
-        for i, bank_id in enumerate(final.bank_ids):
-            writer.writerow(
-                (bank_id,)
-                + tuple(repr(float(v)) for v in final.x[i])
-                + (int(final.y[i]),)
-            )
+    write_csv(
+        panel_path,
+        ("bank_id",) + final.column_names + ("label",),
+        ((b, *x, y) for b, x, y in zip(final.bank_ids, final.x, final.y)),
+    )
     sidecar = {
         "column_names": list(final.column_names),
         "seed": seed,
@@ -379,7 +364,7 @@ def stage_build_dataset(
         "source_failed": int((panel.y == 0).sum()),
         "unmatched_failed_ids": list(labels.unmatched),
     }
-    _write_json(out / "dataset.json", sidecar)
+    write_json(out / "dataset.json", sidecar)
     return {
         "rows": len(final),
         "failed_rows": int((final.y == 0).sum()),
@@ -392,45 +377,31 @@ def stage_build_dataset(
 
 def _infer_quarter_tag(path) -> str:
     """Panel files carry their tag (panel_2009Q1.csv); fall back to the data."""
-    from .balance_sheets import validate_quarter
-
-    stem = Path(path).stem
-    tail = stem.rsplit("_", 1)[-1]
+    tail = Path(path).stem.rsplit("_", 1)[-1]
     try:
         return validate_quarter(tail)
     except ValueError:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "quarter" not in reader.fieldnames:
-                raise SchemaError(f"{path}: cannot determine quarter tag") from None
-            first = next(reader, None)
-            if first is None:
-                raise SchemaError(f"{path}: empty panel, cannot determine quarter") from None
-            try:
-                return validate_quarter(first["quarter"])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: {exc}") from None
+        pass
+    rows = read_csv(path, ("quarter",))
+    if not rows:
+        raise SchemaError(f"{path}: empty panel, cannot determine quarter")
+    try:
+        return validate_quarter(rows[0]["quarter"])
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def load_dataset_dir(data_dir):
     """Read panel.csv + dataset.json back into (panel, splits, scaler)."""
     data_dir = Path(data_dir)
-    with open(data_dir / "dataset.json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    bank_ids = []
-    rows = []
-    labels = []
-    with open(data_dir / "panel.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            bank_ids.append(row["bank_id"])
-            rows.append([float(row[c]) for c in sidecar["column_names"]])
-            labels.append(int(row["label"]))
+    sidecar = read_json(data_dir / "dataset.json")
+    columns = tuple(sidecar["column_names"])
+    rows = read_csv(data_dir / "panel.csv", ("bank_id",) + columns + ("label",))
     panel = FeaturePanel(
-        bank_ids=tuple(bank_ids),
-        column_names=tuple(sidecar["column_names"]),
-        x=np.array(rows, dtype=float).reshape(len(bank_ids), -1),
-        y=np.array(labels, dtype=int),
+        bank_ids=tuple(row["bank_id"] for row in rows),
+        column_names=columns,
+        x=np.array([[float(row[c]) for c in columns] for row in rows]).reshape(len(rows), -1),
+        y=np.array([int(row["label"]) for row in rows], dtype=int),
     )
     splits = SplitAssignment(
         train=np.array(sidecar["splits"]["train"], dtype=int),
@@ -480,11 +451,7 @@ def stage_sensitivity(model_path, data_dir, out_csv) -> dict:
     scaled = apply_scaler(scaler, panel)
     model = mlp.load_model(model_path)
     report = mlp.input_sensitivity(model, scaled.x[splits.test])
-    with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("column_name", "gradient"))
-        for name, g in zip(panel.column_names, report.gradients):
-            writer.writerow((name, repr(float(g))))
+    write_csv(out_csv, ("column_name", "gradient"), zip(panel.column_names, report.gradients))
     return {
         "sample_count": report.sample_count,
         "gradients": {
@@ -530,7 +497,7 @@ def stage_logit(data_dir, out_path, *, lam: float | str = RunConfig.lam) -> dict
         "pvalue_note": "post-selection, not selection-adjusted",
         "columns": columns,
     }
-    _write_json(out_path, payload)
+    write_json(out_path, payload)
     return {
         "lambda": lam_value,
         "oos_accuracy": oos,
@@ -563,20 +530,18 @@ def stage_report(data_dir, model_path, sensitivity_path, fit_path, out_dir) -> d
     corr, flags = report_correlations(panel)
     out = Path(out_dir)
     corr_path = out / "correlations.csv"
-    with open(corr_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("column",) + panel.column_names)
-        for i, name in enumerate(panel.column_names):
-            writer.writerow((name,) + tuple(repr(float(v)) for v in corr[i]))
+    write_csv(
+        corr_path,
+        ("column",) + panel.column_names,
+        ((name, *row) for name, row in zip(panel.column_names, corr)),
+    )
 
-    with open(model_path, encoding="utf-8") as fh:
-        model_payload = json.load(fh)
-    with open(fit_path, encoding="utf-8") as fh:
-        fit_payload = json.load(fh)
-    gradients = {}
-    with open(sensitivity_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            gradients[row["column_name"]] = float(row["gradient"])
+    model_payload = read_json(model_path)
+    fit_payload = read_json(fit_path)
+    gradients = {
+        row["column_name"]: float(row["gradient"])
+        for row in read_csv(sensitivity_path, ("column_name", "gradient"))
+    }
 
     summary = {
         "mlp": {
@@ -596,7 +561,7 @@ def stage_report(data_dir, model_path, sensitivity_path, fit_path, out_dir) -> d
         "constant_columns": flags,
     }
     summary_path = out / "summary.json"
-    _write_json(summary_path, summary)
+    write_json(summary_path, summary)
     return {"summary": str(summary_path), "correlations": str(corr_path)}
 
 
@@ -747,13 +712,12 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
         "stages": _relativize(stages, str(out) + "/"),
         "artifacts": artifacts,
     }
-    _write_json(out / _MANIFEST_NAME, manifest)
+    write_json(out / _MANIFEST_NAME, manifest)
     return manifest
 
 
 def rerun_from_manifest(manifest_path, out_dir) -> dict:
     """Re-execute a run from its manifest; outputs are byte-identical."""
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
     config = RunConfig.from_dict(manifest["config"])
     return run_pipeline(config, out_dir, command=["rerun", str(manifest_path)])

@@ -13,13 +13,13 @@ updates the two scaling vectors and the n x n matrix is formed once, at the end.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_csv, write_csv
 from .errors import DimensionError, InfeasibilityError, SchemaError
 
 MAGIC = b"IBNW0001"
@@ -175,11 +175,7 @@ def write_matrix(path, exposures: ExposureMatrix) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", exposures.n))
         fh.write(np.ascontiguousarray(exposures.w, dtype="<f8").tobytes())
-    with open(f"{path}.ids.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("bank_id",))
-        for b in exposures.bank_ids:
-            writer.writerow((b,))
+    write_csv(f"{path}.ids.csv", ("bank_id",), ((b,) for b in exposures.bank_ids))
 
 
 def read_matrix(path) -> ExposureMatrix:
@@ -204,9 +200,7 @@ def read_matrix(path) -> ExposureMatrix:
         w.setflags(write=False)
     ids_path = Path(f"{path}.ids.csv")
     if ids_path.exists():
-        with open(ids_path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        bank_ids = tuple(r[0] for r in rows[1:])
+        bank_ids = tuple(row["bank_id"] for row in read_csv(ids_path, ("bank_id",)))
     else:
         bank_ids = tuple(str(i) for i in range(n))
     return ExposureMatrix(bank_ids=bank_ids, w=w)

@@ -12,15 +12,15 @@ construction and the pipeline has to reconstruct the bilaterals itself.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
+from .artifacts import write_csv, write_json
 from .balance_sheets import (
+    FAILED_LIST_COLUMNS,
     BankRecord,
     DefaultLabelSet,
     QuarterlyPanel,
@@ -250,16 +250,12 @@ def write_outputs(result: SyntheticResult, out_dir) -> dict:
         paths[f"panel_{panel.quarter}"] = str(path)
 
     failed_path = out / "failed_banks.csv"
-    with open(failed_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("bank_id", "failure_date"))
-        for bank_id in sorted(b for b, v in result.labels.labels.items() if v == 0):
-            writer.writerow((bank_id, f"{result.labels.horizon} (synthetic)"))
+    date = f"{result.labels.horizon} (synthetic)"
+    failed = sorted(b for b, v in result.labels.labels.items() if v == 0)
+    write_csv(failed_path, FAILED_LIST_COLUMNS, ((bank_id, date) for bank_id in failed))
     paths["failed_banks"] = str(failed_path)
 
     truth_path = out / "ground_truth.json"
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump(result.ground_truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(truth_path, result.ground_truth)
     paths["ground_truth"] = str(truth_path)
     return paths

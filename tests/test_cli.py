@@ -97,6 +97,26 @@ class TestStageCommands:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "flag, flag_name", [("--max-iter", "ras_converged"), ("--max-periods", "converged")]
+    )
+    def test_simulate_non_convergence_exits_four_after_writing(
+        self, inputs_dir, tmp_path, capsys, flag, flag_name
+    ):
+        out = tmp_path / "proxies_2009Q1.csv"
+        code = main(
+            [
+                "simulate",
+                "--panel", str(inputs_dir / "panel_2009Q1.csv"),
+                "--quarter", "2009Q1",
+                flag, "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 4
+        assert json.loads(capsys.readouterr().out)[flag_name] is False
+        assert len(out.read_text().splitlines()) == 41
+
     def test_missing_panel_is_io_error(self, tmp_path):
         code = main(
             [

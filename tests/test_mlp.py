@@ -38,9 +38,9 @@ def toy_clusters(m=200, seed=0, gap=3.0):
     return x, y
 
 
-def random_model(seed, structure=(8, 4, 2), scale=0.5, bias_scale=0.3):
+def random_model(seed, structure=(8, 4, 2), scale=0.5, bias_scale=0.3, inputs=24):
     rng = np.random.default_rng(seed)
-    sizes = (24,) + tuple(structure) + (1,)
+    sizes = (inputs,) + tuple(structure) + (1,)
     weights = [rng.normal(0, scale, (sizes[i], sizes[i + 1])) for i in range(4)]
     biases = [rng.normal(0, bias_scale, sizes[i + 1]) for i in range(4)]
     cfg = MlpConfig(hidden_layers=tuple(structure), rng_seed=seed)
@@ -322,6 +322,14 @@ class TestPredict:
             b[:] = 0.0
         probs = predict(model, np.random.default_rng(1).normal(size=(5, 24)))
         assert probs.tolist() == [0.5] * 5
+
+    def test_inference_takes_the_model_input_width(self):
+        model = random_model(0, inputs=3)
+        x = np.random.default_rng(1).normal(size=(5, 3))
+        assert predict(model, x).shape == (5,)
+        assert input_sensitivity(model, x).gradients.shape == (3,)
+        with pytest.raises(DimensionError):
+            predict(model, np.zeros((5, 24)))
 
     def test_threshold_is_inclusive(self):
         model = random_model(0)

@@ -10,7 +10,7 @@ import pytest
 
 from banknet.dataset import COLUMN_NAMES, FeaturePanel
 from banknet import pipeline, reconstruction
-from banknet.errors import StageError
+from banknet.errors import SchemaError, StageError
 from banknet.dataset import apply_scaler
 from banknet.logit import select_lambda
 from banknet.pipeline import (
@@ -21,6 +21,7 @@ from banknet.pipeline import (
     run_pipeline,
     stage_build_dataset,
     stage_logit,
+    stage_report,
     stage_simulate,
 )
 from banknet.synthetic import SyntheticSpec, generate, write_outputs
@@ -105,6 +106,25 @@ class TestRunPipeline:
         merged = np.concatenate([splits.train, splits.validation, splits.test])
         assert sorted(merged.tolist()) == list(range(160))
         assert scaler.median.shape == (24,)
+
+    def test_dataset_panel_missing_a_column_is_schema_error(self, small_run, tmp_path):
+        out, _ = small_run
+        data = tmp_path / "dataset"
+        data.mkdir()
+        (data / "dataset.json").write_bytes((out / "dataset" / "dataset.json").read_bytes())
+        with open(out / "dataset" / "panel.csv", newline="") as fh:
+            rows = [r[:-2] + r[-1:] for r in csv.reader(fh)]  # drop contagion_proxy_q4
+        with open(data / "panel.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(SchemaError, match="contagion_proxy_q4"):
+            load_dataset_dir(data)
+
+    def test_report_rejects_sensitivity_csv_without_gradient(self, small_run, tmp_path):
+        out, _ = small_run
+        bad = tmp_path / "sensitivity.csv"
+        bad.write_text("column_name,grad\nstpd_q1,0.5\n")
+        with pytest.raises(SchemaError, match="gradient"):
+            stage_report(out / "dataset", out / "model.json", bad, out / "fit.json", tmp_path)
 
     def test_summary_mirrors_fit_and_model(self, small_run):
         out, _ = small_run
