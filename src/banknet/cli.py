@@ -5,7 +5,10 @@ files; `run` chains the lot from a config file and writes a manifest.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error,
 5 I/O error. `reconstruct` and `simulate` exit 4 when RAS (or, for
-`simulate`, the propagation) did not converge, after writing their outputs.
+`simulate`, the propagation) did not converge, after writing their outputs;
+`run` exits 4 at the first quarter that did not, and writes no manifest.
+A stage subcommand's option flags are its RunConfig fields' INI keys, with
+`-` for `_`, the same defaults and the same parsers as the INI file.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -21,8 +25,8 @@ from .debtrank import live_network
 from .errors import DataError, NumericalError, StageError
 from .pipeline import (
     RunConfig,
-    parse_grid,
-    parse_lambda,
+    field_parser,
+    proxy_file,
     rerun_from_manifest,
     run_pipeline,
     stage_build_dataset,
@@ -31,9 +35,30 @@ from .pipeline import (
     stage_sensitivity,
     stage_simulate,
     stage_train_mlp,
+    unconverged_solvers,
 )
 from .reconstruction import write_matrix
 from .synthetic import SyntheticSpec, generate, write_outputs
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *sections: str) -> None:
+    """One ``--<ini key>`` flag (``_`` spelt ``-``) per RunConfig field of
+    ``sections``, with the field's default and its INI parser; a bool field
+    is a ``store_true`` flag. Each value lands on the field's name."""
+    for f in fields(RunConfig):
+        section = f.metadata["section"]
+        if section not in sections:
+            continue
+        key = (f.metadata["keys"] or (f.name,))[0]
+        flag = "--" + key.replace("_", "-")
+        is_bool = isinstance(f.default, bool)
+        parse = {"action": "store_true"} if is_bool else {"type": field_parser(f)}
+        p.add_argument(flag, dest=f.name, default=f.default, help=f"[{section}] {key}", **parse)
+
+
+def _config(args) -> RunConfig:
+    """The RunConfig of a subcommand's parsed flags; other fields keep their defaults."""
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name in args})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,20 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="rebuild the bilateral exposure matrix")
     p.add_argument("--panel", required=True)
     p.add_argument("--quarter", required=True)
-    p.add_argument("--tolerance", type=float, default=RunConfig.tolerance)
-    p.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
+    _add_config_flags(p, "reconstruct")
     p.add_argument("--dump-matrix", help="binary matrix dump path")
     p.add_argument("--rejects", help="rejection report path")
 
     p = sub.add_parser("simulate", help="run the contagion scenario for one quarter")
     p.add_argument("--panel", required=True)
     p.add_argument("--quarter", required=True)
-    p.add_argument("--shock-fraction", type=float, default=RunConfig.shock_fraction)
-    p.add_argument("--beta", type=float, default=RunConfig.beta)
-    p.add_argument("--alpha", type=float, default=RunConfig.alpha)
-    p.add_argument("--max-periods", type=int, default=RunConfig.max_periods)
-    p.add_argument("--tolerance", type=float, default=RunConfig.tolerance)
-    p.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
+    _add_config_flags(p, "simulate", "reconstruct")
     p.add_argument("--dump-matrix")
     p.add_argument("--trajectory", help="per-period equity dump path")
     p.add_argument("--rejects", help="rejection report path")
@@ -81,17 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--q{k}", required=True, help=f"quarter {k} panel CSV")
     p.add_argument("--proxies", required=True, help="directory of proxies_<tag>.csv files")
     p.add_argument("--labels", required=True, help="failed-bank CSV")
-    p.add_argument("--total", type=int, default=RunConfig.total)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
-    p.add_argument("--rebalance-after-split", action="store_true")
+    _add_config_flags(p, "dataset", "run")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train-mlp", help="tune and train the neural classifier")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--grid", type=parse_grid, default=RunConfig.grid, help="default or a JSON file")
-    p.add_argument("--epochs", type=int, default=RunConfig.epochs)
-    p.add_argument("--batch-size", type=int, default=RunConfig.batch_size)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    _add_config_flags(p, "mlp", "run")
     p.add_argument("--out", required=True, help="model JSON path")
 
     p = sub.add_parser("sensitivity", help="mean output gradient per input column")
@@ -101,9 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("logit", help="L1-penalized logistic fit with refit inference")
     p.add_argument("--data", required=True)
-    p.add_argument(
-        "--lambda", dest="lam", type=parse_lambda, default=RunConfig.lam, help="auto or a value"
-    )
+    _add_config_flags(p, "logit")
     p.add_argument("--out", required=True, help="fit JSON path")
 
     p = sub.add_parser("report", help="correlation matrix and summary report")
@@ -140,7 +152,8 @@ def _cmd_reconstruct(args) -> int:
     if panel.rejections and args.rejects:
         write_rejection_report(args.rejects, panel.rejections)
     sub, _ = live_subsystem(panel)
-    exposures, report = live_network(sub, tolerance=args.tolerance, max_iter=args.max_iter)
+    config = _config(args)
+    exposures, report = live_network(sub, tolerance=config.tolerance, max_iter=config.max_iter)
     if args.dump_matrix:
         write_matrix(args.dump_matrix, exposures)
     print(
@@ -155,51 +168,29 @@ def _cmd_simulate(args) -> int:
         args.panel,
         args.quarter,
         args.out,
-        shock_fraction=args.shock_fraction,
-        beta=args.beta,
-        alpha=args.alpha,
-        tolerance=args.tolerance,
-        max_iter=args.max_iter,
-        max_periods=args.max_periods,
+        config=_config(args),
         dump_matrix=args.dump_matrix,
         trajectory_path=args.trajectory,
         rejects_path=args.rejects,
     )
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0 if summary["ras_converged"] and summary["converged"] else 4
+    return 4 if unconverged_solvers(summary) else 0
 
 
 def _cmd_build_dataset(args) -> int:
-    proxies_dir = Path(args.proxies)
     quarter_paths = [args.q1, args.q2, args.q3, args.q4]
-    proxy_paths = []
-    from .pipeline import _infer_quarter_tag
-
-    for qp in quarter_paths:
-        tag = _infer_quarter_tag(qp)
-        proxy_paths.append(str(proxies_dir / f"proxies_{tag}.csv"))
+    proxy_paths = [proxy_file(args.proxies, qp)[1] for qp in quarter_paths]
+    config = _config(args)
     summary = stage_build_dataset(
-        quarter_paths,
-        proxy_paths,
-        args.labels,
-        args.out,
-        total=args.total,
-        seed=args.seed,
-        rebalance_after_split=args.rebalance_after_split,
+        quarter_paths, proxy_paths, args.labels, args.out, config=config, seed=config.seed
     )
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_train_mlp(args) -> int:
-    summary = stage_train_mlp(
-        args.data,
-        args.out,
-        seed=args.seed,
-        grid=args.grid,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-    )
+    config = _config(args)
+    summary = stage_train_mlp(args.data, args.out, config=config, seed=config.seed)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -211,7 +202,7 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_logit(args) -> int:
-    summary = stage_logit(args.data, args.out, lam=args.lam)
+    summary = stage_logit(args.data, args.out, config=_config(args))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

@@ -1,6 +1,7 @@
 """Feed-forward binary classifier built directly on numpy.
 
-Fixed topology: 24 inputs, three ReLU hidden layers, a single sigmoid output.
+Fixed topology: one input per column of ``x`` (24 in the pipeline), three
+ReLU hidden layers, a single sigmoid output.
 Inverted dropout after the first and second hidden layers during training
 only, so inference needs no rescale. Weights start from a truncated normal
 (mean 0, stddev 0.2, cut at two stddevs), biases at zero.
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.special import expit
 
 from .artifacts import read_json, write_json
-from .dataset import N_COLUMNS, SplitAssignment
+from .dataset import SplitAssignment
 from .errors import DimensionError, DivergenceError
 
 DEFAULT_STRUCTURES = ((8, 16, 8), (4, 8, 16), (16, 8, 4))
@@ -75,7 +76,7 @@ class MlpConfig:
 
 @dataclass
 class MlpModel:
-    weights: list[np.ndarray]  # shapes chain 24 -> h1 -> h2 -> h3 -> 1
+    weights: list[np.ndarray]  # shapes chain inputs -> h1 -> h2 -> h3 -> 1
     biases: list[np.ndarray]
     config: MlpConfig
     tuning_record: tuple[dict, ...] = ()
@@ -117,12 +118,12 @@ def _truncated_normal(rng: np.random.Generator, shape, stddev: float) -> np.ndar
     return out
 
 
-def _check_inputs(x: np.ndarray, width: int = N_COLUMNS) -> np.ndarray:
-    """``x`` as an (m, width) float matrix; training takes the dataset's
-    width, a trained model its own input width."""
+def _check_inputs(x: np.ndarray, width: int | None = None) -> np.ndarray:
+    """``x`` as a float matrix; training takes any width and sizes the input
+    layer from it, a trained model only its own input width."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != width:
-        raise DimensionError(f"expected an (m, {width}) matrix, got shape {x.shape}")
+    if x.ndim != 2 or width not in (None, x.shape[1]):
+        raise DimensionError(f"expected an (m, {width or 'n'}) matrix, got shape {x.shape}")
     return x
 
 
@@ -140,9 +141,9 @@ def _layer_views(buf: np.ndarray, shapes) -> list[np.ndarray]:
 def _forward(weights, biases, x, masks=()):
     """Forward pass through the four layers.
 
-    Works on one network (``x`` of shape ``(m, 24)``) or on a stack of k
+    Works on one network (``x`` of shape ``(m, in)``) or on a stack of k
     networks (weights ``(k, in, out)``, biases ``(k, 1, out)``, ``x`` of shape
-    ``(k, m, 24)``). Inverted-dropout ``masks`` (training only) multiply the
+    ``(k, m, in)``). Inverted-dropout ``masks`` (training only) multiply the
     first hidden layers. Returns the input each layer saw and every layer's
     pre-activation.
     """
@@ -197,7 +198,7 @@ def _train_stack(x, y, configs) -> list:
     rngs = [np.random.default_rng(cfg.rng_seed) for cfg in cfgs]
     lr = np.array([cfg.learning_rate for cfg in cfgs])[:, None]
 
-    sizes = (N_COLUMNS,) + first.hidden_layers + (1,)
+    sizes = (x.shape[1],) + first.hidden_layers + (1,)
     weight_shapes = [(sizes[i], sizes[i + 1]) for i in range(4)]
     params = np.zeros((k, sum(math.prod(s) for s in weight_shapes) + sum(sizes[1:])))
     grads = np.zeros_like(params)
@@ -388,7 +389,7 @@ def tune(
 
 
 def input_gradients(model: MlpModel, x) -> np.ndarray:
-    """Per-sample dY/dInput for the 24 inputs, by backward accumulation.
+    """Per-sample dY/dInput for every input, by backward accumulation.
 
     ReLU contributes gradient 1 only where the pre-activation is strictly
     positive (0 at and below zero); the sigmoid contributes e^z/(1+e^z)^2.

@@ -47,7 +47,7 @@ from .debtrank import (
     DEFAULT_SHOCK_FRACTION,
     simulate_quarter,
 )
-from .errors import DataError, SchemaError, StageError
+from .errors import ConvergenceError, DataError, SchemaError, StageError
 from .logit import (
     accuracy as logit_accuracy,
     fit_lasso,
@@ -156,19 +156,24 @@ class RunConfig:
         unknown += [f"[{s}] {k}" for s in parser for k in parser[s] if (s, k) not in known]
         if unknown:
             raise SchemaError(f"{path}: unknown config section or key: {', '.join(unknown)}")
-        types = typing.get_type_hints(cls)
         values = {}
         for f, section, keys in layout:
             raw = [parser[section][k] for k in keys if parser.has_option(section, k)]
             if raw:
-                cast = types[f.name]
-                parse = f.metadata["parse"] or (_parse_bool if cast is bool else cast)
                 try:
-                    values[f.name] = parse(*raw)
+                    values[f.name] = field_parser(f)(*raw)
                 except ValueError as exc:
                     raise SchemaError(f"{path}: [{section}] {keys[0]}: {exc}") from None
         values.setdefault("synthetic", not values.get("quarter_files"))
         return cls(**values)
+
+
+def field_parser(f):
+    """The function that turns a RunConfig field's raw strings into its value,
+    shared by the INI file and the CLI flags: the field's own ``parse``, else
+    its annotation (a bool takes the INI spellings of true and false)."""
+    cast = typing.get_type_hints(RunConfig)[f.name]
+    return f.metadata["parse"] or (_parse_bool if cast is bool else cast)
 
 
 def _grid_args(grid: dict | None) -> dict:
@@ -198,28 +203,26 @@ def stage_simulate(
     quarter: str,
     out_csv,
     *,
-    shock_fraction: float = RunConfig.shock_fraction,
-    beta: float = RunConfig.beta,
-    alpha: float = RunConfig.alpha,
-    tolerance: float = RunConfig.tolerance,
-    max_iter: int = RunConfig.max_iter,
-    max_periods: int = RunConfig.max_periods,
+    config: RunConfig = RunConfig(),
     dump_matrix=None,
     trajectory_path=None,
     rejects_path=None,
 ) -> dict:
-    """Load one quarter, reconstruct its network, run the shock, dump proxies."""
+    """Load one quarter, reconstruct its network, run the shock, dump proxies.
+
+    Uses the ``[reconstruct]`` and ``[simulate]`` options of ``config``.
+    """
     panel = load_panel(panel_path, quarter)
     if panel.rejections and rejects_path:
         write_rejection_report(rejects_path, panel.rejections)
     sim = simulate_quarter(
         panel,
-        beta=beta,
-        alpha=alpha,
-        shock_fraction=shock_fraction,
-        tolerance=tolerance,
-        max_iter=max_iter,
-        max_periods=max_periods,
+        beta=config.beta,
+        alpha=config.alpha,
+        shock_fraction=config.shock_fraction,
+        tolerance=config.tolerance,
+        max_iter=config.max_iter,
+        max_periods=config.max_periods,
         record_trajectory=trajectory_path is not None,
     )
     run = sim.run
@@ -245,11 +248,12 @@ def stage_simulate(
         )
     if dump_matrix is not None:
         write_matrix(dump_matrix, sim.exposures)
+    shock = {"mode": "equity_fraction", "fraction": config.shock_fraction, "targets": "all banks"}
     return {
         "quarter": quarter,
-        "shock": {"mode": "equity_fraction", "fraction": shock_fraction, "targets": "all banks"},
-        "beta": beta,
-        "alpha": alpha,
+        "shock": shock,
+        "beta": config.beta,
+        "alpha": config.alpha,
         "n_banks": len(sim.bank_ids),
         "n_rejected_rows": len(panel.rejections),
         "excluded_nonpositive_equity": [b for b, _ in sim.excluded],
@@ -261,6 +265,12 @@ def stage_simulate(
         "converged": sim.run.converged,
         "defaults_cascaded": sim.run.defaults_cascaded,
     }
+
+
+def unconverged_solvers(summary: dict) -> list[str]:
+    """The solvers that ran out of budget in a ``stage_simulate`` summary."""
+    flags = (("RAS", "ras_converged"), ("propagation", "converged"))
+    return [solver for solver, key in flags if not summary[key]]
 
 
 def _read_proxies(path) -> dict[str, float]:
@@ -283,18 +293,19 @@ def stage_build_dataset(
     labels_path,
     out_dir,
     *,
-    total: int = RunConfig.total,
+    config: RunConfig = RunConfig(),
     seed: int = RunConfig.seed,
-    rebalance_after_split: bool = RunConfig.rebalance_after_split,
     horizon: str | None = None,
 ) -> dict:
     """Assemble the 24-column panel, rebalance, split and fit the scaler.
 
-    The panel CSV keeps raw attribute values; the sidecar carries the split
-    indices and the robust-scaler parameters fit on the training rows only.
-    By default rebalancing happens before the split (duplicate minority rows
-    may then cross partitions); ``rebalance_after_split`` rebalances each
-    partition separately instead, which is leakage-free.
+    Uses the ``[dataset]`` options of ``config``; the stage draws from
+    ``seed``, not ``config.seed``. The panel CSV keeps raw attribute values;
+    the sidecar carries the split indices and the robust-scaler parameters
+    fit on the training rows only. By default rebalancing happens before the
+    split (duplicate minority rows may then cross partitions);
+    ``rebalance_after_split`` rebalances each partition separately instead,
+    which is leakage-free.
     """
     if len(quarter_paths) != 4 or len(proxy_paths) != 4:
         raise DataError(
@@ -312,9 +323,9 @@ def stage_build_dataset(
     labels = derive_labels(quarters[-1], labels_path, horizon=horizon)
 
     panel = build_panel(quarters, proxies, labels)
-    if rebalance_after_split:
+    if config.rebalance_after_split:
         raw_splits = split(panel, seed)
-        per_part = total // 3
+        per_part = config.total // 3
         per_part += per_part % 2  # rebalance needs an even target
         parts = [
             rebalance(_take(panel, rows), per_part, seed + 11 + k)
@@ -335,7 +346,7 @@ def stage_build_dataset(
             rng_seed=seed,
         )
     else:
-        final = rebalance(panel, total, seed)
+        final = rebalance(panel, config.total, seed)
         splits = split(final, seed)
     scaler = fit_scaler(final, splits.train)
 
@@ -352,7 +363,7 @@ def stage_build_dataset(
         "seed": seed,
         "horizon": labels.horizon,
         "quarters": [q.quarter for q in quarters],
-        "rebalance_after_split": rebalance_after_split,
+        "rebalance_after_split": config.rebalance_after_split,
         "splits": {
             "train": splits.train.tolist(),
             "validation": splits.validation.tolist(),
@@ -373,6 +384,12 @@ def stage_build_dataset(
         "excluded_banks": len(panel.exclusions),
         "panel": str(panel_path),
     }
+
+
+def proxy_file(proxy_dir, panel_path) -> tuple[str, Path]:
+    """A quarter panel's tag and its proxy CSV, ``proxy_dir/proxies_<tag>.csv``."""
+    tag = _infer_quarter_tag(panel_path)
+    return tag, Path(proxy_dir) / f"proxies_{tag}.csv"
 
 
 def _infer_quarter_tag(path) -> str:
@@ -417,19 +434,15 @@ def load_dataset_dir(data_dir):
 
 
 def stage_train_mlp(
-    data_dir,
-    out_path,
-    *,
-    seed: int = RunConfig.seed,
-    grid: dict | None = RunConfig.grid,
-    epochs: int = RunConfig.epochs,
-    batch_size: int = RunConfig.batch_size,
+    data_dir, out_path, *, config: RunConfig = RunConfig(), seed: int = RunConfig.seed
 ) -> dict:
+    """Tune and train on the ``[mlp]`` options of ``config``; the grid's base
+    seed is ``seed``, not ``config.seed``."""
     panel, splits, scaler = load_dataset_dir(data_dir)
     scaled = apply_scaler(scaler, panel)
     target = 1 - panel.y  # default indicator: the model scores default odds
-    base = mlp.MlpConfig(epochs=epochs, batch_size=batch_size, rng_seed=seed)
-    model = mlp.tune(scaled.x, target, splits, base_config=base, **_grid_args(grid))
+    base = mlp.MlpConfig(epochs=config.epochs, batch_size=config.batch_size, rng_seed=seed)
+    model = mlp.tune(scaled.x, target, splits, base_config=base, **_grid_args(config.grid))
     oos = mlp.accuracy(model, scaled.x[splits.test], target[splits.test])
     mlp.save_model(
         model,
@@ -460,15 +473,16 @@ def stage_sensitivity(model_path, data_dir, out_csv) -> dict:
     }
 
 
-def stage_logit(data_dir, out_path, *, lam: float | str = RunConfig.lam) -> dict:
+def stage_logit(data_dir, out_path, *, config: RunConfig = RunConfig()) -> dict:
+    """Lasso at ``config.lam`` (or the validation-selected λ), then the refit."""
     panel, splits, scaler = load_dataset_dir(data_dir)
     scaled = apply_scaler(scaler, panel)
     target = 1 - panel.y  # default indicator, as for the MLP
     xt, yt = scaled.x[splits.train], target[splits.train]
-    if lam == LAMBDA_AUTO:
+    if config.lam == LAMBDA_AUTO:
         lasso = select_lambda(scaled.x, target, splits)
     else:
-        lasso = fit_lasso(xt, yt, float(lam))
+        lasso = fit_lasso(xt, yt, float(config.lam))
     lam_value = lasso.lam
     refit = refit_active(xt, yt, lasso.active_set)
     oos = logit_accuracy(refit, scaled.x[splits.test], target[splits.test])
@@ -594,22 +608,28 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
     """Execute the full pipeline and write run_manifest.json.
 
     Stage order: inputs -> simulate (x4) -> build-dataset -> train-mlp ->
-    sensitivity -> logit -> report. Partial artifacts are retained on error.
+    sensitivity -> logit -> report. Partial artifacts are retained on error;
+    a quarter whose RAS or propagation did not converge stops the run after
+    its proxy CSV is written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stages: dict[str, dict] = {}
     inputs: dict[str, str] = {}
+    seeds = {
+        "master": config.seed,
+        "synthetic": config.seed,
+        "dataset": config.seed + 1,
+        "mlp_base": config.seed + 2,
+    }
 
     if config.synthetic:
+        # The generator options RunConfig carries under the same names.
+        shared = {f.name for f in fields(SyntheticSpec)} & {f.name for f in fields(config)}
         spec = SyntheticSpec(
-            n_banks=config.n_banks,
             quarters=4,
-            default_rate=config.default_rate,
-            contagion_signal_strength=config.contagion_signal_strength,
-            rng_seed=config.seed,
-            start_quarter=config.start_quarter,
-            shock_fraction=config.shock_fraction,
+            rng_seed=seeds["synthetic"],
+            **{name: getattr(config, name) for name in shared},
         )
         result = _stage("generate-synthetic", generate, spec)
         paths = _stage("generate-synthetic", write_outputs, result, out / "inputs")
@@ -638,22 +658,21 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
     proxy_files = []
     sim_summaries = []
     for path in quarter_files:
-        tag = _infer_quarter_tag(path)
-        proxy_path = proxy_dir / f"proxies_{tag}.csv"
+        tag, proxy_path = proxy_file(proxy_dir, path)
         summary = _stage(
             "simulate",
             stage_simulate,
             path,
             tag,
             proxy_path,
-            shock_fraction=config.shock_fraction,
-            beta=config.beta,
-            alpha=config.alpha,
-            tolerance=config.tolerance,
-            max_iter=config.max_iter,
-            max_periods=config.max_periods,
+            config=config,
             rejects_path=proxy_dir / f"rejected_rows_{tag}.csv",
         )
+        failed = unconverged_solvers(summary)
+        if failed:
+            budget = f"max_iter = {config.max_iter}, max_periods = {config.max_periods}"
+            error = f"quarter {tag}: {' and '.join(failed)} did not converge ({budget})"
+            raise StageError("simulate", ConvergenceError(error))
         proxy_files.append(str(proxy_path))
         sim_summaries.append(summary)
     stages["simulate"] = sim_summaries
@@ -666,9 +685,8 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
         proxy_files,
         labels_file,
         dataset_dir,
-        total=config.total,
-        seed=config.seed + 1,
-        rebalance_after_split=config.rebalance_after_split,
+        config=config,
+        seed=seeds["dataset"],
     )
     model_path = out / "model.json"
     stages["train-mlp"] = _stage(
@@ -676,17 +694,15 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
         stage_train_mlp,
         dataset_dir,
         model_path,
-        seed=config.seed + 2,
-        grid=config.grid,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
+        config=config,
+        seed=seeds["mlp_base"],
     )
     sensitivity_path = out / "sensitivity.csv"
     stages["sensitivity"] = _stage(
         "sensitivity", stage_sensitivity, model_path, dataset_dir, sensitivity_path
     )
     fit_path = out / "fit.json"
-    stages["logit"] = _stage("logit", stage_logit, dataset_dir, fit_path, lam=config.lam)
+    stages["logit"] = _stage("logit", stage_logit, dataset_dir, fit_path, config=config)
     stages["report"] = _stage(
         "report", stage_report, dataset_dir, model_path, sensitivity_path, fit_path, out
     )
@@ -702,12 +718,7 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
         "command": list(command) if command else list(sys.argv),
         "out_dir": str(out),
         "config": config.to_dict(),
-        "seeds": {
-            "master": config.seed,
-            "synthetic": config.seed,
-            "dataset": config.seed + 1,
-            "mlp_base": config.seed + 2,
-        },
+        "seeds": seeds,
         "inputs": inputs,
         "stages": _relativize(stages, str(out) + "/"),
         "artifacts": artifacts,

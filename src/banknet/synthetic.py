@@ -12,7 +12,7 @@ construction and the pipeline has to reconstruct the bilaterals itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -212,17 +212,7 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
         labels={ids[i]: (0 if failed[i] else 1) for i in range(n)},
     )
     ground_truth = {
-        "spec": {
-            "n_banks": spec.n_banks,
-            "quarters": spec.quarters,
-            "default_rate": spec.default_rate,
-            "contagion_signal_strength": spec.contagion_signal_strength,
-            "rng_seed": spec.rng_seed,
-            "start_quarter": spec.start_quarter,
-            "shock_fraction": spec.shock_fraction,
-            "ratio_signal": spec.ratio_signal,
-            "idiosyncratic_fraction": spec.idiosyncratic_fraction,
-        },
+        "spec": asdict(spec),
         "horizon": horizon,
         "log_odds_intercept": intercept,
         "n_failed": int(failed.sum()),

@@ -260,7 +260,7 @@ def reference_train(x, y, config):
     if y.size != x.shape[0]:
         raise DimensionError(f"{y.size} labels for {x.shape[0]} rows")
     rng = np.random.default_rng(config.rng_seed)
-    sizes = (24,) + config.hidden_layers + (1,)
+    sizes = (x.shape[1],) + config.hidden_layers + (1,)
     shapes = [(sizes[i], sizes[i + 1]) for i in range(4)] + [(s,) for s in sizes[1:]]
     params = np.zeros(sum(math.prod(s) for s in shapes))
     grads = np.zeros_like(params)

@@ -1,12 +1,15 @@
+import argparse
 import json
 
 import pytest
 
+from banknet import cli
 from banknet.balance_sheets import QuarterlyPanel, write_panel_csv
 from banknet.cli import main
 from banknet.pipeline import RunConfig
 
 from .test_balance_sheets import make_record
+from .test_pipeline import NON_DEFAULT_INI
 
 CONFIG_INI = """\
 [run]
@@ -274,3 +277,118 @@ class TestRunCommand:
         assert (ds / "panel.csv").read_bytes() == (
             full_run / "dataset" / "panel.csv"
         ).read_bytes()
+
+
+def test_run_stops_with_exit_four_on_an_unconverged_quarter(tmp_path, capsys):
+    config_path = tmp_path / "config.ini"
+    config_path.write_text(
+        "[inputs]\nn_banks = 200\n\n[reconstruct]\ntolerance = 1e-15\nmax_iter = 1\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 4
+    assert "quarter 2009Q1: RAS did not converge" in capsys.readouterr().err
+    assert (out / "proxies" / "proxies_2009Q1.csv").exists()
+    assert not (out / "run_manifest.json").exists()
+
+
+# Every subcommand's option flags, pinned by hand: renaming or dropping a
+# RunConfig field must not silently rename or drop a flag.
+FLAGS = {
+    "generate-synthetic": "--n-banks --quarters --default-rate --signal-strength "
+    "--start-quarter --seed --out",
+    "reconstruct": "--panel --quarter --tolerance --max-iter --dump-matrix --rejects",
+    "simulate": "--panel --quarter --shock-fraction --beta --alpha --max-periods "
+    "--tolerance --max-iter --dump-matrix --trajectory --rejects --out",
+    "build-dataset": "--q1 --q2 --q3 --q4 --proxies --labels --total --seed "
+    "--rebalance-after-split --out",
+    "train-mlp": "--data --grid --epochs --batch-size --seed --out",
+    "sensitivity": "--model --data --out",
+    "logit": "--data --lambda --out",
+    "report": "--data --model --sensitivity --fit --out",
+    "run": "--config --from-manifest --out",
+}
+
+# The required arguments of each stage subcommand; quarter files are named
+# by tag, so build-dataset never opens them before its stage runs.
+REQUIRED = {
+    "reconstruct": ["--panel", "p.csv", "--quarter", "2009Q1"],
+    "simulate": ["--panel", "p.csv", "--quarter", "2009Q1", "--out", "o.csv"],
+    "build-dataset": [
+        *(a for k in range(1, 5) for a in (f"--q{k}", f"panel_2009Q{k}.csv")),
+        "--proxies", "proxies", "--labels", "failed.csv", "--out", "ds",
+    ],
+    "train-mlp": ["--data", "ds", "--out", "model.json"],
+    "logit": ["--data", "ds", "--out", "fit.json"],
+}
+
+# The subcommand that takes each stage section's flags, and the stage it calls.
+STAGE_OF_SECTION = {
+    "reconstruct": ("simulate", "stage_simulate"),
+    "simulate": ("simulate", "stage_simulate"),
+    "dataset": ("build-dataset", "stage_build_dataset"),
+    "mlp": ("train-mlp", "stage_train_mlp"),
+    "logit": ("logit", "stage_logit"),
+}
+
+
+def test_subcommand_flags_and_defaults_are_unchanged():
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, flags in FLAGS.items():
+        actions = subparsers.choices[command]._actions
+        got = {s for a in actions for s in a.option_strings} - {"-h", "--help"}
+        assert got == set(flags.split()), command
+    defaults = RunConfig()
+    for command, required in REQUIRED.items():
+        args = vars(parser.parse_args([command, *required]))
+        for name in set(args) & set(defaults.to_dict()):
+            assert args[name] == getattr(defaults, name), (command, name)
+
+
+STAGE_FIELDS = [name for name, entry in NON_DEFAULT_INI.items() if entry[0] in STAGE_OF_SECTION]
+
+
+@pytest.mark.parametrize("name", STAGE_FIELDS)
+def test_stage_flag_parses_like_its_ini_key(name, tmp_path, monkeypatch):
+    section, line, _ = NON_DEFAULT_INI[name]
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(SMALL_GRID))
+    line = line.format(grid_path=grid_path)
+    ini = tmp_path / "one.ini"
+    ini.write_text(f"[{section}]\n{line}\n")
+    expected = getattr(RunConfig.from_ini(ini), name)
+    assert expected != getattr(RunConfig(), name)
+
+    command, stage = STAGE_OF_SECTION[section]
+    handed = []
+
+    def fake_stage(*args, config, **kwargs):
+        handed.append(config)
+        return {"ras_converged": True, "converged": True}
+
+    monkeypatch.setattr(cli, stage, fake_stage)
+    key, _, raw = (part.strip() for part in line.partition("="))
+    value = [] if isinstance(expected, bool) else [raw]
+    assert main([command, "--" + key.replace("_", "-"), *value, *REQUIRED[command]]) == 0
+    assert getattr(handed[0], name) == expected
+
+
+def test_grid_file_missing_a_key_exits_three(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"structures": [[8, 16, 8]], "solvers": ["adam"]}))
+    assert main(["train-mlp", "--grid", str(grid), *REQUIRED["train-mlp"]]) == 3
+    assert "learning_rates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("train-mlp", "--epochs", "ten"),
+        ("logit", "--lambda", "small"),
+        ("simulate", "--beta", "1,0"),
+    ],
+)
+def test_malformed_number_exits_two(command, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, flag, value, *REQUIRED[command]])
+    assert excinfo.value.code == 2

@@ -91,9 +91,23 @@ class TestTrain:
         with pytest.raises(ValueError, match="batch_size"):
             train(x, y, MlpConfig(batch_size=32))
 
-    def test_wrong_width_rejected(self):
+    def test_input_layer_takes_the_width_of_x(self):
+        x, y = toy_clusters(m=40)
+        x = x[:, :20]
+        cfg = MlpConfig(hidden_layers=(4, 8, 4), epochs=3, batch_size=8, rng_seed=2)
+        model = train(x, y, cfg)
+        assert model.layer_sizes[0] == 20
+        _assert_same_parameters(model, reference_train(x, y, cfg))
+        assert predict(model, x).shape == (40,)
+        assert input_gradients(model, x).shape == (40, 20)
+        idx = np.arange(40)
+        splits = SplitAssignment(idx[:24], idx[24:32], idx[32:], rng_seed=0)
+        grid = dict(structures=((4, 8, 4),), solvers=("sgd",), learning_rates=(0.05,))
+        assert tune(x, y, splits, base_config=cfg, **grid).layer_sizes[0] == 20
         with pytest.raises(DimensionError):
-            train(np.zeros((40, 23)), np.zeros(40), MlpConfig())
+            train(x[:, 0], y, cfg)
+        with pytest.raises(DimensionError):
+            tune(x[:, 0], y, splits, base_config=cfg, **grid)
 
     def test_same_seed_same_model(self):
         x, y = toy_clusters(m=80, seed=5)

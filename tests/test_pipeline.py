@@ -10,7 +10,7 @@ import pytest
 
 from banknet.dataset import COLUMN_NAMES, FeaturePanel
 from banknet import pipeline, reconstruction
-from banknet.errors import SchemaError, StageError
+from banknet.errors import ConvergenceError, SchemaError, StageError
 from banknet.dataset import apply_scaler
 from banknet.logit import select_lambda
 from banknet.pipeline import (
@@ -144,7 +144,7 @@ class TestRunPipeline:
             raise AssertionError("stage_logit fitted the lasso again")
 
         monkeypatch.setattr(pipeline, "fit_lasso", no_refit)
-        stage_logit(out / "dataset", tmp_path / "fit.json", lam="auto")
+        stage_logit(out / "dataset", tmp_path / "fit.json", config=RunConfig(lam="auto"))
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert fit["lambda"] == selected.lam
         lasso = {c["name"]: c["lasso_coefficient"] for c in fit["columns"] if "lasso_coefficient" in c}
@@ -163,9 +163,23 @@ class TestRunPipeline:
                 proxy_files,
                 str(inputs / "failed_banks.csv"),
                 tmp_path / "ds",
-                total=160,
+                config=RunConfig(total=160),
                 seed=0,
             )
+
+    @pytest.mark.parametrize(
+        "solver, overrides",
+        [("RAS", {"tolerance": 1e-15, "max_iter": 1}), ("propagation", {"max_periods": 1})],
+    )
+    def test_unconverged_quarter_stops_the_run(self, tmp_path, solver, overrides):
+        out = tmp_path / "run"
+        with pytest.raises(StageError, match=f"quarter 2009Q1: {solver} did not") as excinfo:
+            run_pipeline(small_config(**overrides), out)
+        assert excinfo.value.stage == "simulate"
+        assert isinstance(excinfo.value.cause, ConvergenceError)
+        assert [p.name for p in (out / "proxies").glob("proxies_*")] == ["proxies_2009Q1.csv"]
+        assert not (out / "dataset").exists()
+        assert not (out / "run_manifest.json").exists()
 
     def test_file_mode_requires_inputs(self, tmp_path):
         config = RunConfig(synthetic=False, quarter_files=(), labels_file="")
