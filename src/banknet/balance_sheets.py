@@ -14,12 +14,13 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from operator import attrgetter
+from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .artifacts import read_csv, write_csv
-from .errors import DataError, InfeasibilityError, IntegrityError, ParseError
+from .errors import DataError, InfeasibilityError, IntegrityError, ParseError, SchemaError
 
 PANEL_COLUMNS = (
     "bank_id",
@@ -44,6 +45,21 @@ def validate_quarter(tag: str) -> str:
     if not _QUARTER_RE.match(tag):
         raise ValueError(f"not a quarter tag (expected e.g. 2009Q1): {tag!r}")
     return tag
+
+
+def quarter_tag(path) -> str:
+    """A panel file's quarter: the ``_<YYYYQn>`` ending of its name
+    (panel_2009Q1.csv), else the ``quarter`` of its first row."""
+    tail = Path(path).stem.rsplit("_", 1)[-1]
+    if _QUARTER_RE.match(tail):
+        return tail
+    rows = read_csv(path, ("quarter",))
+    if not rows:
+        raise SchemaError(f"{path}: empty panel, cannot determine quarter")
+    try:
+        return validate_quarter(rows[0]["quarter"])
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def next_quarter(tag: str) -> str:

@@ -20,13 +20,12 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .balance_sheets import live_subsystem, load_panel, write_rejection_report
+from .balance_sheets import live_subsystem, load_panel, quarter_tag, write_rejection_report
 from .debtrank import live_network
 from .errors import DataError, NumericalError, StageError
 from .pipeline import (
     RunConfig,
     field_parser,
-    proxy_file,
     rerun_from_manifest,
     run_pipeline,
     stage_build_dataset,
@@ -178,11 +177,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_build_dataset(args) -> int:
-    quarter_paths = [args.q1, args.q2, args.q3, args.q4]
-    proxy_paths = [proxy_file(args.proxies, qp)[1] for qp in quarter_paths]
+    panels = [(path, quarter_tag(path)) for path in (args.q1, args.q2, args.q3, args.q4)]
     config = _config(args)
     summary = stage_build_dataset(
-        quarter_paths, proxy_paths, args.labels, args.out, config=config, seed=config.seed
+        panels, args.proxies, args.labels, args.out, config=config, seed=config.seed
     )
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

@@ -139,20 +139,31 @@ def build_panel(
     )
 
 
-def rebalance(panel: FeaturePanel, target_total: int, seed: int) -> FeaturePanel:
-    """Resample to target_total rows, half per class.
+def take(panel: FeaturePanel, rows) -> FeaturePanel:
+    """The panel's rows at ``rows``, in that order; a row may repeat."""
+    return replace(
+        panel,
+        bank_ids=tuple(panel.bank_ids[i] for i in rows),
+        x=panel.x[rows],
+        y=panel.y[rows],
+    )
 
-    The minority class is oversampled with replacement (originals always kept),
-    the majority class subsampled without replacement. Synthetic rows are exact
-    copies, never jittered.
+
+def rebalanced_rows(y, rows, target_total: int, seed: int) -> np.ndarray:
+    """Indices into ``y``: ``rows`` resampled to target_total, half per class.
+
+    The minority class is oversampled with replacement (its rows always
+    kept), the majority class subsampled without replacement; the result is
+    shuffled.
     """
     if target_total <= 0 or target_total % 2 != 0:
         raise ValueError(f"target_total must be a positive even count, got {target_total}")
     per_class = target_total // 2
+    rows = np.asarray(rows, dtype=int)
     rng = np.random.default_rng(seed)
     picks = []
     for cls in (0, 1):
-        idx = np.flatnonzero(panel.y == cls)
+        idx = rows[y[rows] == cls]
         if idx.size == 0:
             raise ClassBalanceError(f"class {cls} is empty; cannot rebalance")
         if idx.size >= per_class:
@@ -160,14 +171,16 @@ def rebalance(panel: FeaturePanel, target_total: int, seed: int) -> FeaturePanel
         else:
             extra = rng.choice(idx, size=per_class - idx.size, replace=True)
             picks.append(np.concatenate([idx, extra]))
-    rows = np.concatenate(picks)
-    rows = rows[rng.permutation(rows.size)]
-    return replace(
-        panel,
-        bank_ids=tuple(panel.bank_ids[i] for i in rows),
-        x=panel.x[rows],
-        y=panel.y[rows],
-    )
+    picked = np.concatenate(picks)
+    return picked[rng.permutation(picked.size)]
+
+
+def rebalance(panel: FeaturePanel, target_total: int, seed: int) -> FeaturePanel:
+    """Resample to target_total rows, half per class (see ``rebalanced_rows``).
+
+    Synthetic rows are exact copies, never jittered.
+    """
+    return take(panel, rebalanced_rows(panel.y, np.arange(len(panel)), target_total, seed))
 
 
 def fit_scaler(panel: FeaturePanel, train_idx) -> RobustScalerParams:

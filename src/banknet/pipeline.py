@@ -5,6 +5,11 @@ any stage can be re-run in isolation. ``run_pipeline`` chains them and writes
 a manifest recording every parameter (including defaulted ones), seeds and
 artifact digests; a run is reproducible from its manifest alone.
 
+A quarter panel travels as a ``(path, quarter)`` pair, resolved once per run
+(from the generator, or from ``balance_sheets.quarter_tag``), and its
+contagion proxies live at ``proxy_csv(proxy_dir, quarter)``. The dataset's
+two split policies are both a ``take`` of the one joined panel.
+
 Both classifiers are trained on the default indicator (1 = failed by the
 horizon, i.e. 1 - label), so reported coefficients and gradients are on the
 log-odds-of-default scale.
@@ -16,7 +21,7 @@ import configparser
 import hashlib
 import sys
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,12 +29,7 @@ import numpy as np
 
 from . import __version__, mlp
 from .artifacts import read_csv, read_json, write_csv, write_json
-from .balance_sheets import (
-    derive_labels,
-    load_panel,
-    validate_quarter,
-    write_rejection_report,
-)
+from .balance_sheets import derive_labels, load_panel, quarter_tag, write_rejection_report
 from .dataset import (
     FeaturePanel,
     RobustScalerParams,
@@ -38,7 +38,9 @@ from .dataset import (
     build_panel,
     fit_scaler,
     rebalance,
+    rebalanced_rows,
     split,
+    take,
 )
 from .debtrank import (
     DEFAULT_ALPHA,
@@ -273,32 +275,29 @@ def unconverged_solvers(summary: dict) -> list[str]:
     return [solver for solver, key in flags if not summary[key]]
 
 
+def proxy_csv(proxy_dir, quarter: str) -> Path:
+    """Where a quarter's contagion proxies live: ``proxy_dir/proxies_<quarter>.csv``."""
+    return Path(proxy_dir) / f"proxies_{quarter}.csv"
+
+
 def _read_proxies(path) -> dict[str, float]:
     rows = read_csv(path, ("bank_id", "proxy_pct"))
     return {row["bank_id"]: float(row["proxy_pct"]) for row in rows}
 
 
-def _take(panel: FeaturePanel, rows: np.ndarray) -> FeaturePanel:
-    return replace(
-        panel,
-        bank_ids=tuple(panel.bank_ids[i] for i in rows),
-        x=panel.x[rows],
-        y=panel.y[rows],
-    )
-
-
 def stage_build_dataset(
-    quarter_paths,
-    proxy_paths,
+    panels,
+    proxy_dir,
     labels_path,
     out_dir,
     *,
     config: RunConfig = RunConfig(),
     seed: int = RunConfig.seed,
-    horizon: str | None = None,
 ) -> dict:
     """Assemble the 24-column panel, rebalance, split and fit the scaler.
 
+    ``panels`` are the four ``(path, quarter)`` pairs, oldest first; each
+    quarter's proxies are read from ``proxy_csv(proxy_dir, quarter)``.
     Uses the ``[dataset]`` options of ``config``; the stage draws from
     ``seed``, not ``config.seed``. The panel CSV keeps raw attribute values;
     the sidecar carries the split indices and the robust-scaler parameters
@@ -307,20 +306,9 @@ def stage_build_dataset(
     ``rebalance_after_split`` rebalances each partition separately instead,
     which is leakage-free.
     """
-    if len(quarter_paths) != 4 or len(proxy_paths) != 4:
-        raise DataError(
-            f"expected 4 quarter files and 4 proxy files, got "
-            f"{len(quarter_paths)} and {len(proxy_paths)}"
-        )
-    for p in list(quarter_paths) + list(proxy_paths) + [labels_path]:
-        if not Path(p).exists():
-            raise FileNotFoundError(f"input file not found: {p}")
-    quarters = []
-    for path in quarter_paths:
-        tag = _infer_quarter_tag(path)
-        quarters.append(load_panel(path, tag))
-    proxies = [_read_proxies(p) for p in proxy_paths]
-    labels = derive_labels(quarters[-1], labels_path, horizon=horizon)
+    quarters = [load_panel(path, quarter) for path, quarter in panels]
+    proxies = [_read_proxies(proxy_csv(proxy_dir, q.quarter)) for q in quarters]
+    labels = derive_labels(quarters[-1], labels_path)
 
     panel = build_panel(quarters, proxies, labels)
     if config.rebalance_after_split:
@@ -328,23 +316,11 @@ def stage_build_dataset(
         per_part = config.total // 3
         per_part += per_part % 2  # rebalance needs an even target
         parts = [
-            rebalance(_take(panel, rows), per_part, seed + 11 + k)
+            rebalanced_rows(panel.y, rows, per_part, seed + 11 + k)
             for k, rows in enumerate((raw_splits.train, raw_splits.validation, raw_splits.test))
         ]
-        final = FeaturePanel(
-            bank_ids=tuple(b for p in parts for b in p.bank_ids),
-            column_names=panel.column_names,
-            x=np.vstack([p.x for p in parts]),
-            y=np.concatenate([p.y for p in parts]),
-            exclusions=panel.exclusions,
-        )
-        bounds = np.cumsum([0] + [len(p) for p in parts])
-        splits = SplitAssignment(
-            train=np.arange(bounds[0], bounds[1]),
-            validation=np.arange(bounds[1], bounds[2]),
-            test=np.arange(bounds[2], bounds[3]),
-            rng_seed=seed,
-        )
+        final = take(panel, np.concatenate(parts))
+        splits = SplitAssignment(*np.arange(len(final)).reshape(3, per_part), rng_seed=seed)
     else:
         final = rebalance(panel, config.total, seed)
         splits = split(final, seed)
@@ -386,28 +362,6 @@ def stage_build_dataset(
     }
 
 
-def proxy_file(proxy_dir, panel_path) -> tuple[str, Path]:
-    """A quarter panel's tag and its proxy CSV, ``proxy_dir/proxies_<tag>.csv``."""
-    tag = _infer_quarter_tag(panel_path)
-    return tag, Path(proxy_dir) / f"proxies_{tag}.csv"
-
-
-def _infer_quarter_tag(path) -> str:
-    """Panel files carry their tag (panel_2009Q1.csv); fall back to the data."""
-    tail = Path(path).stem.rsplit("_", 1)[-1]
-    try:
-        return validate_quarter(tail)
-    except ValueError:
-        pass
-    rows = read_csv(path, ("quarter",))
-    if not rows:
-        raise SchemaError(f"{path}: empty panel, cannot determine quarter")
-    try:
-        return validate_quarter(rows[0]["quarter"])
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-
-
 def load_dataset_dir(data_dir):
     """Read panel.csv + dataset.json back into (panel, splits, scaler)."""
     data_dir = Path(data_dir)
@@ -433,14 +387,19 @@ def load_dataset_dir(data_dir):
     return panel, splits, scaler
 
 
+def _scaled_dataset(data_dir):
+    """A dataset directory's scaled panel, its default indicator (1 = failed,
+    i.e. 1 - label: both classifiers score default odds) and its splits."""
+    panel, splits, scaler = load_dataset_dir(data_dir)
+    return apply_scaler(scaler, panel), 1 - panel.y, splits
+
+
 def stage_train_mlp(
     data_dir, out_path, *, config: RunConfig = RunConfig(), seed: int = RunConfig.seed
 ) -> dict:
     """Tune and train on the ``[mlp]`` options of ``config``; the grid's base
     seed is ``seed``, not ``config.seed``."""
-    panel, splits, scaler = load_dataset_dir(data_dir)
-    scaled = apply_scaler(scaler, panel)
-    target = 1 - panel.y  # default indicator: the model scores default odds
+    scaled, target, splits = _scaled_dataset(data_dir)
     base = mlp.MlpConfig(epochs=config.epochs, batch_size=config.batch_size, rng_seed=seed)
     model = mlp.tune(scaled.x, target, splits, base_config=base, **_grid_args(config.grid))
     oos = mlp.accuracy(model, scaled.x[splits.test], target[splits.test])
@@ -460,24 +419,21 @@ def stage_train_mlp(
 
 
 def stage_sensitivity(model_path, data_dir, out_csv) -> dict:
-    panel, splits, scaler = load_dataset_dir(data_dir)
-    scaled = apply_scaler(scaler, panel)
+    scaled, _, splits = _scaled_dataset(data_dir)
     model = mlp.load_model(model_path)
     report = mlp.input_sensitivity(model, scaled.x[splits.test])
-    write_csv(out_csv, ("column_name", "gradient"), zip(panel.column_names, report.gradients))
+    write_csv(out_csv, ("column_name", "gradient"), zip(scaled.column_names, report.gradients))
     return {
         "sample_count": report.sample_count,
         "gradients": {
-            name: float(g) for name, g in zip(panel.column_names, report.gradients)
+            name: float(g) for name, g in zip(scaled.column_names, report.gradients)
         },
     }
 
 
 def stage_logit(data_dir, out_path, *, config: RunConfig = RunConfig()) -> dict:
     """Lasso at ``config.lam`` (or the validation-selected λ), then the refit."""
-    panel, splits, scaler = load_dataset_dir(data_dir)
-    scaled = apply_scaler(scaler, panel)
-    target = 1 - panel.y  # default indicator, as for the MLP
+    scaled, target, splits = _scaled_dataset(data_dir)
     xt, yt = scaled.x[splits.train], target[splits.train]
     if config.lam == LAMBDA_AUTO:
         lasso = select_lambda(scaled.x, target, splits)
@@ -488,7 +444,7 @@ def stage_logit(data_dir, out_path, *, config: RunConfig = RunConfig()) -> dict:
     oos = logit_accuracy(refit, scaled.x[splits.test], target[splits.test])
 
     columns = []
-    for j, name in enumerate(panel.column_names):
+    for j, name in enumerate(scaled.column_names):
         if j in lasso.active_set:
             columns.append(
                 {
@@ -516,7 +472,7 @@ def stage_logit(data_dir, out_path, *, config: RunConfig = RunConfig()) -> dict:
         "lambda": lam_value,
         "oos_accuracy": oos,
         "active_set_size": len(lasso.active_set),
-        "active_columns": [panel.column_names[j] for j in lasso.active_set],
+        "active_columns": [scaled.column_names[j] for j in lasso.active_set],
         "fit": str(out_path),
     }
 
@@ -633,7 +589,7 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
         )
         result = _stage("generate-synthetic", generate, spec)
         paths = _stage("generate-synthetic", write_outputs, result, out / "inputs")
-        quarter_files = [paths[f"panel_{p.quarter}"] for p in result.panels]
+        panels = [(paths[f"panel_{p.quarter}"], p.quarter) for p in result.panels]
         labels_file = paths["failed_banks"]
         stages["generate-synthetic"] = {
             "n_banks": spec.n_banks,
@@ -646,25 +602,23 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
                 "inputs",
                 DataError("file mode needs four quarter files (q1..q4) and a labels file"),
             )
-        quarter_files = list(config.quarter_files)
         labels_file = config.labels_file
-        for p in quarter_files + [labels_file]:
+        for p in (*config.quarter_files, labels_file):
             if not Path(p).exists():
                 raise StageError("inputs", FileNotFoundError(f"input file not found: {p}"))
             inputs[str(p)] = _sha256(p)
+        panels = [(p, _stage("inputs", quarter_tag, p)) for p in config.quarter_files]
 
     proxy_dir = out / "proxies"
     proxy_dir.mkdir(exist_ok=True)
-    proxy_files = []
     sim_summaries = []
-    for path in quarter_files:
-        tag, proxy_path = proxy_file(proxy_dir, path)
+    for path, tag in panels:
         summary = _stage(
             "simulate",
             stage_simulate,
             path,
             tag,
-            proxy_path,
+            proxy_csv(proxy_dir, tag),
             config=config,
             rejects_path=proxy_dir / f"rejected_rows_{tag}.csv",
         )
@@ -673,7 +627,6 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
             budget = f"max_iter = {config.max_iter}, max_periods = {config.max_periods}"
             error = f"quarter {tag}: {' and '.join(failed)} did not converge ({budget})"
             raise StageError("simulate", ConvergenceError(error))
-        proxy_files.append(str(proxy_path))
         sim_summaries.append(summary)
     stages["simulate"] = sim_summaries
 
@@ -681,8 +634,8 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
     stages["build-dataset"] = _stage(
         "build-dataset",
         stage_build_dataset,
-        quarter_files,
-        proxy_files,
+        panels,
+        proxy_dir,
         labels_file,
         dataset_dir,
         config=config,

@@ -113,19 +113,19 @@ def reconstruct(
 
     # A lender needs at least one counterparty with borrowing capacity and
     # vice versa, otherwise the zero diagonal makes the marginals unservable.
-    il_total = float(il.sum())
-    ia_total = total
-    for i in range(n):
-        if ia[i] > 0 and il_total - il[i] <= 0:
-            raise InfeasibilityError(
-                f"bank {bank_ids[i]} has interbank assets {ia[i]:g} but no other "
-                "bank reports interbank liabilities"
-            )
-        if il[i] > 0 and ia_total - ia[i] <= 0:
-            raise InfeasibilityError(
-                f"bank {bank_ids[i]} has interbank liabilities {il[i]:g} but no "
-                "other bank reports interbank assets"
-            )
+    lonely_lender = (ia > 0) & (float(il.sum()) - il <= 0)
+    lonely_borrower = (il > 0) & (total - ia <= 0)
+    first = int(np.argmax(lonely_lender | lonely_borrower))
+    if lonely_lender[first]:
+        raise InfeasibilityError(
+            f"bank {bank_ids[first]} has interbank assets {ia[first]:g} but no other "
+            "bank reports interbank liabilities"
+        )
+    if lonely_borrower[first]:
+        raise InfeasibilityError(
+            f"bank {bank_ids[first]} has interbank liabilities {il[first]:g} but no "
+            "other bank reports interbank assets"
+        )
     # Complete zero-diagonal feasibility (Gale-Hoffman with a forbidden
     # diagonal): every bank's combined assets and liabilities must fit into
     # the rest of the system.

@@ -12,6 +12,7 @@ from banknet.balance_sheets import (
     live_subsystem,
     load_panel,
     next_quarter,
+    quarter_tag,
     write_panel_csv,
     write_rejection_report,
 )
@@ -249,3 +250,16 @@ def test_next_quarter():
     assert next_quarter("2009Q4") == "2010Q1"
     with pytest.raises(ValueError):
         next_quarter("2009Q5")
+
+
+def test_quarter_tag_prefers_the_file_name_over_the_rows(tmp_path):
+    # A tagged name is trusted without opening the file, even a missing one.
+    assert quarter_tag(tmp_path / "panel_2010Q3.csv") == "2010Q3"
+    assert quarter_tag(_write(tmp_path, [_row("A", quarter="2009Q2")], "q2.csv")) == "2009Q2"
+    assert quarter_tag(_write(tmp_path, [_row("A")], "panel_2009Q5.csv")) == "2009Q1"
+
+
+@pytest.mark.parametrize("lines, message", [([], "empty panel"), ([_row("A", quarter="Q1")], "'Q1'")])
+def test_quarter_tag_without_a_tag_is_schema_error(tmp_path, lines, message):
+    with pytest.raises(SchemaError, match=message):
+        quarter_tag(_write(tmp_path, lines, "q1.csv"))

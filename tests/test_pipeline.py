@@ -1,17 +1,28 @@
+import collections
 import csv
 import dataclasses
 import json
 import re
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from banknet.dataset import COLUMN_NAMES, FeaturePanel
-from banknet import pipeline, reconstruction
+from banknet import artifacts, pipeline, reconstruction
+from banknet.balance_sheets import derive_labels, load_panel
+from banknet.cli import main
+from banknet.dataset import (
+    COLUMN_NAMES,
+    FeaturePanel,
+    apply_scaler,
+    build_panel,
+    rebalance,
+    split,
+    take,
+)
 from banknet.errors import ConvergenceError, SchemaError, StageError
-from banknet.dataset import apply_scaler
 from banknet.logit import select_lambda
 from banknet.pipeline import (
     RunConfig,
@@ -154,13 +165,12 @@ class TestRunPipeline:
     def test_missing_quarter_file_fails_at_build_dataset(self, small_run, tmp_path):
         out, _ = small_run
         inputs = out / "inputs"
-        quarter_files = sorted(str(p) for p in inputs.glob("panel_*.csv"))
-        proxy_files = sorted(str(p) for p in (out / "proxies").glob("proxies_*.csv"))
-        missing = str(tmp_path / "nope.csv")
+        panels = [(str(inputs / f"panel_2009Q{k}.csv"), f"2009Q{k}") for k in range(1, 4)]
+        missing = (str(tmp_path / "nope.csv"), "2009Q4")
         with pytest.raises(FileNotFoundError, match="nope.csv"):
             stage_build_dataset(
-                quarter_files[:3] + [missing],
-                proxy_files,
+                panels + [missing],
+                out / "proxies",
                 str(inputs / "failed_banks.csv"),
                 tmp_path / "ds",
                 config=RunConfig(total=160),
@@ -283,7 +293,100 @@ class TestRunConfigSchema:
             assert RunConfig.from_ini(tmp_path / name) == RunConfig(), name
 
 
+def count_panel_reads(monkeypatch):
+    """File name -> full ``read_csv`` reads, wherever banknet holds the function."""
+    original = artifacts.read_csv
+    reads = collections.Counter()
+
+    def counting(path, required):
+        reads[Path(path).name] += 1
+        return original(path, required)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("banknet") and getattr(module, "read_csv", None) is original:
+            monkeypatch.setattr(module, "read_csv", counting)
+    return reads
+
+
+def test_untagged_panel_names_resolve_once(tmp_path, monkeypatch):
+    # Panels named q1.csv..q4.csv carry their quarter only in their rows:
+    # the run reads each one to find its tag, to simulate it and to build
+    # the dataset; tagged names skip the first read.
+    spec = SyntheticSpec(n_banks=60, default_rate=0.3, contagion_signal_strength=0.6, rng_seed=9)
+    paths = write_outputs(generate(spec), tmp_path / "inputs")
+    tagged = [paths[f"panel_2009Q{k}"] for k in range(1, 5)]
+    untagged = [str(tmp_path / "inputs" / f"q{k}.csv") for k in range(1, 5)]
+    for src, dst in zip(tagged, untagged):
+        shutil.copy(src, dst)
+    config = small_config(
+        synthetic=False, labels_file=paths["failed_banks"], total=40, epochs=10, batch_size=8, lam=0.5
+    )
+    reads = count_panel_reads(monkeypatch)
+    manifests = {}
+    for name, files in (("tagged", tagged), ("untagged", untagged)):
+        config = dataclasses.replace(config, quarter_files=tuple(files))
+        manifests[name] = run_pipeline(config, tmp_path / name)
+    assert manifests["untagged"]["artifacts"] == manifests["tagged"]["artifacts"]
+    assert {Path(f).name: reads[Path(f).name] for f in tagged + untagged} == {
+        **{Path(f).name: 2 for f in tagged},
+        **{Path(f).name: 3 for f in untagged},
+    }
+
+    reads.clear()
+    argv = ["build-dataset", "--proxies", str(tmp_path / "untagged" / "proxies")]
+    argv += [a for k, f in enumerate(untagged, 1) for a in (f"--q{k}", f)]
+    argv += ["--labels", paths["failed_banks"], "--total", "40", "--seed", "18"]
+    assert main(argv + ["--out", str(tmp_path / "ds")]) == 0
+    assert [reads[Path(f).name] for f in untagged] == [2, 2, 2, 2]
+    dataset = tmp_path / "untagged" / "dataset"
+    for name in ("panel.csv", "dataset.json"):
+        assert (tmp_path / "ds" / name).read_bytes() == (dataset / name).read_bytes(), name
+
+
+def reference_after_split(panel, total, seed):
+    """The leakage-free dataset as separately rebalanced partitions, stacked."""
+    raw = split(panel, seed)
+    per_part = total // 3
+    per_part += per_part % 2
+    parts = [
+        rebalance(take(panel, rows), per_part, seed + 11 + k)
+        for k, rows in enumerate((raw.train, raw.validation, raw.test))
+    ]
+    bounds = np.cumsum([0] + [len(p) for p in parts])
+    return (
+        [b for p in parts for b in p.bank_ids],
+        np.vstack([p.x for p in parts]),
+        np.concatenate([p.y for p in parts]),
+        [np.arange(bounds[k], bounds[k + 1]).tolist() for k in range(3)],
+    )
+
+
 class TestRebalanceAfterSplit:
+    @pytest.mark.parametrize("total", [60, 100])
+    def test_stage_matches_the_per_partition_composition(self, small_run, tmp_path, total):
+        out, _ = small_run
+        inputs = out / "inputs"
+        quarters = [load_panel(inputs / f"panel_2009Q{k}.csv", f"2009Q{k}") for k in range(1, 5)]
+        proxy_files = [pipeline.proxy_csv(out / "proxies", q.quarter) for q in quarters]
+        labels = derive_labels(quarters[-1], inputs / "failed_banks.csv")
+        joined = build_panel(quarters, [pipeline._read_proxies(p) for p in proxy_files], labels)
+        bank_ids, x, y, parts = reference_after_split(joined, total, seed=3)
+
+        stage_build_dataset(
+            [(inputs / f"panel_{q.quarter}.csv", q.quarter) for q in quarters],
+            out / "proxies",
+            inputs / "failed_banks.csv",
+            tmp_path / "ds",
+            config=RunConfig(total=total, rebalance_after_split=True),
+            seed=3,
+        )
+        panel, splits, _ = load_dataset_dir(tmp_path / "ds")
+        assert list(panel.bank_ids) == bank_ids
+        np.testing.assert_array_equal(panel.x, x)
+        np.testing.assert_array_equal(panel.y, y)
+        sidecar = json.loads((tmp_path / "ds" / "dataset.json").read_text())
+        assert [sidecar["splits"][p] for p in ("train", "validation", "test")] == parts
+
     def test_leakage_free_mode_keeps_partitions_disjoint_by_bank(self, tmp_path):
         out = tmp_path / "run"
         run_pipeline(small_config(rebalance_after_split=True, total=60), out)

@@ -47,9 +47,20 @@ class TestReconstruct:
             reconstruct([1.0], [1.0])
 
     def test_lender_without_counterparties_is_infeasible(self):
-        # Bank A holds all assets and all liabilities: nobody can owe it.
-        with pytest.raises(InfeasibilityError):
+        # Bank 0 holds all assets and all liabilities: nobody can owe it.
+        with pytest.raises(
+            InfeasibilityError,
+            match="^bank 0 has interbank assets 10 but no other bank reports interbank liabilities$",
+        ):
             reconstruct([10, 0], [10, 0])
+
+    def test_borrower_without_counterparties_is_infeasible(self):
+        # Bank B holds all assets, so nobody can lend to it; bank A is fine.
+        with pytest.raises(
+            InfeasibilityError,
+            match="^bank B has interbank liabilities 5 but no other bank reports interbank assets$",
+        ):
+            reconstruct([0, 10], [5, 5], bank_ids=("A", "B"))
 
     def test_unbalanced_marginals_rejected(self):
         with pytest.raises(InfeasibilityError, match="close_system"):
