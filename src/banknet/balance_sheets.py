@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .artifacts import read_csv, write_csv
+from .artifacts import read_csv, read_first_row, write_csv
 from .errors import DataError, InfeasibilityError, IntegrityError, ParseError, SchemaError
 
 PANEL_COLUMNS = (
@@ -53,11 +53,11 @@ def quarter_tag(path) -> str:
     tail = Path(path).stem.rsplit("_", 1)[-1]
     if _QUARTER_RE.match(tail):
         return tail
-    rows = read_csv(path, ("quarter",))
-    if not rows:
+    row = read_first_row(path, ("quarter",))
+    if row is None:
         raise SchemaError(f"{path}: empty panel, cannot determine quarter")
     try:
-        return validate_quarter(rows[0]["quarter"])
+        return validate_quarter(row["quarter"])
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
@@ -270,8 +270,8 @@ class DefaultLabelSet:
         return len(self.labels)
 
 
-def derive_labels(universe: QuarterlyPanel, failed_list, horizon: str | None = None) -> DefaultLabelSet:
-    """Label every bank in the universe from a failed-bank list.
+def derive_labels(universe: QuarterlyPanel, failed_list) -> DefaultLabelSet:
+    """Label every bank in the universe from a failed-bank list, at the next quarter.
 
     Failed-list entries not present in the universe are reported via
     ``unmatched`` (and a warning), never raised.
@@ -287,6 +287,5 @@ def derive_labels(universe: QuarterlyPanel, failed_list, horizon: str | None = N
             + ", ".join(unmatched),
             stacklevel=2,
         )
-    if horizon is None:
-        horizon = next_quarter(universe.quarter)
-    return DefaultLabelSet(horizon=validate_quarter(horizon), labels=labels, unmatched=unmatched)
+    horizon = next_quarter(universe.quarter)
+    return DefaultLabelSet(horizon=horizon, labels=labels, unmatched=unmatched)

@@ -20,11 +20,15 @@ from them once per run.
 The per-bank contagion proxy is the percentage equity loss between the
 post-shock state and the converged state, i.e. the damage attributable to
 contagion alone, excluding the initial shock. It always lies in [-100, 0].
+
+``simulate_quarter`` runs the pipeline's one scenario: every live bank loses
+the same fraction of its equity. Any other shock goes through ``init_state``,
+``apply_shock`` and ``propagate`` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -97,8 +101,6 @@ class ContagionRun:
     """Outcome of one propagation: final/post-shock equity and the proxy."""
 
     bank_ids: tuple[str, ...]
-    beta: float
-    alpha: float
     e_post_shock: np.ndarray
     e_final: np.ndarray
     proxy: np.ndarray  # percentages in [-100, 0]
@@ -218,8 +220,6 @@ def propagate(
     cascade_defaulted = (e_curr == 0.0) & ~initially_defaulted
     return ContagionRun(
         bank_ids=state.bank_ids,
-        beta=beta,
-        alpha=alpha,
         e_post_shock=e_post_shock,
         e_final=e_curr,
         proxy=proxy,
@@ -272,41 +272,26 @@ def live_network(
 
 def simulate_quarter(
     panel: QuarterlyPanel,
-    scenario: ShockSpec | None = None,
+    *,
     beta: float = DEFAULT_BETA,
     alpha: float = DEFAULT_ALPHA,
-    *,
     shock_fraction: float = DEFAULT_SHOCK_FRACTION,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iter: int = DEFAULT_MAX_ITER,
     max_periods: int = DEFAULT_MAX_PERIODS,
     record_trajectory: bool = False,
 ) -> QuarterSimulation:
-    """Reconstruct the quarter's network and run the contagion scenario.
+    """Reconstruct the quarter's network and run its contagion scenario:
+    every live bank loses ``shock_fraction`` of its equity.
 
     Banks with non-positive starting equity are excluded (and reported); the
     surviving subsystem is re-closed before reconstruction since exclusions
-    unbalance the aggregates. With no explicit scenario, a uniform equity
-    fraction shock of ``shock_fraction`` hits every bank.
+    unbalance the aggregates.
     """
     sub, excluded = live_subsystem(panel)
-    ids = sub.bank_ids
-    equity = sub.equity()
-
-    if scenario is None:
-        scenario = ShockSpec.uniform(ids, shock_fraction)
-    else:
-        unknown = sorted(set(scenario.targets) - set(panel.bank_ids))
-        if unknown:
-            raise UnknownBankError(
-                f"shock targets unknown bank_id(s): {', '.join(unknown)}"
-            )
-        live = set(ids)
-        kept = {b: s for b, s in scenario.targets.items() if b in live}
-        scenario = replace(scenario, targets=kept)
-
     exposures, ras = live_network(sub, tolerance=tolerance, max_iter=max_iter)
-    state = apply_shock(init_state(exposures, equity), scenario)
+    shock = ShockSpec.uniform(sub.bank_ids, shock_fraction)
+    state = apply_shock(init_state(exposures, sub.equity()), shock)
     run = propagate(
         state,
         beta=beta,
@@ -316,10 +301,10 @@ def simulate_quarter(
     )
     return QuarterSimulation(
         quarter=panel.quarter,
-        bank_ids=ids,
+        bank_ids=sub.bank_ids,
         exposures=exposures,
         run=run,
         ras=ras,
         excluded=excluded,
-        closure_factor=float(sub.closure_factor or 1.0),
+        closure_factor=sub.closure_factor,
     )

@@ -40,6 +40,8 @@ from .errors import (
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_STEPS = 100
+PATH_POINTS = 50  # penalties on select_lambda's path
+PATH_SPAN = 1e-4  # its smallest penalty, as a fraction of lambda_max
 _MAX_PIVOTS = 1000  # active-set changes per quadratic subproblem
 _MAX_HALVINGS = 50
 _WEIGHT_FLOOR = 1e-10
@@ -316,18 +318,13 @@ def _deviance_ratio(fit: LogitFit, x, y) -> float:
     return 1.0 - dev / null_dev if null_dev > 0 else 1.0
 
 
-def select_lambda(
-    x,
-    y,
-    splits: SplitAssignment,
-    n_points: int = 50,
-    span: float = 1e-4,
-) -> LogitFit:
+def select_lambda(x, y, splits: SplitAssignment) -> LogitFit:
     """Pick the penalty maximizing validation accuracy over a log grid and
     return the training fit at it (its ``lam`` is the chosen penalty).
 
-    The grid spans [span * lambda_max, lambda_max], walked downward with warm
-    starts; ties go to the larger penalty (the sparser model). The path stops
+    The grid is ``PATH_POINTS`` penalties, log-spaced from lambda_max down to
+    ``PATH_SPAN * lambda_max`` and walked in that order with warm starts;
+    ties go to the larger penalty (the sparser model). The path stops
     early once the training fit is essentially saturated (deviance ratio
     above 0.999) or a point fails to converge: beyond that the data is
     quasi-separated and smaller penalties only push coefficients out further;
@@ -340,7 +337,7 @@ def select_lambda(
     lmax = lambda_max(xt, yt)
     if lmax <= 0.0:
         return fit_lasso(xt, yt, 0.0)
-    grid = np.geomspace(lmax, span * lmax, n_points)  # descending
+    grid = np.geomspace(lmax, PATH_SPAN * lmax, PATH_POINTS)  # descending
 
     best = None
     best_acc = -1.0

@@ -327,7 +327,6 @@ def stage_build_dataset(
     scaler = fit_scaler(final, splits.train)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     panel_path = out / "panel.csv"
     write_csv(
         panel_path,
@@ -569,7 +568,6 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
     its proxy CSV is written.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stages: dict[str, dict] = {}
     inputs: dict[str, str] = {}
     seeds = {
@@ -610,7 +608,6 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
         panels = [(p, _stage("inputs", quarter_tag, p)) for p in config.quarter_files]
 
     proxy_dir = out / "proxies"
-    proxy_dir.mkdir(exist_ok=True)
     sim_summaries = []
     for path, tag in panels:
         summary = _stage(

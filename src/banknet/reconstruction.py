@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_csv, write_csv
+from .artifacts import create, read_csv, write_csv
 from .errors import DimensionError, InfeasibilityError, SchemaError
 
 MAGIC = b"IBNW0001"
@@ -170,8 +170,7 @@ def write_matrix(path, exposures: ExposureMatrix) -> None:
 
     A sidecar CSV `<path>.ids.csv` records bank_ids in row order.
     """
-    path = Path(path)
-    with open(path, "wb") as fh:
+    with create(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", exposures.n))
         fh.write(np.ascontiguousarray(exposures.w, dtype="<f8").tobytes())

@@ -232,7 +232,6 @@ def write_outputs(result: SyntheticResult, out_dir) -> dict:
     Returns a manifest-ready dict of paths keyed by artifact name.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {}
     for panel in result.panels:
         path = out / f"panel_{panel.quarter}.csv"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from banknet.artifacts import read_csv, read_json, write_csv, write_json
+from banknet.artifacts import read_csv, read_first_row, read_json, write_csv, write_json
 from banknet.errors import SchemaError
 
 SUBNORMAL = 5e-324
@@ -54,6 +54,12 @@ class TestWriteJson:
             b'  "b": [\n    0.1,\n    -0.0,\n    1e-300,\n    5e-324\n  ]\n}\n'
         )
 
+    def test_writers_create_missing_directories(self, tmp_path):
+        write_json(tmp_path / "a" / "b.json", {})
+        write_csv(tmp_path / "c" / "d" / "e.csv", ("k",), [(1,)])
+        assert read_json(tmp_path / "a" / "b.json") == {}
+        assert read_csv(tmp_path / "c" / "d" / "e.csv", ("k",)) == [{"k": "1"}]
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "a.json"
         payload = {"x": list(FLOATS), "name": "bank", "n": 3}
@@ -84,3 +90,29 @@ class TestReadCsv:
         path = tmp_path / "a.csv"
         write_csv(path, ("bank_id",), ())
         assert read_csv(path, ("bank_id",)) == []
+
+
+class TestReadFirstRow:
+    def test_rest_of_the_file_is_not_read(self, tmp_path):
+        # A byte that is not UTF-8, well past the first read buffer, fails
+        # only a reader that gets that far.
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"bank_id,quarter\nA,2009Q1\n" + b"B,2009Q1\n" * 100_000 + b"\xff\n")
+        assert read_first_row(path, ("quarter",)) == {"bank_id": "A", "quarter": "2009Q1"}
+        with pytest.raises(UnicodeDecodeError):
+            read_csv(path, ("quarter",))
+
+    def test_header_only_gives_none(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(path, ("bank_id",), ())
+        assert read_first_row(path, ("bank_id",)) is None
+
+    @pytest.mark.parametrize(
+        "text, message", [("", "empty file"), ("bank_id\nA\n", "missing required column.*quarter")]
+    )
+    def test_header_checks_match_read_csv(self, tmp_path, text, message):
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        for read in (read_csv, read_first_row):
+            with pytest.raises(SchemaError, match=message):
+                read(path, ("bank_id", "quarter"))

@@ -1,5 +1,9 @@
 import argparse
 import json
+import re
+import shlex
+import string
+from pathlib import Path
 
 import pytest
 
@@ -392,3 +396,42 @@ def test_malformed_number_exits_two(command, flag, value):
     with pytest.raises(SystemExit) as excinfo:
         main([command, flag, value, *REQUIRED[command]])
     assert excinfo.value.code == 2
+
+
+def readme_walkthrough() -> list[list[str]]:
+    """The README's CLI walkthrough, one argument list per ``banknet`` call
+    (the leading ``banknet`` dropped), with its ``for`` loop unrolled."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```bash\n(.*?)```", readme, re.S).group(1)
+    lines = [line.strip() for line in block.replace("\\\n", " ").splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    commands, loop = [], None
+    for line in lines:
+        if m := re.fullmatch(r"for (\w+) in (.*); do", line):
+            loop = (m.group(1), m.group(2).split(), [])
+        elif line == "done":
+            var, values, body = loop
+            commands += [string.Template(b).substitute({var: v}) for v in values for b in body]
+            loop = None
+        else:
+            (loop[2] if loop else commands).append(line)
+    return [shlex.split(command)[1:] for command in commands]
+
+
+def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch):
+    # A fresh directory holds none of the walkthrough's output directories;
+    # only the sizes shrink: fewer banks and rows, one grid point, 5 epochs.
+    (tmp_path / "grid.json").write_text(json.dumps(SMALL_GRID))
+    small = {"--n-banks": "60", "--default-rate": "0.3", "--total": "60", "--grid": "grid.json"}
+    monkeypatch.chdir(tmp_path)
+    commands = readme_walkthrough()
+    assert [c[0] for c in commands] == [
+        "generate-synthetic", *["simulate"] * 4, "build-dataset",
+        "train-mlp", "sensitivity", "logit", "report",
+    ]
+    for argv in commands:
+        argv = [small.get(prev, word) for prev, word in zip([None, *argv], argv)]
+        if argv[0] == "train-mlp":
+            argv += ["--epochs", "5", "--batch-size", "8"]
+        assert main(argv) == 0, argv
+    assert (tmp_path / "reports" / "summary.json").exists()

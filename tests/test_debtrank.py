@@ -287,10 +287,10 @@ class TestQuarterlyProxies:
         )
 
     def test_composition_matches_worked_example(self):
-        proxies = simulate_quarter(
-            self._panel(), ShockSpec("equity_fraction", {"B": 0.5})
-        ).proxies
-        assert proxies == {"A": -25.0, "B": 0.0}
+        # Both equities halve to 50; B's fall of 50 costs A 50/100 * 50 = 25,
+        # half of A's post-shock equity.
+        proxies = simulate_quarter(self._panel(), shock_fraction=0.5).proxies
+        assert proxies == {"A": -50.0, "B": 0.0}
 
     def test_beta_zero_all_zero(self):
         proxies = simulate_quarter(self._panel(), beta=0.0, shock_fraction=0.2).proxies
@@ -309,16 +309,16 @@ class TestQuarterlyProxies:
                 make_record("Z", ta=100, tl=150, ia=0, il=10),  # insolvent
             ),
         )
-        sim = simulate_quarter(panel, ShockSpec("equity_fraction", {"B": 0.5}))
+        sim = simulate_quarter(panel, shock_fraction=0.5)
         assert sim.excluded == (("Z", "non-positive starting equity (-50)"),)
         assert sim.bank_ids == ("A", "B")
         # After exclusion the remaining aggregates are re-closed: 50 vs 40.
         assert sim.closure_factor == pytest.approx(1.25)
-        assert sim.proxies == {"A": -25.0, "B": 0.0}
+        assert sim.proxies == {"A": -50.0, "B": 0.0}
 
-    def test_shock_targets_outside_panel_rejected(self):
-        with pytest.raises(UnknownBankError):
-            simulate_quarter(self._panel(), ShockSpec("equity_fraction", {"Q": 0.1}))
+    def test_scenario_is_not_positional(self):
+        with pytest.raises(TypeError):
+            simulate_quarter(self._panel(), ShockSpec("equity_fraction", {"B": 0.5}))
 
 
 class TestAllocations:

@@ -310,8 +310,9 @@ def count_panel_reads(monkeypatch):
 
 def test_untagged_panel_names_resolve_once(tmp_path, monkeypatch):
     # Panels named q1.csv..q4.csv carry their quarter only in their rows:
-    # the run reads each one to find its tag, to simulate it and to build
-    # the dataset; tagged names skip the first read.
+    # finding the tag reads the first row alone, so an untagged panel is read
+    # in full as often as a tagged one: to simulate it and to build the
+    # dataset.
     spec = SyntheticSpec(n_banks=60, default_rate=0.3, contagion_signal_strength=0.6, rng_seed=9)
     paths = write_outputs(generate(spec), tmp_path / "inputs")
     tagged = [paths[f"panel_2009Q{k}"] for k in range(1, 5)]
@@ -327,17 +328,15 @@ def test_untagged_panel_names_resolve_once(tmp_path, monkeypatch):
         config = dataclasses.replace(config, quarter_files=tuple(files))
         manifests[name] = run_pipeline(config, tmp_path / name)
     assert manifests["untagged"]["artifacts"] == manifests["tagged"]["artifacts"]
-    assert {Path(f).name: reads[Path(f).name] for f in tagged + untagged} == {
-        **{Path(f).name: 2 for f in tagged},
-        **{Path(f).name: 3 for f in untagged},
-    }
+    names = [Path(f).name for f in tagged + untagged]
+    assert {name: reads[name] for name in names} == {name: 2 for name in names}
 
     reads.clear()
     argv = ["build-dataset", "--proxies", str(tmp_path / "untagged" / "proxies")]
     argv += [a for k, f in enumerate(untagged, 1) for a in (f"--q{k}", f)]
     argv += ["--labels", paths["failed_banks"], "--total", "40", "--seed", "18"]
     assert main(argv + ["--out", str(tmp_path / "ds")]) == 0
-    assert [reads[Path(f).name] for f in untagged] == [2, 2, 2, 2]
+    assert [reads[Path(f).name] for f in untagged] == [1, 1, 1, 1]
     dataset = tmp_path / "untagged" / "dataset"
     for name in ("panel.csv", "dataset.json"):
         assert (tmp_path / "ds" / name).read_bytes() == (dataset / name).read_bytes(), name
