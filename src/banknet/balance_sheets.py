@@ -12,7 +12,7 @@ import math
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -22,20 +22,6 @@ import numpy as np
 from .artifacts import read_csv, read_first_row, write_csv
 from .errors import DataError, InfeasibilityError, IntegrityError, ParseError, SchemaError
 
-PANEL_COLUMNS = (
-    "bank_id",
-    "quarter",
-    "total_assets",
-    "total_liabilities",
-    "interbank_assets",
-    "interbank_liabilities",
-    "roa",
-    "roe",
-    "stpd_ratio",
-    "tier1_ratio",
-    "tier1_leverage_ratio",
-)
-NUMERIC_COLUMNS = PANEL_COLUMNS[2:]
 FAILED_LIST_COLUMNS = ("bank_id", "failure_date")
 
 _QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
@@ -73,7 +59,8 @@ def next_quarter(tag: str) -> str:
 
 @dataclass(frozen=True)
 class BankRecord:
-    """One bank-quarter of balance-sheet aggregates and financial ratios.
+    """One bank-quarter of balance-sheet aggregates and financial ratios; the
+    fields are the panel CSV's columns, in order.
 
     Currency fields are carried in whatever unit the input uses; nothing is
     converted. Equity is derived, never stored.
@@ -87,8 +74,8 @@ class BankRecord:
     interbank_liabilities: float
     roa: float
     roe: float
-    short_term_past_due_ratio: float
-    tier1_capital_ratio: float
+    stpd_ratio: float  # short-term past-due loans
+    tier1_ratio: float  # Tier 1 capital
     tier1_leverage_ratio: float
 
     @property
@@ -96,18 +83,15 @@ class BankRecord:
         return self.total_assets - self.total_liabilities
 
 
-# CSV column -> BankRecord attribute
-_FIELD_FOR_COLUMN = {
-    "stpd_ratio": "short_term_past_due_ratio",
-    "tier1_ratio": "tier1_capital_ratio",
-}
+PANEL_COLUMNS = tuple(f.name for f in fields(BankRecord))
+NUMERIC_COLUMNS = PANEL_COLUMNS[2:]
 
 
 def record_violations(rec: BankRecord) -> list[str]:
     """Invariant violations of a record; empty list means the row is clean."""
     reasons = []
     for col in NUMERIC_COLUMNS:
-        if not math.isfinite(getattr(rec, _FIELD_FOR_COLUMN.get(col, col))):
+        if not math.isfinite(getattr(rec, col)):
             reasons.append(f"non-finite {col}")
     if reasons:
         return reasons
@@ -184,7 +168,7 @@ def load_panel(path, quarter: str) -> QuarterlyPanel:
         for col in NUMERIC_COLUMNS:
             raw = (row[col] or "").strip()
             try:
-                values[_FIELD_FOR_COLUMN.get(col, col)] = float(raw)
+                values[col] = float(raw)
             except ValueError:
                 raise ParseError(
                     f"{path}: row {line}: non-numeric {col}={raw!r}", row=line
@@ -204,8 +188,7 @@ def load_panel(path, quarter: str) -> QuarterlyPanel:
 
 def write_panel_csv(panel: QuarterlyPanel, path) -> None:
     """Write a panel back out in the ingestion schema (repr-exact floats)."""
-    row = attrgetter(*(_FIELD_FOR_COLUMN.get(c, c) for c in PANEL_COLUMNS))
-    write_csv(path, PANEL_COLUMNS, map(row, panel.records))
+    write_csv(path, PANEL_COLUMNS, map(attrgetter(*PANEL_COLUMNS), panel.records))
 
 
 def write_rejection_report(path, rejections: Iterable[RejectedRow]) -> None:

@@ -16,10 +16,10 @@ from .balance_sheets import DefaultLabelSet, QuarterlyPanel
 from .errors import ArityError, ClassBalanceError, DatasetSizeError
 
 _METRIC_FIELDS = (
-    ("stpd", "short_term_past_due_ratio"),
+    ("stpd", "stpd_ratio"),
     ("roe", "roe"),
     ("roa", "roa"),
-    ("tier1_ratio", "tier1_capital_ratio"),
+    ("tier1_ratio", "tier1_ratio"),
     ("tier1_leverage", "tier1_leverage_ratio"),
 )
 

@@ -7,15 +7,17 @@ equity loss, measured against the pre-run baseline,
     E_i(t+1) = max(0, E_i(t) + sum_j phi_ij * beta * (E_j(t) - E_j(t-1)))
 
 with phi_ij = W0_ij / E0_j frozen at its initial value. Equity is floored at
-zero; a bank that reaches the floor is insolvent and, from the next period
+zero; a bank at zero equity is insolvent and silenced: from the next period
 on, its equity changes are skipped as a borrower, so it transmits nothing
 further (the same as zeroing its phi column). beta scales the pass-through
 (beta = 1 is plain proportional transmission, beta = 0 disables contagion
 entirely).
 
-The exposure matrix and the starting equity are the only network state:
-phi is never stored, and ``propagate`` derives its borrower-major ratios
-from them once per run.
+Equity never rises (beta >= 0, phi >= 0 and every change is a loss), so a
+bank at zero stays there and insolvency is read off the equity itself,
+``e == 0``. The exposure matrix and the starting equity are the only network
+state: phi is never stored, and ``propagate`` derives its borrower-major
+ratios from them once per run.
 
 The per-bank contagion proxy is the percentage equity loss between the
 post-shock state and the converged state, i.e. the damage attributable to
@@ -79,12 +81,12 @@ class ShockSpec:
 @dataclass
 class NetworkState:
     """Simulation state: the frozen network and starting equity ``e0``, plus
-    the current (possibly shocked) equity and the insolvent mask."""
+    the current (possibly shocked) equity. A bank with ``e_curr == 0`` is
+    insolvent and silenced."""
 
     exposures: ExposureMatrix
     e0: np.ndarray
     e_curr: np.ndarray
-    insolvent: np.ndarray
     shocked: bool = False
 
     @property
@@ -113,28 +115,24 @@ class ContagionRun:
 
 
 def init_state(w: ExposureMatrix, equity) -> NetworkState:
-    """Pair the network with its strictly positive starting equity."""
+    """Pair the network with its finite, strictly positive starting equity."""
     equity = np.asarray(equity, dtype=float)
     if equity.shape != (w.n,):
         raise DomainError(f"equity vector of length {equity.size} for n={w.n}")
-    nonpos = np.flatnonzero(equity <= 0)
-    if nonpos.size:
-        names = ", ".join(w.bank_ids[i] for i in nonpos[:10])
+    bad = np.flatnonzero(~np.isfinite(equity) | (equity <= 0))
+    if bad.size:
+        names = ", ".join(w.bank_ids[i] for i in bad[:10])
         raise DomainError(
-            f"non-positive starting equity for bank(s): {names}; exclude them upstream"
+            f"non-finite or non-positive starting equity for bank(s): {names}; "
+            "exclude them upstream"
         )
-    return NetworkState(
-        exposures=w,
-        e0=equity.copy(),
-        e_curr=equity.copy(),
-        insolvent=np.zeros(w.n, dtype=bool),
-    )
+    return NetworkState(exposures=w, e0=equity.copy(), e_curr=equity.copy())
 
 
 def apply_shock(state: NetworkState, shock: ShockSpec) -> NetworkState:
     """Reduce current equity per the shock; ``e0`` stays the previous period,
     so the first propagation step sees the shock as the equity change. Banks
-    driven to zero are marked insolvent and transmit nothing."""
+    driven to zero are insolvent and transmit nothing."""
     if state.shocked:
         raise ValueError("state already shocked; apply_shock expects a fresh state")
     index = {b: i for i, b in enumerate(state.bank_ids)}
@@ -148,13 +146,7 @@ def apply_shock(state: NetworkState, shock: ShockSpec) -> NetworkState:
             e_curr[i] = state.e_curr[i] * (1.0 - size)
         else:
             e_curr[i] = max(0.0, state.e_curr[i] - size)
-    return NetworkState(
-        exposures=state.exposures,
-        e0=state.e0,
-        e_curr=e_curr,
-        insolvent=e_curr == 0.0,
-        shocked=True,
-    )
+    return NetworkState(exposures=state.exposures, e0=state.e0, e_curr=e_curr, shocked=True)
 
 
 def _proxy_vector(e_post_shock: np.ndarray, e_final: np.ndarray):
@@ -176,9 +168,9 @@ def propagate(
     """Iterate the contagion update until the largest relative equity change
     falls below alpha, or max_periods is reached (reported, not raised).
 
-    The passed state is not mutated. Insolvent borrowers are skipped in the
-    per-period sum, so a bank transmits its losses up to the period in which
-    it hits zero and nothing after.
+    The passed state is not mutated. A borrower at zero equity is silenced:
+    it is skipped in the per-period sum, so a bank transmits its losses up to
+    the period in which it hits zero and nothing after.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
@@ -192,7 +184,6 @@ def propagate(
     # literal reference's 1e-12 agreement (by 1.02e-12 in its tests), so the
     # loop stays.
     phi_by_borrower = np.divide(state.exposures.w.T, state.e0[:, None], order="C")
-    insolvent = state.insolvent.copy()
     e_prev = state.e0.copy()
     e_curr = state.e_curr.copy()
     e_post_shock = state.e_curr.copy()
@@ -203,10 +194,10 @@ def propagate(
     for t in range(1, max_periods + 1):
         delta = e_curr - e_prev
         e_next = e_curr.copy()
-        for j in np.flatnonzero((delta != 0.0) & ~insolvent):
+        # != rather than >: a NaN equity is not taken for insolvency.
+        for j in np.flatnonzero((delta != 0.0) & (e_curr != 0.0)):
             e_next += phi_by_borrower[j] * (beta * delta[j])
         np.maximum(e_next, 0.0, out=e_next)
-        insolvent |= e_next == 0.0
         periods = t
         if record_trajectory:
             trajectory.append(e_next.copy())

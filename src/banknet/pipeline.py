@@ -2,8 +2,10 @@
 
 Every stage reads its inputs from disk and writes its artifacts to disk, so
 any stage can be re-run in isolation. ``run_pipeline`` chains them and writes
-a manifest recording every parameter (including defaulted ones), seeds and
-artifact digests; a run is reproducible from its manifest alone.
+a manifest recording every parameter (including defaulted ones), seeds,
+input and artifact digests, and each stage's summary of what it measured (a
+summary repeats no path and no parameter); a run is reproducible from its
+manifest alone.
 
 A quarter panel travels as a ``(path, quarter)`` pair, resolved once per run
 (from the generator, or from ``balance_sheets.quarter_tag``), and its
@@ -126,6 +128,10 @@ class RunConfig:
     batch_size: int = _ini("mlp", mlp.MlpConfig.batch_size)
     grid: dict | None = _ini("mlp", None, parse=parse_grid)
     lam: float | str = _ini("logit", LAMBDA_AUTO, "lambda", parse=parse_lambda)
+
+    def __post_init__(self):
+        if self.synthetic and (self.quarter_files or self.labels_file):
+            raise SchemaError("[inputs] synthetic = true takes no q1..q4 or labels files")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -250,12 +256,8 @@ def stage_simulate(
         )
     if dump_matrix is not None:
         write_matrix(dump_matrix, sim.exposures)
-    shock = {"mode": "equity_fraction", "fraction": config.shock_fraction, "targets": "all banks"}
     return {
         "quarter": quarter,
-        "shock": shock,
-        "beta": config.beta,
-        "alpha": config.alpha,
         "n_banks": len(sim.bank_ids),
         "n_rejected_rows": len(panel.rejections),
         "excluded_nonpositive_equity": [b for b, _ in sim.excluded],
@@ -327,9 +329,8 @@ def stage_build_dataset(
     scaler = fit_scaler(final, splits.train)
 
     out = Path(out_dir)
-    panel_path = out / "panel.csv"
     write_csv(
-        panel_path,
+        out / "panel.csv",
         ("bank_id",) + final.column_names + ("label",),
         ((b, *x, y) for b, x, y in zip(final.bank_ids, final.x, final.y)),
     )
@@ -357,7 +358,6 @@ def stage_build_dataset(
         "source_rows": len(panel),
         "source_failed": int((panel.y == 0).sum()),
         "excluded_banks": len(panel.exclusions),
-        "panel": str(panel_path),
     }
 
 
@@ -413,7 +413,6 @@ def stage_train_mlp(
         "learning_rate": model.config.learning_rate,
         "oos_accuracy": oos,
         "grid_size": len(model.tuning_record),
-        "model": str(out_path),
     }
 
 
@@ -472,7 +471,6 @@ def stage_logit(data_dir, out_path, *, config: RunConfig = RunConfig()) -> dict:
         "oos_accuracy": oos,
         "active_set_size": len(lasso.active_set),
         "active_columns": [scaled.column_names[j] for j in lasso.active_set],
-        "fit": str(out_path),
     }
 
 
@@ -529,9 +527,8 @@ def stage_report(data_dir, model_path, sensitivity_path, fit_path, out_dir) -> d
         "correlations_file": corr_path.name,
         "constant_columns": flags,
     }
-    summary_path = out / "summary.json"
-    write_json(summary_path, summary)
-    return {"summary": str(summary_path), "correlations": str(corr_path)}
+    write_json(out / "summary.json", summary)
+    return {"constant_columns": flags}
 
 
 # ---------------------------------------------------------------------------
@@ -545,18 +542,6 @@ def _stage(name, fn, *args, **kwargs):
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
-
-
-def _relativize(obj, root: str):
-    """Strip the run directory off paths in stage summaries so manifests of
-    byte-identical runs are identical regardless of where they were written."""
-    if isinstance(obj, dict):
-        return {k: _relativize(v, root) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_relativize(v, root) for v in obj]
-    if isinstance(obj, str) and obj.startswith(root):
-        return obj[len(root):].lstrip("/\\")
-    return obj
 
 
 def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
@@ -589,11 +574,7 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
         paths = _stage("generate-synthetic", write_outputs, result, out / "inputs")
         panels = [(paths[f"panel_{p.quarter}"], p.quarter) for p in result.panels]
         labels_file = paths["failed_banks"]
-        stages["generate-synthetic"] = {
-            "n_banks": spec.n_banks,
-            "n_failed": result.ground_truth["n_failed"],
-            "files": paths,
-        }
+        stages["generate-synthetic"] = {"n_failed": result.ground_truth["n_failed"]}
     else:
         if len(config.quarter_files) != 4 or not config.labels_file:
             raise StageError(
@@ -670,7 +651,7 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
         "config": config.to_dict(),
         "seeds": seeds,
         "inputs": inputs,
-        "stages": _relativize(stages, str(out) + "/"),
+        "stages": stages,
         "artifacts": artifacts,
     }
     write_json(out / _MANIFEST_NAME, manifest)
@@ -678,7 +659,13 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
 
 
 def rerun_from_manifest(manifest_path, out_dir) -> dict:
-    """Re-execute a run from its manifest; outputs are byte-identical."""
+    """Re-execute a run from its manifest; outputs are byte-identical. Every
+    recorded input must still have its recorded SHA-256 (else DataError)."""
     manifest = read_json(manifest_path)
     config = RunConfig.from_dict(manifest["config"])
+    for path, digest in manifest["inputs"].items():
+        if not Path(path).is_file():
+            raise DataError(f"recorded input {path} is missing")
+        if _sha256(path) != digest:
+            raise DataError(f"recorded input {path} differs from its recorded SHA-256")
     return run_pipeline(config, out_dir, command=["rerun", str(manifest_path)])

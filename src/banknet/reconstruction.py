@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import create, read_csv, write_csv
-from .errors import DimensionError, InfeasibilityError, SchemaError
+from .errors import DimensionError, DomainError, InfeasibilityError, SchemaError
 
 MAGIC = b"IBNW0001"
 DEFAULT_TOLERANCE = 1e-8
@@ -100,6 +100,12 @@ def reconstruct(
     n = ia.size
     if n < 2:
         raise DimensionError("need at least 2 banks to reconstruct a network")
+    if bank_ids is None:
+        bank_ids = tuple(str(i) for i in range(n))
+    bad = np.flatnonzero(~(np.isfinite(ia) & np.isfinite(il)))
+    if bad.size:
+        names = ", ".join(bank_ids[i] for i in bad[:10])
+        raise DomainError(f"non-finite interbank marginal for bank(s): {names}")
     if (ia < 0).any() or (il < 0).any():
         raise ValueError("marginals must be nonnegative")
     total = float(ia.sum())
@@ -108,8 +114,6 @@ def reconstruct(
             f"aggregates are not balanced (assets {total:g} vs liabilities "
             f"{float(il.sum()):g}); run close_system first"
         )
-    if bank_ids is None:
-        bank_ids = tuple(str(i) for i in range(n))
 
     # A lender needs at least one counterparty with borrowing capacity and
     # vice versa, otherwise the zero diagonal makes the marginals unservable.

@@ -171,8 +171,8 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
                 interbank_liabilities=float(il[i]),
                 roa=float(roa_q[i]),
                 roe=float(roe_q[i]),
-                short_term_past_due_ratio=float(stpd_q[i]),
-                tier1_capital_ratio=float(t1r_q[i]),
+                stpd_ratio=float(stpd_q[i]),
+                tier1_ratio=float(t1r_q[i]),
                 tier1_leverage_ratio=float(t1l_q[i]),
             )
             for i in range(n)

@@ -50,8 +50,8 @@ def make_record(bank_id, ta=1000.0, tl=900.0, ia=50.0, il=40.0, quarter="2009Q1"
         interbank_liabilities=il,
         roa=0.01,
         roe=0.05,
-        short_term_past_due_ratio=0.02,
-        tier1_capital_ratio=0.12,
+        stpd_ratio=0.02,
+        tier1_ratio=0.12,
         tier1_leverage_ratio=0.08,
     )
 

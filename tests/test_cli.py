@@ -231,8 +231,16 @@ class TestRunCommand:
             ),
             ("[simulatoin]\nbeta = 0.5\n", ["[simulatoin]"]),
             ("[mlp]\nepochs = 5\n\n[mlp]\nbatch_size = 8\n", ["'mlp' already exists"]),
+            ("[inputs]\nsynthetic = true\nq1 = a.csv\n", ["synthetic = true"]),
+            ("[inputs]\nsynthetic = true\nlabels = failed.csv\n", ["synthetic = true"]),
         ],
-        ids=["misspelt-keys", "unknown-section", "duplicate-section"],
+        ids=[
+            "misspelt-keys",
+            "unknown-section",
+            "duplicate-section",
+            "synthetic-with-quarters",
+            "synthetic-with-labels",
+        ],
     )
     def test_run_rejects_unknown_or_malformed_config(self, tmp_path, capsys, text, named):
         config_path = tmp_path / "typo.ini"
@@ -248,6 +256,34 @@ class TestRunCommand:
         manifest.write_text(json.dumps({"config": config}))
         assert main(["run", "--from-manifest", str(manifest), "--out", str(tmp_path / "out")]) == 3
         assert "shock_fracton" in capsys.readouterr().err
+
+    def test_rerun_checks_recorded_input_digests(self, tmp_path, capsys):
+        # A file-mode run records its inputs' SHA-256; a rerun on an edited
+        # or missing input stops before any stage, with exit 3 and no manifest.
+        inputs = tmp_path / "inputs"
+        argv = ["generate-synthetic", "--n-banks", "60", "--default-rate", "0.3"]
+        assert main(argv + ["--signal-strength", "0.6", "--seed", "9", "--out", str(inputs)]) == 0
+        (tmp_path / "grid.json").write_text(json.dumps(SMALL_GRID))
+        quarters = "\n".join(f"q{k} = {inputs}/panel_2009Q{k}.csv" for k in range(1, 5))
+        (tmp_path / "run.ini").write_text(
+            f"[inputs]\n{quarters}\nlabels = {inputs}/failed_banks.csv\n\n[dataset]\ntotal = 40\n\n"
+            f"[mlp]\nepochs = 10\nbatch_size = 8\ngrid = {tmp_path}/grid.json\n\n"
+            "[logit]\nlambda = 0.5\n"
+        )
+        run = tmp_path / "run"
+        assert main(["run", "--config", str(tmp_path / "run.ini"), "--out", str(run)]) == 0
+        rerun = ["run", "--from-manifest", str(run / "run_manifest.json")]
+
+        with open(inputs / "panel_2009Q2.csv", "ab") as fh:
+            fh.write(b" ")
+        assert main(rerun + ["--out", str(tmp_path / "edited")]) == 3
+        assert "panel_2009Q2.csv differs from its recorded SHA-256" in capsys.readouterr().err
+        assert not (tmp_path / "edited" / "run_manifest.json").exists()
+
+        (inputs / "panel_2009Q2.csv").unlink()
+        assert main(rerun + ["--out", str(tmp_path / "missing")]) == 3
+        assert "panel_2009Q2.csv is missing" in capsys.readouterr().err
+        assert not (tmp_path / "missing" / "run_manifest.json").exists()
 
     @pytest.mark.parametrize(
         "flag, value, field", [("--batch-size", "0", "batch_size"), ("--epochs", "-1", "epochs")]

@@ -81,10 +81,10 @@ class TestBuildPanel:
             rec = type(rec)(
                 **{
                     **rec.__dict__,
-                    "short_term_past_due_ratio": 0.1 + k,
+                    "stpd_ratio": 0.1 + k,
                     "roe": 0.2 + k,
                     "roa": 0.3 + k,
-                    "tier1_capital_ratio": 0.4 + k,
+                    "tier1_ratio": 0.4 + k,
                     "tier1_leverage_ratio": 0.5 + k,
                 }
             )

@@ -101,6 +101,21 @@ class TestRunPipeline:
         written = json.loads((out / "run_manifest.json").read_text())
         assert written["artifacts"] == manifest["artifacts"]
 
+    def test_stage_summaries_name_no_artifact(self, small_run):
+        # Artifacts are the manifest's to list; a stage summary holds what
+        # the stage measured.
+        _, manifest = small_run
+
+        def values(obj):
+            if isinstance(obj, dict):
+                obj = list(obj.values())
+            if isinstance(obj, list):
+                return [v for item in obj for v in values(item)]
+            return [obj]
+
+        named = [v for v in values(manifest["stages"]) if v in manifest["artifacts"]]
+        assert named == []
+
     def test_rerun_from_manifest_is_byte_identical(self, small_run, tmp_path):
         out, manifest = small_run
         out2 = tmp_path / "rerun"
@@ -423,7 +438,6 @@ class TestStageSimulate:
         }
         assert all(float(r["proxy_pct"]) <= 0.0 for r in rows)
         assert summary["ras_converged"]
-        assert summary["shock"]["fraction"] == 0.1
         # one row per bank per period (plus the post-shock state)
         lines = traj.read_text().strip().splitlines()
         assert len(lines) == 1 + 30 * (summary["periods"] + 1)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banknet.balance_sheets import live_subsystem
-from banknet.errors import DimensionError, InfeasibilityError, SchemaError
+from banknet.errors import DimensionError, DomainError, InfeasibilityError, SchemaError
 from banknet.reconstruction import (
     ExposureMatrix,
     marginal_errors,
@@ -61,6 +61,15 @@ class TestReconstruct:
             match="^bank B has interbank liabilities 5 but no other bank reports interbank assets$",
         ):
             reconstruct([0, 10], [5, 5], bank_ids=("A", "B"))
+
+    @pytest.mark.parametrize("side", ["ia", "il"])
+    def test_non_finite_marginal_is_domain_error(self, side):
+        # A NaN slips past the sign and balance checks, and RAS would spend
+        # its whole iteration budget on it.
+        marginals = {"ia": [5.0, 7.0, 11.0], "il": [11.0, 5.0, 7.0]}
+        marginals[side][1] = np.nan
+        with pytest.raises(DomainError, match="non-finite .*: B$"):
+            reconstruct(marginals["ia"], marginals["il"], bank_ids=("A", "B", "C"))
 
     def test_unbalanced_marginals_rejected(self):
         with pytest.raises(InfeasibilityError, match="close_system"):
