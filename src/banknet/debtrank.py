@@ -16,8 +16,10 @@ entirely).
 Equity never rises (beta >= 0, phi >= 0 and every change is a loss), so a
 bank at zero stays there and insolvency is read off the equity itself,
 ``e == 0``. The exposure matrix and the starting equity are the only network
-state: phi is never stored, and ``propagate`` derives its borrower-major
-ratios from them once per run.
+state: phi is never stored. Each period ``propagate`` hands the matrix's
+``loss_step`` the live borrowers and their beta-scaled equity changes. On a
+reconstructed (rank-1) network that step costs O(n); on a dense matrix it
+sums each borrower's ratio row in borrower order, O(n) per borrower.
 
 The per-bank contagion proxy is the percentage equity loss between the
 post-shock state and the converged state, i.e. the damage attributable to
@@ -176,14 +178,7 @@ def propagate(
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    # Borrower-major layout: phi_by_borrower[j] holds every lender's exposure
-    # ratio W0_ij / E0_j to borrower j, so the per-period reduction below runs
-    # left to right over borrowers (a fixed order, reproducible and matching
-    # a literal per-term evaluation bit for bit). One row-major allocation.
-    # A BLAS matvec in place of the loop sums in another order and misses the
-    # literal reference's 1e-12 agreement (by 1.02e-12 in its tests), so the
-    # loop stays.
-    phi_by_borrower = np.divide(state.exposures.w.T, state.e0[:, None], order="C")
+    step = state.exposures.loss_step(state.e0)
     e_prev = state.e0.copy()
     e_curr = state.e_curr.copy()
     e_post_shock = state.e_curr.copy()
@@ -193,10 +188,9 @@ def propagate(
     periods = 0
     for t in range(1, max_periods + 1):
         delta = e_curr - e_prev
-        e_next = e_curr.copy()
         # != rather than >: a NaN equity is not taken for insolvency.
-        for j in np.flatnonzero((delta != 0.0) & (e_curr != 0.0)):
-            e_next += phi_by_borrower[j] * (beta * delta[j])
+        borrowers = np.flatnonzero((delta != 0.0) & (e_curr != 0.0))
+        e_next = step(e_curr, borrowers, beta * delta[borrowers])
         np.maximum(e_next, 0.0, out=e_next)
         periods = t
         if record_trajectory:

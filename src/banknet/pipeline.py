@@ -355,8 +355,6 @@ def stage_build_dataset(
     return {
         "rows": len(final),
         "failed_rows": int((final.y == 0).sum()),
-        "source_rows": len(panel),
-        "source_failed": int((panel.y == 0).sum()),
         "excluded_banks": len(panel.exclusions),
     }
 

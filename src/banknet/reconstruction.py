@@ -8,7 +8,10 @@ the observed aggregates and no self-lending.
 
 From that start every iterate is W = diag(x)(J - I)diag(y), whose row i sums
 to x_i (sum(y) - y_i) and column j to y_j (sum(x) - x_j), so the loop only
-updates the two scaling vectors and the n x n matrix is formed once, at the end.
+updates the two scaling vectors, and the result keeps them: a rank-1
+``ExposureMatrix`` that costs O(n) to hold and to propagate losses through.
+The n x n array is formed only when ``.w`` is read (``write_matrix`` reads
+it for ``--dump-matrix``).
 """
 
 from __future__ import annotations
@@ -28,32 +31,101 @@ DEFAULT_MAX_ITER = 10_000
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
 class ExposureMatrix:
-    """Dense n x n bilateral loan matrix; w[i, j] is the loan from i to j."""
+    """Bilateral loan matrix of ``bank_ids``; ``w[i, j]`` is the loan from i to j.
 
-    bank_ids: tuple[str, ...]
-    w: np.ndarray
+    Dense form, ``ExposureMatrix(bank_ids, w)``: a given n x n array (a
+    ``read_matrix`` file, the generator's hidden network, a literal matrix).
+    Rank-1 form, ``ExposureMatrix(bank_ids, factors=(x, y))``: RAS's
+    ``W = diag(x)(J - I)diag(y)``, held as its two scaling vectors
+    (``factors`` is None for the dense form). ``w`` reads the dense array,
+    read-only; the rank-1 form builds it on first read and caches it.
+    """
 
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
+    def __init__(self, bank_ids, w=None, *, factors=None):
+        if (w is None) == (factors is None):
+            raise TypeError("give exactly one of w and factors")
+        self.bank_ids = tuple(bank_ids)
+        n = len(self.bank_ids)
+        self.factors = None
+        self._w = None
+        if factors is not None:
+            self.factors = tuple(np.array(v, dtype=float) for v in factors)
+            for v in self.factors:
+                if v.shape != (n,):
+                    raise DimensionError(f"factor of shape {v.shape} for {n} bank_ids")
+                v.setflags(write=False)
+            return
+        w = np.asarray(w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionError(f"exposure matrix must be square, got shape {w.shape}")
-        if w.shape[0] != len(self.bank_ids):
-            raise DimensionError(
-                f"{len(self.bank_ids)} bank_ids for a {w.shape[0]}x{w.shape[1]} matrix"
-            )
-        # A frozen array that owns its data is taken over as is (reconstruct
-        # hands over its RAS buffer so); a writeable array or a view, which a
+        if w.shape[0] != n:
+            raise DimensionError(f"{n} bank_ids for a {w.shape[0]}x{w.shape[1]} matrix")
+        # A frozen array that owns its data is taken over as is (the generator
+        # hands over its buffer so); a writeable array or a view, which a
         # caller could still write through, is copied.
         if w.flags.writeable or not w.flags.owndata:
             w = w.copy()
             w.setflags(write=False)
-        object.__setattr__(self, "w", w)
+        self._w = w
 
     @property
     def n(self) -> int:
-        return self.w.shape[0]
+        return len(self.bank_ids)
+
+    @property
+    def w(self) -> np.ndarray:
+        if self._w is None:
+            w = np.multiply.outer(*self.factors)
+            np.fill_diagonal(w, 0.0)
+            w.setflags(write=False)
+            self._w = w
+        return self._w
+
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row sums (each lender's interbank assets) and column sums (each
+        borrower's interbank liabilities)."""
+        if self.factors is None:
+            return self._w.sum(axis=1), self._w.sum(axis=0)
+        x, y = self.factors
+        return x * (y.sum() - y), y * (x.sum() - x)
+
+    def loss_step(self, e0):
+        """The contagion update over this network for baseline equity ``e0``:
+        ``step(e, borrowers, impulse)`` returns new equity, unfloored, after
+        every lender i takes ``sum_j W_ij / e0_j * impulse_j`` over the
+        ascending indices ``borrowers`` (``impulse`` holds their beta-scaled
+        equity changes).
+
+        Rank-1 form, O(n) per call: with ``r_j = y_j / e0_j * impulse_j`` on
+        the borrowers (zero elsewhere) and ``S = sum(r)``, lender i takes
+        ``x_i (S - r_i)``. Dense form: one borrower-major copy of the ratios
+        ``W_ij / e0_j``, whose rows are added left to right in borrower order,
+        matching a literal per-term evaluation bit for bit. A BLAS matvec
+        sums in another order and misses the literal reference's 1e-12
+        agreement (by 1.02e-12 in its tests), so the dense form keeps the loop.
+        """
+        e0 = np.asarray(e0, dtype=float)
+        if self.factors is not None:
+            x, y = self.factors
+            y_per_equity = y / e0
+
+            def rank_one_step(e, borrowers, impulse):
+                r = np.zeros_like(e)
+                r[borrowers] = y_per_equity[borrowers] * impulse
+                return e + x * (r.sum() - r)
+
+            return rank_one_step
+
+        phi_by_borrower = np.divide(self._w.T, e0[:, None], order="C")
+
+        def dense_step(e, borrowers, impulse):
+            e = e.copy()
+            for j, s in zip(borrowers, impulse):
+                e += phi_by_borrower[j] * s
+            return e
+
+        return dense_step
 
 
 @dataclass(frozen=True)
@@ -71,8 +143,9 @@ def marginal_errors(exposures: ExposureMatrix, ia, il):
         raise DimensionError(
             f"marginals of length {ia.size}/{il.size} for n={exposures.n}"
         )
-    row = np.abs(exposures.w.sum(axis=1) - ia) / np.maximum(ia, _EPS)
-    col = np.abs(exposures.w.sum(axis=0) - il) / np.maximum(il, _EPS)
+    rows, cols = exposures.marginals()
+    row = np.abs(rows - ia) / np.maximum(ia, _EPS)
+    col = np.abs(cols - il) / np.maximum(il, _EPS)
     return row, col
 
 
@@ -160,11 +233,8 @@ def reconstruct(
             converged = True
             break
 
-    w = np.multiply.outer(x, y)
-    np.fill_diagonal(w, 0.0)
-    w.setflags(write=False)
     return (
-        ExposureMatrix(bank_ids=tuple(bank_ids), w=w),
+        ExposureMatrix(bank_ids, factors=(x, y)),
         RasReport(iterations=iterations, max_marginal_error=err, converged=converged),
     )
 

@@ -1,19 +1,30 @@
+import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from banknet.balance_sheets import QuarterlyPanel
+from banknet.balance_sheets import QuarterlyPanel, live_subsystem
 from banknet.debtrank import (
+    _EPS,
     ShockSpec,
     _proxy_vector,
     apply_shock,
     init_state,
+    live_network,
     propagate,
     simulate_quarter,
 )
 from banknet.errors import DomainError, UnknownBankError
-from banknet.reconstruction import ExposureMatrix, reconstruct
+from banknet.reconstruction import (
+    ExposureMatrix,
+    marginal_errors,
+    read_matrix,
+    reconstruct,
+    write_matrix,
+)
+from banknet.synthetic import SyntheticSpec, generate
 
 from .oracles import debtrank_reference
 from .test_balance_sheets import make_record
@@ -328,9 +339,9 @@ class TestQuarterlyProxies:
 
 class TestAllocations:
     """Peak traced allocation of each engine step at n=500, in units of one
-    n x n float64 matrix: the exposure matrix is the only n x n network
-    state, propagation adds one borrower-major ratio matrix, and RAS forms
-    its matrix once, from two scaling vectors, after the loop."""
+    n x n float64 matrix. RAS, its marginal check and propagation over its
+    rank-1 result form no matrix; propagation over a dense matrix adds one
+    borrower-major ratio matrix."""
 
     N = 500
 
@@ -360,15 +371,225 @@ class TestAllocations:
 
     def test_propagate_holds_one_ratio_matrix(self):
         exposures, equity, shock = self._instance()
-        state = apply_shock(init_state(exposures, equity), shock)
-        peak, run = self._peak_matrices(lambda: propagate(state))
-        assert run.converged and run.periods > 1
-        assert peak < 1.5
+        dense = ExposureMatrix(exposures.bank_ids, exposures.w)
+        for network, bound in ((exposures, 0.25), (dense, 1.5)):
+            state = apply_shock(init_state(network, equity), shock)
+            peak, run = self._peak_matrices(lambda: propagate(state))
+            assert run.converged and run.periods > 1
+            assert peak < bound
 
     def test_reconstruct_rescales_in_place(self):
         rng = np.random.default_rng(6)
         ia = rng.uniform(1.0, 10.0, self.N)
         il = rng.permutation(ia)
-        peak, (_, report) = self._peak_matrices(lambda: reconstruct(ia, il))
+        peak, (exposures, report) = self._peak_matrices(lambda: reconstruct(ia, il))
         assert report.converged and report.iterations > 1
-        assert peak < 1.5
+        assert peak < 0.25
+        peak, (row, col) = self._peak_matrices(lambda: marginal_errors(exposures, ia, il))
+        assert max(row.max(), col.max()) <= 1e-8
+        assert peak < 0.25
+
+
+def _factored_bound(exposures, e0, beta, run):
+    """Per-bank bound on how far the equity of a run over the rank-1
+    ``exposures`` may sit from the same run over its dense form.
+
+    In one period lender i takes ``L_i = sum_j W_ij / e0_j * beta * delta_j``
+    over the live borrowers, all terms of one sign.
+
+    - The dense path adds at most n products one by one into ``e_i``, so it
+      is off by at most about (n + 2) eps (e_i + |L_i|).
+    - The factored path sums ``r = y / e0 * beta * delta`` pairwise
+      (ceil(log2 n) eps |S|). It then forms ``x_i (S - r_i)`` and adds it to
+      ``e_i``, which costs about 4 more roundings. ``S - r_i`` magnifies the
+      sum's error by ``kappa = |S| / |S - r_i|``, the condition of the
+      subtraction, taken at its worst over periods and lenders.
+
+    Equity stays below ``e0_i`` and ``|delta_j|`` below ``e0_j``, so
+    ``|L_i| <= beta * IA_i`` (the lender's interbank assets). Errors carried
+    into a period are treated as passing through unmagnified, as in
+    ``test_reconstruction._oracle_rtol``, so they add up over the periods:
+
+        periods * (n + ceil(log2 n) + 6) * eps * kappa * (e0 + beta * IA).
+
+    ``kappa`` is read off the factored run's own trajectory.
+    """
+    x, y = exposures.factors
+    y_per_equity = y / e0
+    steps = (e0, *run.trajectory)
+    kappa = 1.0
+    for e_prev, e_curr in zip(steps, steps[1:-1]):
+        delta = e_curr - e_prev
+        r = np.where((delta != 0.0) & (e_curr != 0.0), y_per_equity * beta * delta, 0.0)
+        s = r.sum()
+        lenders = (x > 0) & (s - r != 0.0)
+        kappa = max(kappa, float(np.max(np.abs(s) / np.abs(s - r[lenders]), initial=1.0)))
+    n = exposures.n
+    depth = n + np.ceil(np.log2(n)) + 6
+    ia = exposures.marginals()[0]
+    return run.periods * depth * np.finfo(float).eps * kappa * (e0 + beta * ia)
+
+
+def _assert_runs_agree(run, other, tol, alpha=1e-6):
+    """``other`` matches ``run`` up to the per-bank equity bound ``tol``:
+    the same periods, convergence and flags, and trajectories and proxies
+    within the bound.
+
+    Flags and periods are discontinuous in equity: the zero floor decides
+    insolvency and the stopping rule compares relative changes with alpha.
+    So first assert that no equity in either run lies within the bound of
+    zero, and that every stopping decision stands even if each equity moves
+    by the bound."""
+    for traj in (run.trajectory, other.trajectory):
+        near_zero = np.argwhere((np.array(traj) > 0) & (np.array(traj) <= tol))
+        assert near_zero.size == 0, f"(period, bank) within the bound of zero: {near_zero[:5]}"
+    for t in range(1, run.periods + 1):
+        e_curr, e_next = run.trajectory[t - 1], run.trajectory[t]
+        denom = np.maximum(e_curr, _EPS)
+        rel = np.abs(e_next - e_curr) / denom
+        # A bank at zero stays at zero in both runs (none is near it).
+        slack = np.where(e_curr == 0.0, 0.0, 3.0 * tol / denom)
+        if t == run.periods and run.converged:
+            assert (rel + slack).max() < alpha, f"stop at period {t} is within the bound"
+        else:
+            assert (rel - slack).max() >= alpha, f"period {t}'s go-on is within the bound"
+
+    assert (other.periods, other.converged) == (run.periods, run.converged)
+    np.testing.assert_array_equal(other.initially_defaulted, run.initially_defaulted)
+    np.testing.assert_array_equal(other.cascade_defaulted, run.cascade_defaulted)
+    for got, want in zip(other.trajectory, run.trajectory):
+        assert (np.abs(got - want) <= tol).all()
+    live = ~run.initially_defaulted
+    proxy_tol = 100.0 * tol[live] / run.e_post_shock[live] + 200.0 * np.finfo(float).eps
+    assert (np.abs(other.proxy - run.proxy)[live] <= proxy_tol).all()
+    assert (other.proxy[~live] == 0.0).all() and (run.proxy[~live] == 0.0).all()
+
+
+class TestFactoredPath:
+    """Propagation over a reconstructed (rank-1) network against the same
+    network passed as a dense matrix, whose loop matches the literal
+    reference bit for bit (``TestOracleEquivalence``)."""
+
+    def _run(self, exposures, equity, fraction, beta=1.0):
+        shock = ShockSpec.uniform(exposures.bank_ids, fraction)
+        state = apply_shock(init_state(exposures, equity), shock)
+        return propagate(state, beta=beta, record_trajectory=True)
+
+    @pytest.mark.parametrize("n_banks", [300, 2000])
+    def test_generated_panels_match_the_dense_path(self, n_banks):
+        result = generate(SyntheticSpec(n_banks=n_banks, quarters=2, rng_seed=n_banks))
+        cascades = 0
+        for panel in result.panels:
+            sub, _ = live_subsystem(panel)
+            exposures, _ = live_network(sub)
+            assert exposures.factors is not None
+            dense = ExposureMatrix(exposures.bank_ids, exposures.w)
+            equity = sub.equity()
+            for fraction, beta in ((0.1, 1.0), (0.5, 1.0), (0.5, 0.5)):
+                run = self._run(exposures, equity, fraction, beta)
+                tol = _factored_bound(exposures, equity, beta, run)
+                _assert_runs_agree(run, self._run(dense, equity, fraction, beta), tol)
+                cascades += run.defaults_cascaded
+        assert cascades > 0  # the flags compared include cascade defaults
+
+    def test_dumped_matrix_propagates_like_the_factors(self, tmp_path):
+        result = generate(SyntheticSpec(n_banks=300, quarters=1, rng_seed=11))
+        sub, _ = live_subsystem(result.panels[0])
+        exposures, _ = live_network(sub)
+        write_matrix(tmp_path / "w.bin", exposures)
+        back = read_matrix(tmp_path / "w.bin")
+        assert back.factors is None and back.bank_ids == exposures.bank_ids
+        np.testing.assert_array_equal(back.w, exposures.w)
+        equity = sub.equity()
+        run = self._run(exposures, equity, 0.5)
+        tol = _factored_bound(exposures, equity, 1.0, run)
+        _assert_runs_agree(run, self._run(back, equity, 0.5), tol)
+
+
+class TestMetamorphic:
+    """Relabelling the banks permutes the proxies, and a change of currency
+    unit leaves them unchanged, up to the factored path's bound."""
+
+    FIELDS = ("e_post_shock", "e_final", "proxy", "initially_defaulted", "cascade_defaulted")
+
+    def _runs(self, panel, other, matching, unit=1.0):
+        """The runs of ``panel`` and of ``other``, the second put in the first's
+        bank order (``matching`` maps a bank id to its id in ``other``) and
+        its equity in the first's currency unit, with the first's bound."""
+        sim, twin = (
+            simulate_quarter(p, shock_fraction=0.3, record_trajectory=True) for p in (panel, other)
+        )
+        order = [twin.bank_ids.index(matching[b]) for b in sim.bank_ids]
+        back = {name: getattr(twin.run, name)[order] for name in self.FIELDS}
+        for name in ("e_post_shock", "e_final"):
+            back[name] = back[name] / unit
+        back["trajectory"] = tuple(e[order] / unit for e in twin.run.trajectory)
+        equity = live_subsystem(panel)[0].equity()
+        tol = _factored_bound(sim.exposures, equity, 1.0, sim.run)
+        return sim.run, dataclasses.replace(twin.run, **back), tol
+
+    def _panel(self):
+        return generate(SyntheticSpec(n_banks=400, quarters=1, rng_seed=5)).panels[0]
+
+    def test_relabelled_banks_permute_the_proxies(self):
+        panel = self._panel()
+        # Reversed labels reverse the sorted order, so every bank moves.
+        labels = {b: f"R{len(panel) - k:05d}" for k, b in enumerate(panel.bank_ids)}
+        relabelled = QuarterlyPanel(
+            panel.quarter,
+            tuple(dataclasses.replace(r, bank_id=labels[r.bank_id]) for r in panel.records),
+        )
+        _assert_runs_agree(*self._runs(panel, relabelled, labels))
+
+    @pytest.mark.parametrize("unit", [1000.0, 1e-3])
+    def test_currency_unit_leaves_proxies_unchanged(self, unit):
+        panel = self._panel()
+        money = ("total_assets", "total_liabilities", "interbank_assets", "interbank_liabilities")
+        rescaled = QuarterlyPanel(
+            panel.quarter,
+            tuple(
+                dataclasses.replace(r, **{f: getattr(r, f) * unit for f in money})
+                for r in panel.records
+            ),
+        )
+        same = {b: b for b in panel.bank_ids}
+        _assert_runs_agree(*self._runs(panel, rescaled, same, unit))
+
+
+def _lognormal_panel(n, seed):
+    """n banks with lognormal total assets, 10% equity and interbank
+    positions of 1-20% of assets, the liabilities a permutation of the
+    assets (no generator, so nothing n x n is drawn)."""
+    rng = np.random.default_rng(seed)
+    ta = rng.lognormal(7.0, 1.5, n)
+    ia = ta * rng.uniform(0.01, 0.2, n)
+    il = rng.permutation(ia)
+    return QuarterlyPanel(
+        "2009Q1",
+        tuple(
+            make_record(f"{i:06d}", ta=a, tl=0.9 * a, ia=b, il=c)
+            for i, (a, b, c) in enumerate(zip(ta.tolist(), ia.tolist(), il.tolist()))
+        ),
+    )
+
+
+def test_simulate_quarter_at_100k_banks_is_linear():
+    n = 100_000
+    panel = _lognormal_panel(n, seed=0)
+    walls = []
+    for _ in range(3):  # the fastest of three, against a slow spell of the host
+        started = time.perf_counter()
+        sim = simulate_quarter(panel)
+        walls.append(time.perf_counter() - started)
+    assert sim.ras.converged and sim.run.converged and sim.run.periods > 1
+    assert min(walls) < 1.0, walls
+    # Nothing of size n^2 (80 GB here): the traced peak stays below 100
+    # float64 vectors of length n, a thousandth of one n x n matrix.
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_quarter(panel)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 8 * n, peak

@@ -116,6 +116,12 @@ class TestRunPipeline:
         named = [v for v in values(manifest["stages"]) if v in manifest["artifacts"]]
         assert named == []
 
+    def test_dataset_summary_repeats_no_sidecar_key(self, small_run):
+        # dataset.json is a digested artifact; its facts are not restated.
+        out, manifest = small_run
+        sidecar = json.loads((out / "dataset" / "dataset.json").read_text())
+        assert set(manifest["stages"]["build-dataset"]) & set(sidecar) == set()
+
     def test_rerun_from_manifest_is_byte_identical(self, small_run, tmp_path):
         out, manifest = small_run
         out2 = tmp_path / "rerun"
