@@ -4,6 +4,11 @@ Panels arrive as plain CSV, one row per bank. Structural problems (missing
 columns, duplicate ids, unparseable numbers) abort the load; rows that merely
 violate record invariants are quarantined into a rejection report so large
 real-world panels degrade gracefully.
+
+A panel is columnar: its bank ids, sorted and unique, and one read-only
+float64 array per numeric column, and every step works on those arrays.
+``BankRecord`` is the boundary type, one bank-quarter as a row: a panel can
+be built from records and hands them out on request.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from itertools import compress, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -87,25 +92,6 @@ PANEL_COLUMNS = tuple(f.name for f in fields(BankRecord))
 NUMERIC_COLUMNS = PANEL_COLUMNS[2:]
 
 
-def record_violations(rec: BankRecord) -> list[str]:
-    """Invariant violations of a record; empty list means the row is clean."""
-    reasons = []
-    for col in NUMERIC_COLUMNS:
-        if not math.isfinite(getattr(rec, col)):
-            reasons.append(f"non-finite {col}")
-    if reasons:
-        return reasons
-    if rec.interbank_assets < 0:
-        reasons.append("interbank_assets < 0")
-    elif rec.interbank_assets > rec.total_assets:
-        reasons.append("interbank_assets > total_assets")
-    if rec.interbank_liabilities < 0:
-        reasons.append("interbank_liabilities < 0")
-    elif rec.interbank_liabilities > rec.total_liabilities:
-        reasons.append("interbank_liabilities > total_liabilities")
-    return reasons
-
-
 @dataclass(frozen=True)
 class RejectedRow:
     row_number: int  # 1-based line in the CSV (header is line 1)
@@ -113,38 +99,65 @@ class RejectedRow:
     reason: str
 
 
-@dataclass(frozen=True)
+def _sort_order(bank_ids, where: str = "") -> list[int]:
+    """The indices that put ``bank_ids`` in sorted order; a repeated id is an
+    IntegrityError naming each one."""
+    order = sorted(range(len(bank_ids)), key=bank_ids.__getitem__)
+    if len(set(bank_ids)) < len(bank_ids):
+        ordered = [bank_ids[i] for i in order]
+        dupes = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
+        raise IntegrityError(f"{where}duplicate bank_id(s): {', '.join(dupes)}")
+    return order
+
+
 class QuarterlyPanel:
-    """All banks of one quarter, sorted by bank_id for reproducible indexing."""
+    """All banks of one quarter: ``bank_ids`` sorted and unique, and
+    ``columns``, one read-only float64 array per NUMERIC_COLUMNS name.
 
-    quarter: str
-    records: tuple[BankRecord, ...]
-    rejections: tuple[RejectedRow, ...] = ()
-    closure_factor: float | None = None
+    ``QuarterlyPanel(quarter, records)`` takes BankRecords in any order, the
+    boundary form (``.records`` gives them back). Else ``bank_ids`` and
+    ``columns`` are sequences in one order, sorted and checked here unless
+    ``rows`` picks rows already sorted and unique (a panel's subset)."""
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.records, key=lambda r: r.bank_id))
-        object.__setattr__(self, "records", ordered)
-        counts = Counter(r.bank_id for r in ordered)
-        dupes = sorted(b for b, c in counts.items() if c > 1)
-        if dupes:
-            raise IntegrityError(f"duplicate bank_id(s): {', '.join(dupes)}")
+    def __init__(
+        self, quarter, records=(), rejections=(), closure_factor=None, *,
+        bank_ids=None, columns=None, rows=None,
+    ):
+        if columns is None:
+            records = tuple(records)
+            bank_ids = [r.bank_id for r in records]
+            columns = {c: [getattr(r, c) for r in records] for c in NUMERIC_COLUMNS}
+        rows = _sort_order(bank_ids) if rows is None else rows
+        self.quarter, self.closure_factor = quarter, closure_factor
+        self.rejections = tuple(rejections)
+        self.bank_ids = tuple(np.asarray(bank_ids, dtype=object)[rows])
+        self.columns = {c: np.asarray(columns[c], dtype=float)[rows] for c in NUMERIC_COLUMNS}
+        for values in self.columns.values():
+            values.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.bank_ids)
+
+    def __eq__(self, other):
+        key = attrgetter("quarter", "bank_ids", "rejections", "closure_factor")
+        return isinstance(other, QuarterlyPanel) and key(self) == key(other) and all(
+            np.array_equal(self.columns[c], other.columns[c]) for c in NUMERIC_COLUMNS
+        )
 
     @property
-    def bank_ids(self) -> tuple[str, ...]:
-        return tuple(r.bank_id for r in self.records)
+    def records(self) -> tuple[BankRecord, ...]:
+        """The rows as BankRecords of the panel's quarter, built on each read."""
+        values = (self.columns[c].tolist() for c in NUMERIC_COLUMNS)
+        return tuple(BankRecord(b, self.quarter, *v) for b, *v in zip(self.bank_ids, *values))
 
     def interbank_assets(self) -> np.ndarray:
-        return np.array([r.interbank_assets for r in self.records], dtype=float)
+        return self.columns["interbank_assets"]
 
     def interbank_liabilities(self) -> np.ndarray:
-        return np.array([r.interbank_liabilities for r in self.records], dtype=float)
+        return self.columns["interbank_liabilities"]
 
     def equity(self) -> np.ndarray:
-        return np.array([r.equity for r in self.records], dtype=float)
+        return self.columns["total_assets"] - self.columns["total_liabilities"]
 
 
 def load_panel(path, quarter: str) -> QuarterlyPanel:
@@ -155,45 +168,52 @@ def load_panel(path, quarter: str) -> QuarterlyPanel:
     """
     validate_quarter(quarter)
     rows = read_csv(path, PANEL_COLUMNS)
-
-    counts = Counter(row["bank_id"] for row in rows)
-    dupes = sorted(b for b, c in counts.items() if c > 1)
-    if dupes:
-        raise IntegrityError(f"{path}: duplicate bank_id(s): {', '.join(dupes)}")
-
-    kept: list[BankRecord] = []
-    rejected: list[RejectedRow] = []
-    for line, row in enumerate(rows, start=2):
-        values = {}
-        for col in NUMERIC_COLUMNS:
-            raw = (row[col] or "").strip()
-            try:
-                values[col] = float(raw)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {line}: non-numeric {col}={raw!r}", row=line
-                ) from None
-        rec = BankRecord(bank_id=row["bank_id"], quarter=row["quarter"], **values)
-        reasons = record_violations(rec)
-        if rec.quarter != quarter:
-            reasons.append(f"quarter {rec.quarter!r} does not match requested {quarter!r}")
-        if reasons:
-            rejected.append(
-                RejectedRow(line, tuple(row[c] for c in PANEL_COLUMNS), "; ".join(reasons))
-            )
-        else:
-            kept.append(rec)
-    return QuarterlyPanel(quarter=quarter, records=tuple(kept), rejections=tuple(rejected))
+    ids = [row["bank_id"] for row in rows]
+    order = np.array(_sort_order(ids, f"{path}: "), dtype=np.intp)
+    try:
+        columns = {
+            c: np.array([float((row[c] or "").strip()) for row in rows]) for c in NUMERIC_COLUMNS
+        }
+    except ValueError:  # report the first cell, row by row, that is not a number
+        for line, row in enumerate(rows, start=2):
+            for col in NUMERIC_COLUMNS:
+                raw = (row[col] or "").strip()
+                try:
+                    float(raw)
+                except ValueError:
+                    message = f"{path}: row {line}: non-numeric {col}={raw!r}"
+                    raise ParseError(message, row=line) from None
+    ta, tl, ia, il = (columns[c] for c in NUMERIC_COLUMNS[:4])
+    checks = [(f"non-finite {c}", ~np.isfinite(columns[c])) for c in NUMERIC_COLUMNS]
+    finite = ~np.logical_or.reduce([mask for _, mask in checks])
+    checks += [
+        ("interbank_assets < 0", finite & (ia < 0)),
+        ("interbank_assets > total_assets", finite & (ia >= 0) & (ia > ta)),
+        ("interbank_liabilities < 0", finite & (il < 0)),
+        ("interbank_liabilities > total_liabilities", finite & (il >= 0) & (il > tl)),
+    ]
+    wrong_quarter = np.array([row["quarter"] != quarter for row in rows], dtype=bool)
+    bad = np.logical_or.reduce([mask for _, mask in checks] + [wrong_quarter])
+    rejections = []
+    for i in np.flatnonzero(bad).tolist():
+        reasons = [reason for reason, mask in checks if mask[i]]
+        if wrong_quarter[i]:
+            reasons.append(f"quarter {rows[i]['quarter']!r} does not match requested {quarter!r}")
+        values = tuple(rows[i][c] for c in PANEL_COLUMNS)
+        rejections.append(RejectedRow(i + 2, values, "; ".join(reasons)))
+    return QuarterlyPanel(
+        quarter, rejections=rejections, bank_ids=ids, columns=columns, rows=order[~bad[order]]
+    )
 
 
 def write_panel_csv(panel: QuarterlyPanel, path) -> None:
     """Write a panel back out in the ingestion schema (repr-exact floats)."""
-    write_csv(path, PANEL_COLUMNS, map(attrgetter(*PANEL_COLUMNS), panel.records))
+    values = (panel.columns[c].tolist() for c in NUMERIC_COLUMNS)
+    write_csv(path, PANEL_COLUMNS, zip(panel.bank_ids, repeat(panel.quarter), *values))
 
 
 def write_rejection_report(path, rejections: Iterable[RejectedRow]) -> None:
-    rows = (rej.values + (rej.reason,) for rej in rejections)
-    write_csv(path, PANEL_COLUMNS + ("reason",), rows)
+    write_csv(path, PANEL_COLUMNS + ("reason",), (r.values + (r.reason,) for r in rejections))
 
 
 def close_system(panel: QuarterlyPanel) -> QuarterlyPanel:
@@ -202,43 +222,37 @@ def close_system(panel: QuarterlyPanel) -> QuarterlyPanel:
     The proportional factor sum(IA)/sum(IL) is the minimal-distortion closure;
     it is stored on the returned panel for run metadata.
     """
-    ia_sum = math.fsum(r.interbank_assets for r in panel.records)
-    il_sum = math.fsum(r.interbank_liabilities for r in panel.records)
-    if il_sum == 0.0:
-        if ia_sum > 0.0:
-            raise InfeasibilityError(
-                "total interbank liabilities are zero while assets are "
-                f"{ia_sum:g}; no closed system exists"
-            )
-        return replace(panel, closure_factor=1.0)
-    factor = ia_sum / il_sum
-    if factor == 1.0:
-        return replace(panel, closure_factor=1.0)
-    records = tuple(
-        replace(r, interbank_liabilities=r.interbank_liabilities * factor)
-        for r in panel.records
+    il = panel.interbank_liabilities()
+    ia_sum, il_sum = math.fsum(panel.interbank_assets()), math.fsum(il)
+    if il_sum == 0.0 and ia_sum > 0.0:
+        raise InfeasibilityError(
+            "total interbank liabilities are zero while assets are "
+            f"{ia_sum:g}; no closed system exists"
+        )
+    factor = 1.0 if il_sum == 0.0 else ia_sum / il_sum
+    columns = {**panel.columns, "interbank_liabilities": il if factor == 1.0 else il * factor}
+    return QuarterlyPanel(
+        panel.quarter, rejections=panel.rejections, closure_factor=factor,
+        bank_ids=panel.bank_ids, columns=columns, rows=slice(None),
     )
-    return replace(panel, records=records, closure_factor=factor)
 
 
-def live_subsystem(
-    panel: QuarterlyPanel,
-) -> tuple[QuarterlyPanel, tuple[tuple[str, str], ...]]:
+def live_subsystem(panel: QuarterlyPanel) -> tuple[QuarterlyPanel, tuple[tuple[str, str], ...]]:
     """Drop banks with non-positive equity and close what is left.
 
     Returns the closed subsystem and the excluded ``(bank_id, reason)``
     pairs. The survivors are re-closed because exclusions unbalance the
     interbank aggregates. Raises DataError when no bank has positive equity.
     """
-    excluded = tuple(
-        (r.bank_id, f"non-positive starting equity ({r.equity:g})")
-        for r in panel.records
-        if r.equity <= 0
-    )
-    live = tuple(r for r in panel.records if r.equity > 0)
-    if not live:
+    equity = panel.equity()
+    out = equity <= 0
+    reasons = (f"non-positive starting equity ({e:g})" for e in equity[out].tolist())
+    excluded = tuple(zip(compress(panel.bank_ids, out), reasons))
+    live = np.flatnonzero(equity > 0)
+    if not live.size:
         raise DataError(f"panel {panel.quarter}: no banks with positive equity")
-    return close_system(QuarterlyPanel(quarter=panel.quarter, records=live)), excluded
+    sub = QuarterlyPanel(panel.quarter, bank_ids=panel.bank_ids, columns=panel.columns, rows=live)
+    return close_system(sub), excluded
 
 
 @dataclass(frozen=True)
@@ -260,10 +274,8 @@ def derive_labels(universe: QuarterlyPanel, failed_list) -> DefaultLabelSet:
     ``unmatched`` (and a warning), never raised.
     """
     failed_ids = {row["bank_id"] for row in read_csv(failed_list, FAILED_LIST_COLUMNS)}
-
-    ids = set(universe.bank_ids)
     labels = {b: (0 if b in failed_ids else 1) for b in universe.bank_ids}
-    unmatched = tuple(sorted(failed_ids - ids))
+    unmatched = tuple(sorted(failed_ids.difference(universe.bank_ids)))
     if unmatched:
         warnings.warn(
             f"failed-bank list names {len(unmatched)} bank(s) outside the universe: "

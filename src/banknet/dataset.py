@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
@@ -26,8 +27,6 @@ _METRIC_FIELDS = (
 COLUMN_NAMES: tuple[str, ...] = tuple(
     f"{metric}_q{k}" for metric, _ in _METRIC_FIELDS for k in range(1, 5)
 ) + tuple(f"contagion_proxy_q{k}" for k in range(1, 5))
-
-N_COLUMNS = len(COLUMN_NAMES)  # 24
 
 CONTAGION_COLUMNS = tuple(c for c in COLUMN_NAMES if c.startswith("contagion_proxy"))
 
@@ -82,71 +81,59 @@ class RobustScalerParams:
         return np.where(self.iqr == 0.0, 1.0, self.iqr)
 
 
+def _locate(ids, keys: np.ndarray) -> np.ndarray:
+    """The index in ``ids`` (unique, any order) of each of ``keys``, or -1."""
+    ids = np.asarray(ids, dtype=str)
+    if ids.size == 0:
+        return np.full(keys.size, -1)
+    order = np.argsort(ids)
+    at = order[np.minimum(np.searchsorted(ids, keys, sorter=order), ids.size - 1)]
+    return np.where(ids[at] == keys, at, -1)
+
+
 def build_panel(
-    quarters: Sequence[QuarterlyPanel],
-    proxies: Sequence[Mapping[str, float]],
-    labels: DefaultLabelSet,
+    quarters: Sequence[QuarterlyPanel], proxies, labels: DefaultLabelSet
 ) -> FeaturePanel:
     """Inner-join banks present in all four quarters (with proxies and a label).
 
+    ``proxies`` holds one ``(bank_ids, proxy values)`` pair per quarter.
     Banks missing anywhere are excluded and reported on the panel, not raised.
     """
-    if len(quarters) != 4:
-        raise ArityError(f"expected 4 quarterly panels, got {len(quarters)}")
-    if len(proxies) != 4:
-        raise ArityError(f"expected 4 proxy maps, got {len(proxies)}")
-    by_quarter = [{r.bank_id: r for r in q.records} for q in quarters]
-
-    universe = sorted(set().union(*(set(m) for m in by_quarter)))
-    kept: list[str] = []
-    exclusions: list[tuple[str, str]] = []
-    for bank_id in universe:
-        reason = None
-        for k in range(4):
-            if bank_id not in by_quarter[k]:
-                reason = f"missing from quarter {quarters[k].quarter}"
-                break
-            if bank_id not in proxies[k]:
-                reason = f"no contagion proxy for quarter {quarters[k].quarter}"
-                break
-        if reason is None and bank_id not in labels.labels:
-            reason = "no default label"
-        if reason is None:
-            kept.append(bank_id)
-        else:
-            exclusions.append((bank_id, reason))
-
-    if not kept:
+    if len(quarters) != 4 or len(proxies) != 4:
+        counts = f"{len(quarters)} and {len(proxies)}"
+        raise ArityError(f"expected 4 quarterly panels and 4 proxy sets, got {counts}")
+    universe = sorted(set().union(*(q.bank_ids for q in quarters)))
+    keys = np.array(universe, dtype=str)
+    checks = []  # a bank's exclusion reason is the first check it fails, in this order
+    for q, (ids, _) in zip(quarters, proxies):
+        checks.append((_locate(q.bank_ids, keys), f"missing from quarter {q.quarter}"))
+        checks.append((_locate(ids, keys), f"no contagion proxy for quarter {q.quarter}"))
+    labelled = np.array([b in labels.labels for b in universe], dtype=bool)
+    kept = np.logical_and.reduce([at >= 0 for at, _ in checks] + [labelled])
+    exclusions = tuple(
+        (universe[i], next((reason for at, reason in checks if at[i] < 0), "no default label"))
+        for i in np.flatnonzero(~kept).tolist()
+    )
+    if not kept.any():
         warnings.warn("feature panel is empty: no bank passes the four-quarter join")
 
-    x = np.empty((len(kept), N_COLUMNS), dtype=float)
-    for row, bank_id in enumerate(kept):
-        col = 0
-        for _, fieldname in _METRIC_FIELDS:
-            for k in range(4):
-                x[row, col] = getattr(by_quarter[k][bank_id], fieldname)
-                col += 1
-        for k in range(4):
-            x[row, col] = proxies[k][bank_id]
-            col += 1
-    y = np.array([labels.labels[b] for b in kept], dtype=int)
+    rows, proxy_rows = ([at[kept] for at, _ in checks[k::2]] for k in (0, 1))
+    columns = [q.columns[name][at] for _, name in _METRIC_FIELDS for q, at in zip(quarters, rows)]
+    columns += [np.asarray(values, dtype=float)[at] for (_, values), at in zip(proxies, proxy_rows)]
+    bank_ids = tuple(compress(universe, kept))
     return FeaturePanel(
-        bank_ids=tuple(kept),
+        bank_ids=bank_ids,
         column_names=COLUMN_NAMES,
-        x=x,
-        y=y,
-        exclusions=tuple(exclusions),
+        x=np.column_stack(columns),
+        y=np.array([labels.labels[b] for b in bank_ids], dtype=int),
+        exclusions=exclusions,
     )
 
 
 def take(panel: FeaturePanel, rows) -> FeaturePanel:
     """The panel's rows at ``rows``, in that order; a row may repeat."""
-    return replace(
-        panel,
-        bank_ids=tuple(panel.bank_ids[i] for i in rows),
-        x=panel.x[rows],
-        y=panel.y[rows],
-    )
+    bank_ids = tuple(panel.bank_ids[i] for i in rows)
+    return replace(panel, bank_ids=bank_ids, x=panel.x[rows], y=panel.y[rows])
 
 
 def rebalanced_rows(y, rows, target_total: int, seed: int) -> np.ndarray:
@@ -195,8 +182,7 @@ def fit_scaler(panel: FeaturePanel, train_idx) -> RobustScalerParams:
 
 
 def apply_scaler(params: RobustScalerParams, panel: FeaturePanel) -> FeaturePanel:
-    scaled = (panel.x - params.median) / params.divisor()
-    return replace(panel, x=scaled)
+    return replace(panel, x=(panel.x - params.median) / params.divisor())
 
 
 def split(panel: FeaturePanel, seed: int) -> SplitAssignment:

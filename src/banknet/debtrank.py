@@ -77,7 +77,7 @@ class ShockSpec:
 
     @classmethod
     def uniform(cls, bank_ids, fraction: float) -> "ShockSpec":
-        return cls(mode="equity_fraction", targets={b: fraction for b in bank_ids})
+        return cls(mode="equity_fraction", targets=dict.fromkeys(bank_ids, fraction))
 
 
 @dataclass
@@ -137,17 +137,17 @@ def apply_shock(state: NetworkState, shock: ShockSpec) -> NetworkState:
     driven to zero are insolvent and transmit nothing."""
     if state.shocked:
         raise ValueError("state already shocked; apply_shock expects a fresh state")
-    index = {b: i for i, b in enumerate(state.bank_ids)}
-    unknown = sorted(set(shock.targets) - set(index))
+    index = dict(zip(state.bank_ids, range(state.n)))
+    unknown = sorted(shock.targets.keys() - index.keys())
     if unknown:
         raise UnknownBankError(f"shock targets unknown bank_id(s): {', '.join(unknown)}")
+    rows = np.fromiter(map(index.__getitem__, shock.targets), dtype=np.intp)
+    size = np.fromiter(shock.targets.values(), dtype=float)
     e_curr = state.e_curr.copy()
-    for bank_id, size in shock.targets.items():
-        i = index[bank_id]
-        if shock.mode == "equity_fraction":
-            e_curr[i] = state.e_curr[i] * (1.0 - size)
-        else:
-            e_curr[i] = max(0.0, state.e_curr[i] - size)
+    if shock.mode == "equity_fraction":
+        e_curr[rows] = state.e_curr[rows] * (1.0 - size)
+    else:
+        e_curr[rows] = np.fmax(0.0, state.e_curr[rows] - size)  # as max(0.0, nan): 0.0
     return NetworkState(exposures=state.exposures, e0=state.e0, e_curr=e_curr, shocked=True)
 
 

@@ -202,6 +202,19 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _input_digests(paths, recorded: dict[str, str] | None = None) -> dict[str, str]:
+    """Each input file's SHA-256, read once. A missing file, or one whose
+    digest is not its ``recorded`` one, is a DataError naming it."""
+    digests = {}
+    for p in map(str, paths):
+        if not Path(p).is_file():
+            raise DataError(f"input {p} is missing")
+        digests[p] = _sha256(p)
+        if recorded is not None and recorded.get(p) != digests[p]:
+            raise DataError(f"recorded input {p} differs from its recorded SHA-256")
+    return digests
+
+
 # ---------------------------------------------------------------------------
 # stages
 
@@ -282,9 +295,10 @@ def proxy_csv(proxy_dir, quarter: str) -> Path:
     return Path(proxy_dir) / f"proxies_{quarter}.csv"
 
 
-def _read_proxies(path) -> dict[str, float]:
+def _read_proxies(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """A proxy CSV's bank ids and proxies, in file order."""
     rows = read_csv(path, ("bank_id", "proxy_pct"))
-    return {row["bank_id"]: float(row["proxy_pct"]) for row in rows}
+    return tuple(r["bank_id"] for r in rows), np.array([float(r["proxy_pct"]) for r in rows])
 
 
 def stage_build_dataset(
@@ -542,13 +556,14 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
+def run_pipeline(config: RunConfig, out_dir, command=None, *, input_digests=None) -> dict:
     """Execute the full pipeline and write run_manifest.json.
 
     Stage order: inputs -> simulate (x4) -> build-dataset -> train-mlp ->
     sensitivity -> logit -> report. Partial artifacts are retained on error;
     a quarter whose RAS or propagation did not converge stops the run after
-    its proxy CSV is written.
+    its proxy CSV is written. A missing input file is a DataError, and so is
+    one whose SHA-256 differs from its entry in ``input_digests`` when given.
     """
     out = Path(out_dir)
     stages: dict[str, dict] = {}
@@ -580,10 +595,7 @@ def run_pipeline(config: RunConfig, out_dir, command=None) -> dict:
                 DataError("file mode needs four quarter files (q1..q4) and a labels file"),
             )
         labels_file = config.labels_file
-        for p in (*config.quarter_files, labels_file):
-            if not Path(p).exists():
-                raise StageError("inputs", FileNotFoundError(f"input file not found: {p}"))
-            inputs[str(p)] = _sha256(p)
+        inputs = _input_digests((*config.quarter_files, labels_file), input_digests)
         panels = [(p, _stage("inputs", quarter_tag, p)) for p in config.quarter_files]
 
     proxy_dir = out / "proxies"
@@ -661,9 +673,5 @@ def rerun_from_manifest(manifest_path, out_dir) -> dict:
     recorded input must still have its recorded SHA-256 (else DataError)."""
     manifest = read_json(manifest_path)
     config = RunConfig.from_dict(manifest["config"])
-    for path, digest in manifest["inputs"].items():
-        if not Path(path).is_file():
-            raise DataError(f"recorded input {path} is missing")
-        if _sha256(path) != digest:
-            raise DataError(f"recorded input {path} differs from its recorded SHA-256")
-    return run_pipeline(config, out_dir, command=["rerun", str(manifest_path)])
+    command = ["rerun", str(manifest_path)]
+    return run_pipeline(config, out_dir, command, input_digests=manifest["inputs"])

@@ -21,7 +21,7 @@ from scipy.special import expit
 from .artifacts import write_csv, write_json
 from .balance_sheets import (
     FAILED_LIST_COLUMNS,
-    BankRecord,
+    NUMERIC_COLUMNS,
     DefaultLabelSet,
     QuarterlyPanel,
     next_quarter,
@@ -161,23 +161,8 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
         t1r_q = np.clip(t1r_latent + rng.normal(0, 0.004, n), 0.01, None)
         t1l_q = np.clip(t1l_latent + rng.normal(0, 0.002, n), 0.005, None)
 
-        records = tuple(
-            BankRecord(
-                bank_id=ids[i],
-                quarter=tag,
-                total_assets=float(ta[i]),
-                total_liabilities=float(tl[i]),
-                interbank_assets=float(ia[i]),
-                interbank_liabilities=float(il[i]),
-                roa=float(roa_q[i]),
-                roe=float(roe_q[i]),
-                stpd_ratio=float(stpd_q[i]),
-                tier1_ratio=float(t1r_q[i]),
-                tier1_leverage_ratio=float(t1l_q[i]),
-            )
-            for i in range(n)
-        )
-        panels.append(QuarterlyPanel(quarter=tag, records=records))
+        values = (ta, tl, ia, il, roa_q, roe_q, stpd_q, t1r_q, t1l_q)  # NUMERIC_COLUMNS order
+        panels.append(QuarterlyPanel(tag, bank_ids=ids, columns=dict(zip(NUMERIC_COLUMNS, values))))
 
     # Ground-truth contagion damage: run the propagation on the hidden
     # bilaterals of the last quarter (the pipeline only ever sees aggregates).

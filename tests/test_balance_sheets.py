@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from banknet.balance_sheets import (
     BankRecord,
     QuarterlyPanel,
+    RejectedRow,
     close_system,
     derive_labels,
     live_subsystem,
@@ -113,6 +114,45 @@ class TestLoadPanel:
         out = tmp_path / "copy.csv"
         write_panel_csv(panel, out)
         assert load_panel(out, "2009Q1") == panel
+
+    def test_rejections_of_shuffled_rows_are_exact(self, tmp_path):
+        # Row numbers, raw values and "; "-joined reasons in their fixed
+        # order (non-finite cells, then the interbank assets and the
+        # interbank liabilities checks, then the quarter), whatever the row
+        # order; the kept banks come back sorted.
+        lines = [
+            _row("C"),
+            "N,2009Q1,inf,900,50,40,0.01,nan,0.02,0.12,0.08",
+            _row("A"),
+            _row("G", ta=100.0, tl=90.0, ia=500.0, il=10.0),
+            _row("M", ia=-5.0, il=950.0),
+            _row("Q", il=-1.0, quarter="2008Q4"),
+            _row("B"),
+        ]
+        panel = load_panel(_write(tmp_path, lines), "2009Q1")
+        assert panel.bank_ids == ("A", "B", "C")
+        assert panel.rejections == (
+            RejectedRow(
+                3,
+                ("N", "2009Q1", "inf", "900", "50", "40", "0.01", "nan", "0.02", "0.12", "0.08"),
+                "non-finite total_assets; non-finite roe",
+            ),
+            RejectedRow(
+                5,
+                tuple(_row("G", ta=100.0, tl=90.0, ia=500.0, il=10.0).split(",")),
+                "interbank_assets > total_assets",
+            ),
+            RejectedRow(
+                6,
+                tuple(_row("M", ia=-5.0, il=950.0).split(",")),
+                "interbank_assets < 0; interbank_liabilities > total_liabilities",
+            ),
+            RejectedRow(
+                7,
+                tuple(_row("Q", il=-1.0, quarter="2008Q4").split(",")),
+                "interbank_liabilities < 0; quarter '2008Q4' does not match requested '2009Q1'",
+            ),
+        )
 
     def test_rejection_report_written_with_reason_column(self, tmp_path):
         path = _write(tmp_path, [_row("A"), _row("B", ta=100.0, ia=500.0)])

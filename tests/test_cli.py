@@ -285,6 +285,14 @@ class TestRunCommand:
         assert "panel_2009Q2.csv is missing" in capsys.readouterr().err
         assert not (tmp_path / "missing" / "run_manifest.json").exists()
 
+    def test_missing_input_file_exits_three(self, tmp_path, capsys):
+        # The same code as a rerun whose recorded input is gone.
+        quarters = "\n".join(f"q{k} = {tmp_path}/q{k}.csv" for k in range(1, 5))
+        (tmp_path / "run.ini").write_text(f"[inputs]\n{quarters}\nlabels = {tmp_path}/failed.csv\n")
+        assert main(["run", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "out")]) == 3
+        assert "q1.csv is missing" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
     @pytest.mark.parametrize(
         "flag, value, field", [("--batch-size", "0", "batch_size"), ("--epochs", "-1", "epochs")]
     )

@@ -32,7 +32,7 @@ def _quarters(bank_ids, skip=()):
 
 
 def _proxies(bank_ids, value=-1.0):
-    return [{b: value for b in bank_ids} for _ in QUARTERS]
+    return [(tuple(bank_ids), np.full(len(bank_ids), value)) for _ in QUARTERS]
 
 
 def _labels(bank_ids, failed=()):
@@ -89,7 +89,7 @@ class TestBuildPanel:
                 }
             )
             panels.append(QuarterlyPanel(tag, (rec,)))
-        proxies = [{"A": -10.0 * (k + 1)} for k in range(4)]
+        proxies = [(("A",), np.array([-10.0 * (k + 1)])) for k in range(4)]
         panel = build_panel(panels, proxies, _labels(("A",)))
         row = panel.x[0]
         assert row[:4].tolist() == [0.1, 1.1, 2.1, 3.1]  # stpd q1..q4
@@ -102,7 +102,7 @@ class TestBuildPanel:
     def test_missing_proxy_excludes_bank(self):
         ids = ("A", "B")
         proxies = _proxies(ids)
-        del proxies[3]["B"]
+        proxies[3] = _proxies(("A",))[3]  # no q4 proxy for B
         panel = build_panel(_quarters(ids), proxies, _labels(ids))
         assert panel.bank_ids == ("A",)
         assert panel.exclusions[0][0] == "B"

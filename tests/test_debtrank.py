@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from banknet.balance_sheets import QuarterlyPanel, live_subsystem
+from banknet.balance_sheets import NUMERIC_COLUMNS, QuarterlyPanel, live_subsystem
 from banknet.debtrank import (
     _EPS,
     ShockSpec,
@@ -564,13 +564,12 @@ def _lognormal_panel(n, seed):
     ta = rng.lognormal(7.0, 1.5, n)
     ia = ta * rng.uniform(0.01, 0.2, n)
     il = rng.permutation(ia)
-    return QuarterlyPanel(
-        "2009Q1",
-        tuple(
-            make_record(f"{i:06d}", ta=a, tl=0.9 * a, ia=b, il=c)
-            for i, (a, b, c) in enumerate(zip(ta.tolist(), ia.tolist(), il.tolist()))
-        ),
+    ratios = {c: np.full(n, getattr(make_record("A"), c)) for c in NUMERIC_COLUMNS[4:]}
+    columns = dict(
+        total_assets=ta, total_liabilities=0.9 * ta, interbank_assets=ia, interbank_liabilities=il
     )
+    ids = [f"{i:06d}" for i in range(n)]
+    return QuarterlyPanel("2009Q1", bank_ids=ids, columns={**columns, **ratios})
 
 
 def test_simulate_quarter_at_100k_banks_is_linear():

@@ -217,6 +217,21 @@ class TestRunPipeline:
         with pytest.raises(StageError, match="inputs"):
             run_pipeline(config, tmp_path / "x")
 
+    def test_rerun_hashes_each_input_once(self, tmp_path, monkeypatch):
+        spec = SyntheticSpec(n_banks=60, default_rate=0.3, contagion_signal_strength=0.6, rng_seed=9)
+        paths = write_outputs(generate(spec), tmp_path / "inputs")
+        inputs = sorted(paths[f"panel_2009Q{k}"] for k in range(1, 5)) + [paths["failed_banks"]]
+        config = RunConfig(
+            seed=9, synthetic=False, quarter_files=tuple(inputs[:4]), labels_file=inputs[4],
+            total=40, epochs=10, batch_size=8, grid=SMALL_GRID, lam=0.5,
+        )
+        run_pipeline(config, tmp_path / "run")
+        hashed = collections.Counter()
+        sha256 = pipeline._sha256
+        monkeypatch.setattr(pipeline, "_sha256", lambda path: hashed.update([str(path)]) or sha256(path))
+        rerun_from_manifest(tmp_path / "run" / "run_manifest.json", tmp_path / "rerun")
+        assert [hashed[p] for p in inputs] == [1] * 5
+
     def test_file_mode_with_dirty_row(self, tmp_path):
         # File-mode run on pre-generated panels where one bank's Q2 row
         # violates an invariant: the row is quarantined (report written), the
