@@ -178,17 +178,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_build_dataset(args) -> int:
     panels = [(path, quarter_tag(path)) for path in (args.q1, args.q2, args.q3, args.q4)]
-    config = _config(args)
-    summary = stage_build_dataset(
-        panels, args.proxies, args.labels, args.out, config=config, seed=config.seed
-    )
+    summary = stage_build_dataset(panels, args.proxies, args.labels, args.out, config=_config(args))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_train_mlp(args) -> int:
-    config = _config(args)
-    summary = stage_train_mlp(args.data, args.out, config=config, seed=config.seed)
+    summary = stage_train_mlp(args.data, args.out, config=_config(args))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

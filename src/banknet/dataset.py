@@ -228,4 +228,4 @@ def split(panel: FeaturePanel, seed: int) -> SplitAssignment:
             caps[q] -= 1
 
     train, validation, test = (np.array(sorted(p), dtype=int) for p in parts)
-    return SplitAssignment(train=train, validation=validation, test=test, rng_seed=seed)
+    return SplitAssignment(train, validation, test, seed)

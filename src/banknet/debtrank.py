@@ -229,10 +229,6 @@ class QuarterSimulation:
     excluded: tuple[tuple[str, str], ...]
     closure_factor: float
 
-    @property
-    def proxies(self) -> dict[str, float]:
-        return {b: float(p) for b, p in zip(self.bank_ids, self.run.proxy)}
-
 
 def live_network(
     sub: QuarterlyPanel,

@@ -46,10 +46,6 @@ class UnknownBankError(DataError):
     """A referenced bank_id is not present in the instance."""
 
 
-class InactiveColumnError(DataError):
-    """A column outside the fitted active set was requested."""
-
-
 class ClassBalanceError(DataError):
     """A class required for rebalancing is empty."""
 

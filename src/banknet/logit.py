@@ -31,12 +31,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from .dataset import SplitAssignment
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    InactiveColumnError,
-    SeparationError,
-)
+from .errors import ConvergenceError, DimensionError, SeparationError
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_STEPS = 100
@@ -280,20 +275,13 @@ def predict_proba(fit: LogitFit, x) -> np.ndarray:
     return expit(fit.intercept + x @ fit.coefficients)
 
 
-def classify(fit: LogitFit, x, threshold: float = 0.5) -> np.ndarray:
-    return (predict_proba(fit, x) >= threshold).astype(int)
+def classify(fit: LogitFit, x) -> np.ndarray:
+    return (predict_proba(fit, x) >= 0.5).astype(int)
 
 
 def accuracy(fit: LogitFit, x, y) -> float:
     y = np.asarray(y, dtype=int).reshape(-1)
     return float(np.mean(classify(fit, x) == y))
-
-
-def odds_interpretation(fit: LogitFit, column: int) -> float:
-    """e^{b_j}: the multiplicative change in the odds per unit of column j."""
-    if column not in fit.active_set:
-        raise InactiveColumnError(f"column {column} is not in the active set")
-    return float(np.exp(fit.coefficients[column]))
 
 
 def lambda_max(x, y) -> float:

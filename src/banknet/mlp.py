@@ -298,19 +298,14 @@ def train(x, y, config: MlpConfig) -> MlpModel:
     return result
 
 
-def _forward_pre_activations(model: MlpModel, x: np.ndarray):
-    """Pre-activations of every layer for the no-dropout forward pass."""
-    return tuple(_forward(model.weights, model.biases, x)[1])
-
-
 def predict(model: MlpModel, x) -> np.ndarray:
     """Output probabilities (forward pass without dropout)."""
     x = _check_inputs(x, model.weights[0].shape[0])
-    return expit(_forward_pre_activations(model, x)[-1].ravel())
+    return expit(_forward(model.weights, model.biases, x)[1][-1].ravel())
 
 
-def classify(model: MlpModel, x, threshold: float = 0.5) -> np.ndarray:
-    return (predict(model, x) >= threshold).astype(int)
+def classify(model: MlpModel, x) -> np.ndarray:
+    return (predict(model, x) >= 0.5).astype(int)
 
 
 def accuracy(model: MlpModel, x, y) -> float:
@@ -395,7 +390,7 @@ def input_gradients(model: MlpModel, x) -> np.ndarray:
     positive (0 at and below zero); the sigmoid contributes e^z/(1+e^z)^2.
     """
     x = _check_inputs(x, model.weights[0].shape[0])
-    z1, z2, z3, z4 = _forward_pre_activations(model, x)
+    z1, z2, z3, z4 = _forward(model.weights, model.biases, x)[1]
     g = sigmoid_grad(z4)  # dY/dz at the output node
     g = (g @ model.weights[3].T) * (z3 > 0)
     g = (g @ model.weights[2].T) * (z2 > 0)

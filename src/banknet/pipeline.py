@@ -2,10 +2,12 @@
 
 Every stage reads its inputs from disk and writes its artifacts to disk, so
 any stage can be re-run in isolation. ``run_pipeline`` chains them and writes
-a manifest recording every parameter (including defaulted ones), seeds,
-input and artifact digests, and each stage's summary of what it measured (a
+a manifest recording every parameter (including defaulted ones), input
+and artifact digests, and each stage's summary of what it measured (a
 summary repeats no path and no parameter); a run is reproducible from its
-manifest alone.
+manifest alone. Every stage takes its seed from ``config.seed``: the
+generator draws from it, the dataset from ``seed + 1`` and the MLP grid
+from ``seed + 2``.
 
 A quarter panel travels as a ``(path, quarter)`` pair, resolved once per run
 (from the generator, or from ``balance_sheets.quarter_tag``), and its
@@ -71,17 +73,12 @@ VOLATILE_MANIFEST_KEYS = ("created_utc", "command", "out_dir")
 
 
 LAMBDA_AUTO = "auto"  # the lam value that selects lambda on the validation split
+GRID_KEYS = ("structures", "solvers", "learning_rates")  # mlp.tune's grid arguments
 
 
 def parse_grid(raw: str) -> dict | None:
     """``default`` (the 27-point grid, stored as None) or a grid JSON file."""
-    if raw == "default":
-        return None
-    grid = read_json(raw)
-    for key in ("structures", "solvers", "learning_rates"):
-        if key not in grid:
-            raise SchemaError(f"grid file {raw} is missing {key!r}")
-    return grid
+    return None if raw == "default" else read_json(raw)
 
 
 def parse_lambda(raw: str) -> float | str:
@@ -132,6 +129,11 @@ class RunConfig:
     def __post_init__(self):
         if self.synthetic and (self.quarter_files or self.labels_file):
             raise SchemaError("[inputs] synthetic = true takes no q1..q4 or labels files")
+        if self.grid is not None:
+            wrong = [f"missing {k!r}" for k in GRID_KEYS if k not in self.grid]
+            wrong += [f"unknown {k!r}" for k in self.grid if k not in GRID_KEYS]
+            if wrong:
+                raise SchemaError(f"[mlp] grid: {', '.join(wrong)}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -182,16 +184,6 @@ def field_parser(f):
     its annotation (a bool takes the INI spellings of true and false)."""
     cast = typing.get_type_hints(RunConfig)[f.name]
     return f.metadata["parse"] or (_parse_bool if cast is bool else cast)
-
-
-def _grid_args(grid: dict | None) -> dict:
-    if grid is None:
-        return {}
-    return {
-        "structures": tuple(tuple(s) for s in grid["structures"]),
-        "solvers": tuple(grid["solvers"]),
-        "learning_rates": tuple(grid["learning_rates"]),
-    }
 
 
 def _sha256(path) -> str:
@@ -308,14 +300,13 @@ def stage_build_dataset(
     out_dir,
     *,
     config: RunConfig = RunConfig(),
-    seed: int = RunConfig.seed,
 ) -> dict:
     """Assemble the 24-column panel, rebalance, split and fit the scaler.
 
     ``panels`` are the four ``(path, quarter)`` pairs, oldest first; each
     quarter's proxies are read from ``proxy_csv(proxy_dir, quarter)``.
-    Uses the ``[dataset]`` options of ``config``; the stage draws from
-    ``seed``, not ``config.seed``. The panel CSV keeps raw attribute values;
+    Uses the ``[dataset]`` options of ``config`` and draws from
+    ``config.seed + 1``. The panel CSV keeps raw attribute values;
     the sidecar carries the split indices and the robust-scaler parameters
     fit on the training rows only. By default rebalancing happens before the
     split (duplicate minority rows may then cross partitions);
@@ -327,6 +318,7 @@ def stage_build_dataset(
     labels = derive_labels(quarters[-1], labels_path)
 
     panel = build_panel(quarters, proxies, labels)
+    seed = config.seed + 1
     if config.rebalance_after_split:
         raw_splits = split(panel, seed)
         per_part = config.total // 3
@@ -336,7 +328,7 @@ def stage_build_dataset(
             for k, rows in enumerate((raw_splits.train, raw_splits.validation, raw_splits.test))
         ]
         final = take(panel, np.concatenate(parts))
-        splits = SplitAssignment(*np.arange(len(final)).reshape(3, per_part), rng_seed=seed)
+        splits = SplitAssignment(*np.arange(len(final)).reshape(3, per_part), seed)
     else:
         final = rebalance(panel, config.total, seed)
         splits = split(final, seed)
@@ -405,14 +397,14 @@ def _scaled_dataset(data_dir):
     return apply_scaler(scaler, panel), 1 - panel.y, splits
 
 
-def stage_train_mlp(
-    data_dir, out_path, *, config: RunConfig = RunConfig(), seed: int = RunConfig.seed
-) -> dict:
+def stage_train_mlp(data_dir, out_path, *, config: RunConfig = RunConfig()) -> dict:
     """Tune and train on the ``[mlp]`` options of ``config``; the grid's base
-    seed is ``seed``, not ``config.seed``."""
+    seed is ``config.seed + 2``."""
     scaled, target, splits = _scaled_dataset(data_dir)
-    base = mlp.MlpConfig(epochs=config.epochs, batch_size=config.batch_size, rng_seed=seed)
-    model = mlp.tune(scaled.x, target, splits, base_config=base, **_grid_args(config.grid))
+    base = mlp.MlpConfig(
+        epochs=config.epochs, batch_size=config.batch_size, rng_seed=config.seed + 2
+    )
+    model = mlp.tune(scaled.x, target, splits, base_config=base, **(config.grid or {}))
     oos = mlp.accuracy(model, scaled.x[splits.test], target[splits.test])
     mlp.save_model(
         model,
@@ -568,19 +560,13 @@ def run_pipeline(config: RunConfig, out_dir, command=None, *, input_digests=None
     out = Path(out_dir)
     stages: dict[str, dict] = {}
     inputs: dict[str, str] = {}
-    seeds = {
-        "master": config.seed,
-        "synthetic": config.seed,
-        "dataset": config.seed + 1,
-        "mlp_base": config.seed + 2,
-    }
 
     if config.synthetic:
         # The generator options RunConfig carries under the same names.
         shared = {f.name for f in fields(SyntheticSpec)} & {f.name for f in fields(config)}
         spec = SyntheticSpec(
             quarters=4,
-            rng_seed=seeds["synthetic"],
+            rng_seed=config.seed,
             **{name: getattr(config, name) for name in shared},
         )
         result = _stage("generate-synthetic", generate, spec)
@@ -627,16 +613,10 @@ def run_pipeline(config: RunConfig, out_dir, command=None, *, input_digests=None
         labels_file,
         dataset_dir,
         config=config,
-        seed=seeds["dataset"],
     )
     model_path = out / "model.json"
     stages["train-mlp"] = _stage(
-        "train-mlp",
-        stage_train_mlp,
-        dataset_dir,
-        model_path,
-        config=config,
-        seed=seeds["mlp_base"],
+        "train-mlp", stage_train_mlp, dataset_dir, model_path, config=config
     )
     sensitivity_path = out / "sensitivity.csv"
     stages["sensitivity"] = _stage(
@@ -659,7 +639,6 @@ def run_pipeline(config: RunConfig, out_dir, command=None, *, input_digests=None
         "command": list(command) if command else list(sys.argv),
         "out_dir": str(out),
         "config": config.to_dict(),
-        "seeds": seeds,
         "inputs": inputs,
         "stages": stages,
         "artifacts": artifacts,

@@ -31,6 +31,12 @@ from .balance_sheets import (
 from .debtrank import ShockSpec, apply_shock, init_state, propagate
 from .reconstruction import ExposureMatrix
 
+RATIO_SIGNAL = 1.3  # log-odds weight of the planted ratio latents
+# Share of defaults that are idiosyncratic (fraud, operational failure):
+# independent of every attribute, they guarantee the classes overlap and
+# keep oversampled panels from being perfectly separable.
+IDIOSYNCRATIC_FRACTION = 0.08
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -41,11 +47,6 @@ class SyntheticSpec:
     rng_seed: int = 0
     start_quarter: str = "2009Q1"
     shock_fraction: float = 0.1  # scenario behind the planted ground truth
-    ratio_signal: float = 1.3  # log-odds weight of the planted ratio latents
-    # Share of defaults that are idiosyncratic (fraud, operational failure):
-    # independent of every attribute, they guarantee the classes overlap and
-    # keep oversampled panels from being perfectly separable.
-    idiosyncratic_fraction: float = 0.08
 
     def __post_init__(self):
         if self.n_banks < 10:
@@ -54,8 +55,6 @@ class SyntheticSpec:
             raise ValueError("quarters must be positive")
         if not 0.0 <= self.default_rate < 1.0:
             raise ValueError("default_rate must lie in [0, 1)")
-        if not 0.0 <= self.idiosyncratic_fraction <= 1.0:
-            raise ValueError("idiosyncratic_fraction must lie in [0, 1]")
         validate_quarter(self.start_quarter)
 
 
@@ -178,15 +177,15 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
     # The remaining ratios correlate with default only through the shared
     # quality score behind the latents.
     eta_centered = (
-        -spec.ratio_signal * 0.75 * _standardize(t1l_latent)
-        - spec.ratio_signal * 0.75 * _standardize(roe_latent)
+        -RATIO_SIGNAL * 0.75 * _standardize(t1l_latent)
+        - RATIO_SIGNAL * 0.75 * _standardize(roe_latent)
         + spec.contagion_signal_strength * z_damage
     )
     if spec.default_rate == 0.0:
         probs = np.zeros(n)
         intercept = None
     else:
-        mix = spec.idiosyncratic_fraction
+        mix = IDIOSYNCRATIC_FRACTION
         intercept = _calibrate_intercept(eta_centered, spec.default_rate)
         probs = (1.0 - mix) * expit(intercept + eta_centered) + mix * spec.default_rate
     failed = rng.random(n) < probs
@@ -197,7 +196,11 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
         labels={ids[i]: (0 if failed[i] else 1) for i in range(n)},
     )
     ground_truth = {
-        "spec": asdict(spec),
+        "spec": {
+            **asdict(spec),
+            "ratio_signal": RATIO_SIGNAL,
+            "idiosyncratic_fraction": IDIOSYNCRATIC_FRACTION,
+        },
         "horizon": horizon,
         "log_odds_intercept": intercept,
         "n_failed": int(failed.sum()),

@@ -13,7 +13,7 @@ from banknet.debtrank import ShockSpec, apply_shock, init_state, propagate
 from banknet.logit import fit_lasso
 from banknet.mlp import (
     MlpConfig,
-    _forward_pre_activations,
+    _forward,
     input_gradients,
     predict,
     train,
@@ -149,7 +149,7 @@ def test_criterion_4_sensitivity_gradients():
         checked = 0
         while checked < 3:
             point = rng.normal(0.0, 1.5, size=(1, 24))
-            pres = _forward_pre_activations(model, point)
+            pres = _forward(model.weights, model.biases, point)[1]
             if min(float(np.abs(z).min()) for z in pres) <= 1e-3:
                 continue
             analytic = input_gradients(model, point)[0]

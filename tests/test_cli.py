@@ -304,8 +304,9 @@ class TestRunCommand:
         assert not out.exists()
 
     def test_chained_stages_match_run_artifacts(self, full_run, tmp_path):
-        # build-dataset through report, driven stage by stage on the files
-        # the full run produced: stage isolation means identical artifacts.
+        # build-dataset and train-mlp, driven stage by stage on the files the
+        # full run produced with the run's own --seed: stage isolation means
+        # identical artifacts.
         inputs = full_run / "inputs"
         quarters = [str(inputs / f"panel_2009Q{k}.csv") for k in range(1, 5)]
         ds = tmp_path / "dataset"
@@ -317,14 +318,18 @@ class TestRunCommand:
                 "--proxies", str(full_run / "proxies"),
                 "--labels", str(inputs / "failed_banks.csv"),
                 "--total", "160",
-                "--seed", "18",
+                "--seed", "17",
                 "--out", str(ds),
             ]
         )
         assert code == 0
-        assert (ds / "panel.csv").read_bytes() == (
-            full_run / "dataset" / "panel.csv"
-        ).read_bytes()
+        for name in ("panel.csv", "dataset.json"):
+            assert (ds / name).read_bytes() == (full_run / "dataset" / name).read_bytes(), name
+        model = tmp_path / "model.json"
+        argv = ["train-mlp", "--data", str(ds), "--grid", str(full_run.parent / "grid.json")]
+        argv += ["--epochs", "25", "--batch-size", "16", "--seed", "17", "--out", str(model)]
+        assert main(argv) == 0
+        assert model.read_bytes() == (full_run / "model.json").read_bytes()
 
 
 def test_run_stops_with_exit_four_on_an_unconverged_quarter(tmp_path, capsys):
@@ -426,6 +431,28 @@ def test_grid_file_missing_a_key_exits_three(tmp_path, capsys):
     grid.write_text(json.dumps({"structures": [[8, 16, 8]], "solvers": ["adam"]}))
     assert main(["train-mlp", "--grid", str(grid), *REQUIRED["train-mlp"]]) == 3
     assert "learning_rates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["train-mlp --grid", "run --config", "run --from-manifest"])
+def test_grid_with_a_fourth_key_exits_three(tmp_path, capsys, route):
+    # mlp.tune takes the grid as written, so a key it has no argument for is
+    # refused with the config, on every way in.
+    grid = {**SMALL_GRID, "momentum": [0.9]}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out = tmp_path / "out"
+    if route == "train-mlp --grid":
+        argv = ["train-mlp", "--grid", str(path), "--data", "ds", "--out", str(out)]
+    elif route == "run --config":
+        (tmp_path / "run.ini").write_text(f"[mlp]\ngrid = {path}\n")
+        argv = ["run", "--config", str(tmp_path / "run.ini"), "--out", str(out)]
+    else:
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_text(json.dumps({"config": {**RunConfig().to_dict(), "grid": grid}}))
+        argv = ["run", "--from-manifest", str(manifest), "--out", str(out)]
+    assert main(argv) == 3
+    assert "unknown 'momentum'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

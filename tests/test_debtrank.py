@@ -305,16 +305,17 @@ class TestQuarterlyProxies:
     def test_composition_matches_worked_example(self):
         # Both equities halve to 50; B's fall of 50 costs A 50/100 * 50 = 25,
         # half of A's post-shock equity.
-        proxies = simulate_quarter(self._panel(), shock_fraction=0.5).proxies
-        assert proxies == {"A": -50.0, "B": 0.0}
+        sim = simulate_quarter(self._panel(), shock_fraction=0.5)
+        assert dict(zip(sim.bank_ids, sim.run.proxy.tolist())) == {"A": -50.0, "B": 0.0}
 
     def test_beta_zero_all_zero(self):
-        proxies = simulate_quarter(self._panel(), beta=0.0, shock_fraction=0.2).proxies
-        assert proxies == {"A": 0.0, "B": 0.0}
+        sim = simulate_quarter(self._panel(), beta=0.0, shock_fraction=0.2)
+        assert dict(zip(sim.bank_ids, sim.run.proxy.tolist())) == {"A": 0.0, "B": 0.0}
 
     def test_single_bank_panel(self):
         panel = QuarterlyPanel("2009Q1", (make_record("A", ia=0, il=0),))
-        assert simulate_quarter(panel).proxies == {"A": 0.0}
+        sim = simulate_quarter(panel)
+        assert dict(zip(sim.bank_ids, sim.run.proxy.tolist())) == {"A": 0.0}
 
     def test_nonpositive_equity_excluded_and_reclosed(self):
         panel = QuarterlyPanel(
@@ -330,7 +331,7 @@ class TestQuarterlyProxies:
         assert sim.bank_ids == ("A", "B")
         # After exclusion the remaining aggregates are re-closed: 50 vs 40.
         assert sim.closure_factor == pytest.approx(1.25)
-        assert sim.proxies == {"A": -50.0, "B": 0.0}
+        assert sim.run.proxy.tolist() == [-50.0, 0.0]
 
     def test_scenario_is_not_positional(self):
         with pytest.raises(TypeError):

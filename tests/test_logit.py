@@ -6,15 +6,13 @@ from scipy.special import expit
 
 from banknet import logit
 from banknet.dataset import SplitAssignment
-from banknet.errors import ConvergenceError, InactiveColumnError, SeparationError
+from banknet.errors import ConvergenceError, SeparationError
 from banknet.logit import (
     DEFAULT_TOL,
-    LogitFit,
     accuracy,
     classify,
     fit_lasso,
     lambda_max,
-    odds_interpretation,
     predict_proba,
     refit_active,
     select_lambda,
@@ -193,35 +191,6 @@ class TestRefit:
         b0, b = newton_logistic(x, y)
         assert fit.intercept == pytest.approx(b0, abs=1e-8)
         np.testing.assert_allclose(fit.coefficients, b, atol=1e-8)
-
-
-class TestOdds:
-    def _fit(self, coefs, active):
-        return LogitFit(
-            intercept=0.0,
-            coefficients=np.asarray(coefs, dtype=float),
-            active_set=tuple(active),
-            pvalues={},
-            standard_errors={},
-            lam=0.0,
-        )
-
-    def test_reported_reduction_factor(self):
-        fit = self._fit([-0.1489], [0])
-        assert odds_interpretation(fit, 0) == pytest.approx(0.8617, abs=5e-5)
-
-    def test_zero_coefficient_is_neutral(self):
-        fit = self._fit([0.0, 1.0], [0, 1])
-        assert odds_interpretation(fit, 0) == 1.0
-
-    def test_log_two_doubles_odds(self):
-        fit = self._fit([math.log(2.0)], [0])
-        assert odds_interpretation(fit, 0) == pytest.approx(2.0, rel=1e-12)
-
-    def test_inactive_column_is_lookup_error(self):
-        fit = self._fit([0.5, 0.0], [0])
-        with pytest.raises(InactiveColumnError):
-            odds_interpretation(fit, 1)
 
 
 class TestSelectLambda:

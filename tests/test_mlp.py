@@ -16,6 +16,7 @@ from banknet.mlp import (
     predict,
     save_model,
     sigmoid_grad,
+    _forward,
     _train_stack,
     train,
     tune,
@@ -298,9 +299,8 @@ class TestUpdateRules:
     def test_sgd_step_is_minus_lr_times_mean_bce_gradient(self):
         x, y = self._data()
         before, step = self._step("sgd", self.LR)
-        from banknet.mlp import _forward_pre_activations
-
-        assert min(np.abs(z).min() for z in _forward_pre_activations(before, x)) > 1e-3
+        pres = _forward(before.weights, before.biases, x)[1]
+        assert min(np.abs(z).min() for z in pres) > 1e-3
         params = before.weights + before.biases
 
         def mean_bce(theta):
@@ -351,7 +351,7 @@ class TestPredict:
             w[:] = 0.0
         for b in model.biases:
             b[:] = 0.0
-        labels = classify(model, np.zeros((3, 24)), threshold=0.5)
+        labels = classify(model, np.zeros((3, 24)))
         assert labels.tolist() == [1, 1, 1]  # probability 0.5 maps to 1
 
     def test_separable_model_classifies_clusters(self):
@@ -478,9 +478,7 @@ class TestSensitivity:
         checked = 0
         while checked < 5:
             x = rng.normal(0, 1.5, size=(1, 24))
-            from banknet.mlp import _forward_pre_activations
-
-            pres = _forward_pre_activations(model, x)
+            pres = _forward(model.weights, model.biases, x)[1]
             if min(np.abs(z).min() for z in pres) <= 1e-3:
                 continue
             analytic = input_gradients(model, x)[0]
@@ -503,9 +501,7 @@ class TestSensitivity:
         # starts from a unit gradient at the output activation.
         model = random_model(3)
         x = np.random.default_rng(4).normal(size=(1, 24))
-        from banknet.mlp import _forward_pre_activations
-
-        z_out = _forward_pre_activations(model, x)[3].ravel()[0]
+        z_out = _forward(model.weights, model.biases, x)[1][3].ravel()[0]
         h = 1e-6
         model.biases[3][0] += h
         up = predict(model, x)[0]

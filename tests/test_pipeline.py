@@ -96,7 +96,7 @@ class TestRunPipeline:
         assert manifest["config"]["alpha"] == 1e-6
         assert manifest["config"]["tolerance"] == 1e-8
         assert manifest["config"]["shock_fraction"] == 0.1
-        assert manifest["seeds"]["master"] == 17
+        assert manifest["config"]["seed"] == 17
         assert "dataset/panel.csv" in manifest["artifacts"]
         written = json.loads((out / "run_manifest.json").read_text())
         assert written["artifacts"] == manifest["artifacts"]
@@ -195,7 +195,6 @@ class TestRunPipeline:
                 str(inputs / "failed_banks.csv"),
                 tmp_path / "ds",
                 config=RunConfig(total=160),
-                seed=0,
             )
 
     @pytest.mark.parametrize(
@@ -370,7 +369,7 @@ def test_untagged_panel_names_resolve_once(tmp_path, monkeypatch):
     reads.clear()
     argv = ["build-dataset", "--proxies", str(tmp_path / "untagged" / "proxies")]
     argv += [a for k, f in enumerate(untagged, 1) for a in (f"--q{k}", f)]
-    argv += ["--labels", paths["failed_banks"], "--total", "40", "--seed", "18"]
+    argv += ["--labels", paths["failed_banks"], "--total", "40", "--seed", "17"]
     assert main(argv + ["--out", str(tmp_path / "ds")]) == 0
     assert [reads[Path(f).name] for f in untagged] == [1, 1, 1, 1]
     dataset = tmp_path / "untagged" / "dataset"
@@ -412,8 +411,7 @@ class TestRebalanceAfterSplit:
             out / "proxies",
             inputs / "failed_banks.csv",
             tmp_path / "ds",
-            config=RunConfig(total=total, rebalance_after_split=True),
-            seed=3,
+            config=RunConfig(seed=2, total=total, rebalance_after_split=True),  # draws from 3
         )
         panel, splits, _ = load_dataset_dir(tmp_path / "ds")
         assert list(panel.bank_ids) == bank_ids
