@@ -17,15 +17,15 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, fields
-from itertools import compress, repeat
+from itertools import compress
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import read_csv, read_first_row, write_csv
-from .errors import DataError, InfeasibilityError, IntegrityError, ParseError, SchemaError
+from .artifacts import float_columns, read_csv, read_first_row, write_csv
+from .errors import DataError, InfeasibilityError, IntegrityError, SchemaError
 
 FAILED_LIST_COLUMNS = ("bank_id", "failure_date")
 
@@ -167,22 +167,10 @@ def load_panel(path, quarter: str) -> QuarterlyPanel:
     quarter) land in ``panel.rejections`` rather than aborting the load.
     """
     validate_quarter(quarter)
-    rows = read_csv(path, PANEL_COLUMNS)
-    ids = [row["bank_id"] for row in rows]
+    table = read_csv(path, PANEL_COLUMNS)
+    ids, quarters = table["bank_id"], table["quarter"]
     order = np.array(_sort_order(ids, f"{path}: "), dtype=np.intp)
-    try:
-        columns = {
-            c: np.array([float((row[c] or "").strip()) for row in rows]) for c in NUMERIC_COLUMNS
-        }
-    except ValueError:  # report the first cell, row by row, that is not a number
-        for line, row in enumerate(rows, start=2):
-            for col in NUMERIC_COLUMNS:
-                raw = (row[col] or "").strip()
-                try:
-                    float(raw)
-                except ValueError:
-                    message = f"{path}: row {line}: non-numeric {col}={raw!r}"
-                    raise ParseError(message, row=line) from None
+    columns = float_columns(path, table, NUMERIC_COLUMNS)
     ta, tl, ia, il = (columns[c] for c in NUMERIC_COLUMNS[:4])
     checks = [(f"non-finite {c}", ~np.isfinite(columns[c])) for c in NUMERIC_COLUMNS]
     finite = ~np.logical_or.reduce([mask for _, mask in checks])
@@ -192,14 +180,14 @@ def load_panel(path, quarter: str) -> QuarterlyPanel:
         ("interbank_liabilities < 0", finite & (il < 0)),
         ("interbank_liabilities > total_liabilities", finite & (il >= 0) & (il > tl)),
     ]
-    wrong_quarter = np.array([row["quarter"] != quarter for row in rows], dtype=bool)
+    wrong_quarter = np.array([q != quarter for q in quarters], dtype=bool)
     bad = np.logical_or.reduce([mask for _, mask in checks] + [wrong_quarter])
     rejections = []
     for i in np.flatnonzero(bad).tolist():
         reasons = [reason for reason, mask in checks if mask[i]]
         if wrong_quarter[i]:
-            reasons.append(f"quarter {rows[i]['quarter']!r} does not match requested {quarter!r}")
-        values = tuple(rows[i][c] for c in PANEL_COLUMNS)
+            reasons.append(f"quarter {quarters[i]!r} does not match requested {quarter!r}")
+        values = tuple(table[c][i] for c in PANEL_COLUMNS)
         rejections.append(RejectedRow(i + 2, values, "; ".join(reasons)))
     return QuarterlyPanel(
         quarter, rejections=rejections, bank_ids=ids, columns=columns, rows=order[~bad[order]]
@@ -208,12 +196,13 @@ def load_panel(path, quarter: str) -> QuarterlyPanel:
 
 def write_panel_csv(panel: QuarterlyPanel, path) -> None:
     """Write a panel back out in the ingestion schema (repr-exact floats)."""
-    values = (panel.columns[c].tolist() for c in NUMERIC_COLUMNS)
-    write_csv(path, PANEL_COLUMNS, zip(panel.bank_ids, repeat(panel.quarter), *values))
+    values = [panel.columns[c] for c in NUMERIC_COLUMNS]
+    write_csv(path, PANEL_COLUMNS, [panel.bank_ids, (panel.quarter,) * len(panel), *values])
 
 
-def write_rejection_report(path, rejections: Iterable[RejectedRow]) -> None:
-    write_csv(path, PANEL_COLUMNS + ("reason",), (r.values + (r.reason,) for r in rejections))
+def write_rejection_report(path, rejections: Sequence[RejectedRow]) -> None:
+    columns = [[r.values[j] for r in rejections] for j in range(len(PANEL_COLUMNS))]
+    write_csv(path, PANEL_COLUMNS + ("reason",), [*columns, [r.reason for r in rejections]])
 
 
 def close_system(panel: QuarterlyPanel) -> QuarterlyPanel:
@@ -273,7 +262,7 @@ def derive_labels(universe: QuarterlyPanel, failed_list) -> DefaultLabelSet:
     Failed-list entries not present in the universe are reported via
     ``unmatched`` (and a warning), never raised.
     """
-    failed_ids = {row["bank_id"] for row in read_csv(failed_list, FAILED_LIST_COLUMNS)}
+    failed_ids = set(read_csv(failed_list, FAILED_LIST_COLUMNS)["bank_id"])
     labels = {b: (0 if b in failed_ids else 1) for b in universe.bank_ids}
     unmatched = tuple(sorted(failed_ids.difference(universe.bank_ids)))
     if unmatched:

@@ -27,12 +27,13 @@ import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, mlp
-from .artifacts import read_csv, read_json, write_csv, write_json
+from .artifacts import float_columns, read_csv, read_json, write_csv, write_json
 from .balance_sheets import derive_labels, load_panel, quarter_tag, write_rejection_report
 from .dataset import (
     FeaturePanel,
@@ -132,8 +133,15 @@ class RunConfig:
         if self.grid is not None:
             wrong = [f"missing {k!r}" for k in GRID_KEYS if k not in self.grid]
             wrong += [f"unknown {k!r}" for k in self.grid if k not in GRID_KEYS]
+            empty = [k for k, v in self.grid.items() if not (isinstance(v, list) and v)]
+            wrong += [f"{k!r} is not a non-empty list" for k in empty]
             if wrong:
                 raise SchemaError(f"[mlp] grid: {', '.join(wrong)}")
+            try:  # each grid point passes mlp.MlpConfig's own checks
+                for layers, solver, rate in product(*(self.grid[k] for k in GRID_KEYS)):
+                    mlp.MlpConfig(hidden_layers=layers, solver=solver, learning_rate=rate)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"[mlp] grid: {exc}") from None
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -239,26 +247,14 @@ def stage_simulate(
         record_trajectory=trajectory_path is not None,
     )
     run = sim.run
-    write_csv(
-        out_csv,
-        ("bank_id", "proxy_pct", "initially_defaulted", "cascade_defaulted"),
-        zip(
-            sim.bank_ids,
-            run.proxy,
-            run.initially_defaulted.astype(int),
-            run.cascade_defaulted.astype(int),
-        ),
-    )
+    header = ("bank_id", "proxy_pct", "initially_defaulted", "cascade_defaulted")
+    defaulted = (run.initially_defaulted.astype(int), run.cascade_defaulted.astype(int))
+    write_csv(out_csv, header, [sim.bank_ids, run.proxy, *defaulted])
     if trajectory_path is not None:
-        write_csv(
-            trajectory_path,
-            ("period", "bank_id", "equity"),
-            (
-                (t, bank_id, e)
-                for t, equities in enumerate(run.trajectory)
-                for bank_id, e in zip(sim.bank_ids, equities)
-            ),
-        )
+        periods = len(run.trajectory)
+        period = np.arange(periods).repeat(len(sim.bank_ids))
+        columns = [period, sim.bank_ids * periods, np.concatenate(run.trajectory)]
+        write_csv(trajectory_path, ("period", "bank_id", "equity"), columns)
     if dump_matrix is not None:
         write_matrix(dump_matrix, sim.exposures)
     return {
@@ -289,8 +285,8 @@ def proxy_csv(proxy_dir, quarter: str) -> Path:
 
 def _read_proxies(path) -> tuple[tuple[str, ...], np.ndarray]:
     """A proxy CSV's bank ids and proxies, in file order."""
-    rows = read_csv(path, ("bank_id", "proxy_pct"))
-    return tuple(r["bank_id"] for r in rows), np.array([float(r["proxy_pct"]) for r in rows])
+    table = read_csv(path, ("bank_id", "proxy_pct"))
+    return table["bank_id"], float_columns(path, table, ("proxy_pct",))["proxy_pct"]
 
 
 def stage_build_dataset(
@@ -335,11 +331,8 @@ def stage_build_dataset(
     scaler = fit_scaler(final, splits.train)
 
     out = Path(out_dir)
-    write_csv(
-        out / "panel.csv",
-        ("bank_id",) + final.column_names + ("label",),
-        ((b, *x, y) for b, x, y in zip(final.bank_ids, final.x, final.y)),
-    )
+    header = ("bank_id",) + final.column_names + ("label",)
+    write_csv(out / "panel.csv", header, [final.bank_ids, *final.x.T, final.y])
     sidecar = {
         "column_names": list(final.column_names),
         "seed": seed,
@@ -370,12 +363,15 @@ def load_dataset_dir(data_dir):
     data_dir = Path(data_dir)
     sidecar = read_json(data_dir / "dataset.json")
     columns = tuple(sidecar["column_names"])
-    rows = read_csv(data_dir / "panel.csv", ("bank_id",) + columns + ("label",))
+    path = data_dir / "panel.csv"
+    table = read_csv(path, ("bank_id",) + columns + ("label",))
+    values = float_columns(path, table, columns)
     panel = FeaturePanel(
-        bank_ids=tuple(row["bank_id"] for row in rows),
+        bank_ids=table["bank_id"],
         column_names=columns,
-        x=np.array([[float(row[c]) for c in columns] for row in rows]).reshape(len(rows), -1),
-        y=np.array([int(row["label"]) for row in rows], dtype=int),
+        # C-ordered like the rows; a transposed view sums in another order
+        x=np.column_stack([values[c] for c in columns]),
+        y=np.array(table["label"], dtype=int),
     )
     splits = SplitAssignment(
         train=np.array(sidecar["splits"]["train"], dtype=int),
@@ -424,7 +420,7 @@ def stage_sensitivity(model_path, data_dir, out_csv) -> dict:
     scaled, _, splits = _scaled_dataset(data_dir)
     model = mlp.load_model(model_path)
     report = mlp.input_sensitivity(model, scaled.x[splits.test])
-    write_csv(out_csv, ("column_name", "gradient"), zip(scaled.column_names, report.gradients))
+    write_csv(out_csv, ("column_name", "gradient"), [scaled.column_names, report.gradients])
     return {
         "sample_count": report.sample_count,
         "gradients": {
@@ -501,18 +497,12 @@ def stage_report(data_dir, model_path, sensitivity_path, fit_path, out_dir) -> d
     corr, flags = report_correlations(panel)
     out = Path(out_dir)
     corr_path = out / "correlations.csv"
-    write_csv(
-        corr_path,
-        ("column",) + panel.column_names,
-        ((name, *row) for name, row in zip(panel.column_names, corr)),
-    )
+    write_csv(corr_path, ("column",) + panel.column_names, [panel.column_names, *corr.T])
 
     model_payload = read_json(model_path)
     fit_payload = read_json(fit_path)
-    gradients = {
-        row["column_name"]: float(row["gradient"])
-        for row in read_csv(sensitivity_path, ("column_name", "gradient"))
-    }
+    table = read_csv(sensitivity_path, ("column_name", "gradient"))
+    gradients = dict(zip(table["column_name"], map(float, table["gradient"])))
 
     summary = {
         "mlp": {

@@ -248,7 +248,7 @@ def write_matrix(path, exposures: ExposureMatrix) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", exposures.n))
         fh.write(np.ascontiguousarray(exposures.w, dtype="<f8").tobytes())
-    write_csv(f"{path}.ids.csv", ("bank_id",), ((b,) for b in exposures.bank_ids))
+    write_csv(f"{path}.ids.csv", ("bank_id",), [exposures.bank_ids])
 
 
 def read_matrix(path) -> ExposureMatrix:
@@ -273,7 +273,7 @@ def read_matrix(path) -> ExposureMatrix:
         w.setflags(write=False)
     ids_path = Path(f"{path}.ids.csv")
     if ids_path.exists():
-        bank_ids = tuple(row["bank_id"] for row in read_csv(ids_path, ("bank_id",)))
+        bank_ids = read_csv(ids_path, ("bank_id",))["bank_id"]
     else:
         bank_ids = tuple(str(i) for i in range(n))
     return ExposureMatrix(bank_ids=bank_ids, w=w)

@@ -229,7 +229,7 @@ def write_outputs(result: SyntheticResult, out_dir) -> dict:
     failed_path = out / "failed_banks.csv"
     date = f"{result.labels.horizon} (synthetic)"
     failed = sorted(b for b, v in result.labels.labels.items() if v == 0)
-    write_csv(failed_path, FAILED_LIST_COLUMNS, ((bank_id, date) for bank_id in failed))
+    write_csv(failed_path, FAILED_LIST_COLUMNS, [failed, [date] * len(failed)])
     paths["failed_banks"] = str(failed_path)
 
     truth_path = out / "ground_truth.json"

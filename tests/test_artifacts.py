@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from banknet.artifacts import read_csv, read_first_row, read_json, write_csv, write_json
-from banknet.errors import SchemaError
+from banknet.artifacts import (
+    float_columns,
+    read_csv,
+    read_first_row,
+    read_json,
+    write_csv,
+    write_json,
+)
+from banknet.errors import ParseError, SchemaError
 
 SUBNORMAL = 5e-324
 FLOATS = (0.1, -0.0, 1e-300, SUBNORMAL, 1e16, 1 / 3)
@@ -13,16 +20,12 @@ FLOATS = (0.1, -0.0, 1e-300, SUBNORMAL, 1e16, 1 / 3)
 class TestWriteCsv:
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "a.csv"
-        rows = [
-            ("a", 0.1, 1),
-            ("b", -0.0, np.int64(7)),
-            ("c", 1e-300, np.int32(-2)),
-            ("d", SUBNORMAL, 0),
-            ("e", np.float64(0.1), 3),
-            ("f", np.float64(1 / 3), 4),
-            ("g, h", 1e16, 5),
+        columns = [
+            ("a", "b", "c", "d", "e", "f", "g, h"),
+            (0.1, -0.0, 1e-300, SUBNORMAL, np.float64(0.1), np.float64(1 / 3), 1e16),
+            (1, np.int64(7), np.int32(-2), 0, 3, 4, 5),
         ]
-        write_csv(path, ("name", "x", "n"), rows)
+        write_csv(path, ("name", "x", "n"), columns)
         assert path.read_bytes() == (
             b"name,x,n\r\n"
             b"a,0.1,1\r\n"
@@ -37,12 +40,29 @@ class TestWriteCsv:
     def test_floats_round_trip_exactly(self, tmp_path):
         path = tmp_path / "a.csv"
         values = FLOATS + tuple(np.float64(v) for v in FLOATS)
-        write_csv(path, ("k", "x"), enumerate(values))
-        rows = read_csv(path, ("k", "x"))
-        assert [int(r["k"]) for r in rows] == list(range(len(values)))
-        for row, v in zip(rows, values):
-            back = float(row["x"])
+        write_csv(path, ("k", "x"), [range(len(values)), values])
+        table = read_csv(path, ("k", "x"))
+        assert [int(k) for k in table["k"]] == list(range(len(values)))
+        for cell, v in zip(table["x"], values, strict=True):
+            back = float(cell)
             assert back == v and math.copysign(1.0, back) == math.copysign(1.0, v)
+
+    def test_numpy_columns_are_written_as_python_values(self, tmp_path):
+        # float32 is written as the double it widens to, as float() gives it.
+        path = tmp_path / "a.csv"
+        x = np.array([0.1, -0.0, 1 / 3])
+        write_csv(path, ("x", "n", "f"), [x, np.arange(3), np.float32([0.1, 1, 2])])
+        assert path.read_bytes() == (
+            b"x,n,f\r\n"
+            b"0.1,0,0.10000000149011612\r\n"
+            b"-0.0,1,1.0\r\n"
+            b"0.3333333333333333,2,2.0\r\n"
+        )
+
+    def test_columns_of_unequal_length_are_value_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "a.csv", ("a", "b"), [(1, 2), (3,)])
+        assert not (tmp_path / "a.csv").exists()
 
 
 class TestWriteJson:
@@ -58,7 +78,7 @@ class TestWriteJson:
         write_json(tmp_path / "a" / "b.json", {})
         write_csv(tmp_path / "c" / "d" / "e.csv", ("k",), [(1,)])
         assert read_json(tmp_path / "a" / "b.json") == {}
-        assert read_csv(tmp_path / "c" / "d" / "e.csv", ("k",)) == [{"k": "1"}]
+        assert read_csv(tmp_path / "c" / "d" / "e.csv", ("k",)) == {"k": ("1",)}
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "a.json"
@@ -88,8 +108,51 @@ class TestReadCsv:
 
     def test_header_only_gives_no_rows(self, tmp_path):
         path = tmp_path / "a.csv"
-        write_csv(path, ("bank_id",), ())
-        assert read_csv(path, ("bank_id",)) == []
+        write_csv(path, ("bank_id",), [()])
+        assert read_csv(path, ("bank_id",)) == {"bank_id": ()}
+
+    # The row rules csv.DictReader had, so that every file that loaded still
+    # loads: blank lines are skipped, a short row's missing cells read as ""
+    # and a long row's extra cells are dropped.
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"bank_id,x\r\n\r\nA,1\r\n\r\nB,2\n\n")
+        assert read_csv(path, ("x",)) == {"bank_id": ("A", "B"), "x": ("1", "2")}
+        assert read_first_row(path, ("x",)) == {"bank_id": "A", "x": "1"}
+
+    def test_short_row_reads_empty_cells(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("bank_id,x,y\nA,1\nB,2,3\nC\n")
+        columns = {"bank_id": ("A", "B", "C"), "x": ("1", "2", ""), "y": ("", "3", "")}
+        assert read_csv(path, ()) == columns
+        assert read_first_row(path, ()) == {"bank_id": "A", "x": "1", "y": ""}
+
+    def test_rows_all_short_of_a_column_read_it_empty(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("bank_id,x\nA\nB\n")
+        assert read_csv(path, ("x",)) == {"bank_id": ("A", "B"), "x": ("", "")}
+
+    def test_long_row_extra_cells_are_dropped(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("bank_id,x\nA,1,extra,more\nB,2\n")
+        assert read_csv(path, ()) == {"bank_id": ("A", "B"), "x": ("1", "2")}
+        assert read_first_row(path, ()) == {"bank_id": "A", "x": "1"}
+
+
+class TestFloatColumns:
+    def test_cells_parse_as_float(self):
+        table = {"a": ("0.1", " -0.0 ", "5e-324"), "b": ("1", "2", "3")}
+        columns = float_columns("t.csv", table, ("a",))
+        assert list(columns) == ["a"] and columns["a"].dtype == np.float64
+        assert columns["a"].tolist() == [0.1, -0.0, SUBNORMAL]
+
+    @pytest.mark.parametrize("cell", ["oops", ""])
+    def test_first_bad_cell_row_by_row_is_parse_error(self, cell):
+        # Row 3 (the second data row) fails in b before row 4 fails in a.
+        table = {"a": ("1", "2", "x"), "b": ("1", cell, "3")}
+        with pytest.raises(ParseError, match=f"t.csv: row 3: non-numeric b={cell!r}") as excinfo:
+            float_columns("t.csv", table, ("a", "b"))
+        assert excinfo.value.row == 3
 
 
 class TestReadFirstRow:
@@ -104,7 +167,7 @@ class TestReadFirstRow:
 
     def test_header_only_gives_none(self, tmp_path):
         path = tmp_path / "a.csv"
-        write_csv(path, ("bank_id",), ())
+        write_csv(path, ("bank_id",), [()])
         assert read_first_row(path, ("bank_id",)) is None
 
     @pytest.mark.parametrize(

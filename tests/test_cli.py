@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 import shlex
+import shutil
 import string
 from pathlib import Path
 
@@ -303,6 +304,19 @@ class TestRunCommand:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_truncated_proxy_row_exits_three(self, full_run, tmp_path, capsys):
+        proxies = tmp_path / "proxies"
+        shutil.copytree(full_run / "proxies", proxies)
+        q2 = proxies / "proxies_2009Q2.csv"
+        header, first, *rest = q2.read_text().splitlines()
+        q2.write_text("\n".join([header, first.split(",")[0], *rest]) + "\n")
+        inputs = full_run / "inputs"
+        argv = ["build-dataset", "--proxies", str(proxies), "--out", str(tmp_path / "ds")]
+        argv += [f"--q{k}={inputs}/panel_2009Q{k}.csv" for k in range(1, 5)]
+        argv += ["--labels", str(inputs / "failed_banks.csv")]
+        assert main(argv) == 3
+        assert f"{q2}: row 2: non-numeric proxy_pct=''" in capsys.readouterr().err
+
     def test_chained_stages_match_run_artifacts(self, full_run, tmp_path):
         # build-dataset and train-mlp, driven stage by stage on the files the
         # full run produced with the run's own --seed: stage isolation means
@@ -435,24 +449,31 @@ def test_grid_file_missing_a_key_exits_three(tmp_path, capsys):
 
 @pytest.mark.parametrize("route", ["train-mlp --grid", "run --config", "run --from-manifest"])
 def test_grid_with_a_fourth_key_exits_three(tmp_path, capsys, route):
-    # mlp.tune takes the grid as written, so a key it has no argument for is
-    # refused with the config, on every way in.
-    grid = {**SMALL_GRID, "momentum": [0.9]}
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(grid))
+    # mlp.tune takes the grid as written, so a key it has no argument for, a
+    # value that is not a list, or a point mlp.MlpConfig refuses is refused
+    # with the config, on every way in, before any stage writes a file.
     out = tmp_path / "out"
-    if route == "train-mlp --grid":
-        argv = ["train-mlp", "--grid", str(path), "--data", "ds", "--out", str(out)]
-    elif route == "run --config":
-        (tmp_path / "run.ini").write_text(f"[mlp]\ngrid = {path}\n")
-        argv = ["run", "--config", str(tmp_path / "run.ini"), "--out", str(out)]
-    else:
-        manifest = tmp_path / "run_manifest.json"
-        manifest.write_text(json.dumps({"config": {**RunConfig().to_dict(), "grid": grid}}))
-        argv = ["run", "--from-manifest", str(manifest), "--out", str(out)]
-    assert main(argv) == 3
-    assert "unknown 'momentum'" in capsys.readouterr().err
-    assert not out.exists()
+    for grid, message in [
+        ({**SMALL_GRID, "momentum": [0.9]}, "unknown 'momentum'"),
+        ({**SMALL_GRID, "learning_rates": 0.05}, "'learning_rates' is not a non-empty list"),
+        ({**SMALL_GRID, "solvers": []}, "'solvers' is not a non-empty list"),
+        ({**SMALL_GRID, "structures": [[8, 16]]}, "exactly 3 positive hidden layers"),
+        ({**SMALL_GRID, "learning_rates": ["fast"]}, "not supported between"),
+    ]:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        if route == "train-mlp --grid":
+            argv = ["train-mlp", "--grid", str(path), "--data", "ds", "--out", str(out)]
+        elif route == "run --config":
+            (tmp_path / "run.ini").write_text(f"[mlp]\ngrid = {path}\n")
+            argv = ["run", "--config", str(tmp_path / "run.ini"), "--out", str(out)]
+        else:
+            manifest = tmp_path / "run_manifest.json"
+            manifest.write_text(json.dumps({"config": {**RunConfig().to_dict(), "grid": grid}}))
+            argv = ["run", "--from-manifest", str(manifest), "--out", str(out)]
+        assert main(argv) == 3, grid
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -139,6 +139,13 @@ class TestRunPipeline:
         assert sorted(merged.tolist()) == list(range(160))
         assert scaler.median.shape == (24,)
 
+    def test_dataset_features_are_c_ordered(self, small_run):
+        # Built as one row per bank, as the file holds them. A transposed view
+        # sums in another order, so every statistic would move in its last
+        # digits; a rerun drifts the same way, so the rerun test cannot see it.
+        panel, _, _ = load_dataset_dir(small_run[0] / "dataset")
+        assert panel.x.flags.c_contiguous
+
     def test_dataset_panel_missing_a_column_is_schema_error(self, small_run, tmp_path):
         out, _ = small_run
         data = tmp_path / "dataset"
