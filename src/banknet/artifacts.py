@@ -95,6 +95,18 @@ def float_columns(path, table, names) -> dict[str, np.ndarray]:
         raise
 
 
+def label_column(path, table, name) -> np.ndarray:
+    """Int array of ``table``'s 0/1 column ``name``; the first cell that is
+    not 0 or 1 is a ParseError naming its row and column."""
+    values = float_columns(path, table, (name,))[name]
+    bad = np.flatnonzero((values != 0.0) & (values != 1.0))
+    if bad.size:
+        line = int(bad[0]) + 2
+        message = f"{path}: row {line}: {name}={table[name][bad[0]]!r} is not 0 or 1"
+        raise ParseError(message, row=line)
+    return values.astype(int)
+
+
 def read_json(path):
     """The decoded payload; SchemaError if the file is not valid JSON."""
     with open(path, encoding="utf-8") as fh:

@@ -18,8 +18,8 @@ bank at zero stays there and insolvency is read off the equity itself,
 ``e == 0``. The exposure matrix and the starting equity are the only network
 state: phi is never stored. Each period ``propagate`` hands the matrix's
 ``loss_step`` the live borrowers and their beta-scaled equity changes. On a
-reconstructed (rank-1) network that step costs O(n); on a dense matrix it
-sums each borrower's ratio row in borrower order, O(n) per borrower.
+reconstructed (rank-1) network that step costs O(n); on a given matrix it
+adds each live borrower's nonzero ratios in borrower order, O(edges).
 
 The per-bank contagion proxy is the percentage equity loss between the
 post-shock state and the converged state, i.e. the damage attributable to

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, mlp
-from .artifacts import float_columns, read_csv, read_json, write_csv, write_json
+from .artifacts import float_columns, label_column, read_csv, read_json, write_csv, write_json
 from .balance_sheets import derive_labels, load_panel, quarter_tag, write_rejection_report
 from .dataset import (
     FeaturePanel,
@@ -371,7 +371,7 @@ def load_dataset_dir(data_dir):
         column_names=columns,
         # C-ordered like the rows; a transposed view sums in another order
         x=np.column_stack([values[c] for c in columns]),
-        y=np.array(table["label"], dtype=int),
+        y=label_column(path, table, "label"),
     )
     splits = SplitAssignment(
         train=np.array(sidecar["splits"]["train"], dtype=int),
@@ -494,15 +494,16 @@ def report_correlations(panel: FeaturePanel):
 
 def stage_report(data_dir, model_path, sensitivity_path, fit_path, out_dir) -> dict:
     panel, _, _ = load_dataset_dir(data_dir)
+    model_payload = read_json(model_path)
+    fit_payload = read_json(fit_path)
+    table = read_csv(sensitivity_path, ("column_name", "gradient"))
+    gradients = float_columns(sensitivity_path, table, ("gradient",))["gradient"]
+    gradients = dict(zip(table["column_name"], gradients.tolist()))
+
     corr, flags = report_correlations(panel)
     out = Path(out_dir)
     corr_path = out / "correlations.csv"
     write_csv(corr_path, ("column",) + panel.column_names, [panel.column_names, *corr.T])
-
-    model_payload = read_json(model_path)
-    fit_payload = read_json(fit_path)
-    table = read_csv(sensitivity_path, ("column_name", "gradient"))
-    gradients = dict(zip(table["column_name"], map(float, table["gradient"])))
 
     summary = {
         "mlp": {

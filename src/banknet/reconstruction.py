@@ -10,7 +10,8 @@ From that start every iterate is W = diag(x)(J - I)diag(y), whose row i sums
 to x_i (sum(y) - y_i) and column j to y_j (sum(x) - x_j), so the loop only
 updates the two scaling vectors, and the result keeps them: a rank-1
 ``ExposureMatrix`` that costs O(n) to hold and to propagate losses through.
-The n x n array is formed only when ``.w`` is read (``write_matrix`` reads
+A matrix given in full keeps only its nonzeros, borrower-major. Either
+form builds the n x n array only when ``.w`` is read (``write_matrix`` reads
 it for ``--dump-matrix``).
 """
 
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .artifacts import create, read_csv, write_csv
 from .errors import DimensionError, DomainError, InfeasibilityError, SchemaError
@@ -34,12 +36,13 @@ _EPS = 1e-12
 class ExposureMatrix:
     """Bilateral loan matrix of ``bank_ids``; ``w[i, j]`` is the loan from i to j.
 
-    Dense form, ``ExposureMatrix(bank_ids, w)``: a given n x n array (a
-    ``read_matrix`` file, the generator's hidden network, a literal matrix).
-    Rank-1 form, ``ExposureMatrix(bank_ids, factors=(x, y))``: RAS's
-    ``W = diag(x)(J - I)diag(y)``, held as its two scaling vectors
-    (``factors`` is None for the dense form). ``w`` reads the dense array,
-    read-only; the rank-1 form builds it on first read and caches it.
+    Nonzeros form, ``ExposureMatrix(bank_ids, w)``: a given n x n matrix,
+    dense or scipy sparse (a ``read_matrix`` file, the generator's hidden
+    network, a literal matrix), copied borrower-major as ``csc``, a
+    ``scipy.sparse.csc_array``. Rank-1 form, ``ExposureMatrix(bank_ids,
+    factors=(x, y))``: RAS's ``W = diag(x)(J - I)diag(y)``, held as its two
+    scaling vectors. The form not held is None. ``w`` is the dense array,
+    read-only, built on first read and cached.
     """
 
     def __init__(self, bank_ids, w=None, *, factors=None):
@@ -47,8 +50,7 @@ class ExposureMatrix:
             raise TypeError("give exactly one of w and factors")
         self.bank_ids = tuple(bank_ids)
         n = len(self.bank_ids)
-        self.factors = None
-        self._w = None
+        self.factors = self.csc = self._w = None
         if factors is not None:
             self.factors = tuple(np.array(v, dtype=float) for v in factors)
             for v in self.factors:
@@ -56,18 +58,14 @@ class ExposureMatrix:
                     raise DimensionError(f"factor of shape {v.shape} for {n} bank_ids")
                 v.setflags(write=False)
             return
-        w = np.asarray(w, dtype=float)
+        if not sparse.issparse(w):
+            w = np.asarray(w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionError(f"exposure matrix must be square, got shape {w.shape}")
         if w.shape[0] != n:
             raise DimensionError(f"{n} bank_ids for a {w.shape[0]}x{w.shape[1]} matrix")
-        # A frozen array that owns its data is taken over as is (the generator
-        # hands over its buffer so); a writeable array or a view, which a
-        # caller could still write through, is copied.
-        if w.flags.writeable or not w.flags.owndata:
-            w = w.copy()
-            w.setflags(write=False)
-        self._w = w
+        self.csc = sparse.csc_array(w, dtype=float, copy=True)
+        self.csc.sum_duplicates()  # and sorts each column's lenders
 
     @property
     def n(self) -> int:
@@ -76,8 +74,11 @@ class ExposureMatrix:
     @property
     def w(self) -> np.ndarray:
         if self._w is None:
-            w = np.multiply.outer(*self.factors)
-            np.fill_diagonal(w, 0.0)
+            if self.factors is None:
+                w = self.csc.toarray()
+            else:
+                w = np.multiply.outer(*self.factors)
+                np.fill_diagonal(w, 0.0)
             w.setflags(write=False)
             self._w = w
         return self._w
@@ -86,7 +87,7 @@ class ExposureMatrix:
         """Row sums (each lender's interbank assets) and column sums (each
         borrower's interbank liabilities)."""
         if self.factors is None:
-            return self._w.sum(axis=1), self._w.sum(axis=0)
+            return self.w.sum(axis=1), self.w.sum(axis=0)
         x, y = self.factors
         return x * (y.sum() - y), y * (x.sum() - x)
 
@@ -99,11 +100,13 @@ class ExposureMatrix:
 
         Rank-1 form, O(n) per call: with ``r_j = y_j / e0_j * impulse_j`` on
         the borrowers (zero elsewhere) and ``S = sum(r)``, lender i takes
-        ``x_i (S - r_i)``. Dense form: one borrower-major copy of the ratios
-        ``W_ij / e0_j``, whose rows are added left to right in borrower order,
-        matching a literal per-term evaluation bit for bit. A BLAS matvec
-        sums in another order and misses the literal reference's 1e-12
-        agreement (by 1.02e-12 in its tests), so the dense form keeps the loop.
+        ``x_i (S - r_i)``. Nonzeros form, O(edges) per call: the ratios
+        ``W_ij / e0_j`` are formed once, borrower-major, and each call adds
+        every live borrower's terms into its lenders' equity one by one
+        (``np.add.at``) in ascending borrower order, a few columns at a time.
+        That is the order of a literal per-term evaluation, matched bit for
+        bit; a BLAS matvec sums in another order and misses the literal
+        reference's 1e-12 agreement (by 1.02e-12 in its tests).
         """
         e0 = np.asarray(e0, dtype=float)
         if self.factors is not None:
@@ -117,15 +120,30 @@ class ExposureMatrix:
 
             return rank_one_step
 
-        phi_by_borrower = np.divide(self._w.T, e0[:, None], order="C")
+        n, indptr, lenders = self.n, self.csc.indptr, self.csc.indices
+        counts = np.diff(indptr)
+        phi = np.repeat(e0, counts)
+        np.divide(self.csc.data, phi, out=phi)
+        # Column ranges of about 4n edges bound each call's temporaries.
+        firsts = np.searchsorted(indptr, np.arange(0, phi.size, 4 * n), side="right") - 1
+        cuts = np.unique(np.append(firsts, n))
 
-        def dense_step(e, borrowers, impulse):
+        def sparse_step(e, borrowers, impulse):
             e = e.copy()
-            for j, s in zip(borrowers, impulse):
-                e += phi_by_borrower[j] * s
+            live = np.zeros(n, dtype=bool)
+            live[borrowers] = True
+            s = np.zeros(n)
+            s[borrowers] = impulse
+            for c0, c1 in zip(cuts, cuts[1:]):
+                edges = slice(indptr[c0], indptr[c1])
+                to, terms = lenders[edges], phi[edges] * np.repeat(s[c0:c1], counts[c0:c1])
+                if not live[c0:c1].all():
+                    on = np.repeat(live[c0:c1], counts[c0:c1])
+                    to, terms = to[on], terms[on]
+                np.add.at(e, to, terms)
             return e
 
-        return dense_step
+        return sparse_step
 
 
 @dataclass(frozen=True)
@@ -270,7 +288,6 @@ def read_matrix(path) -> ExposureMatrix:
             )
         w = np.empty((n, n), dtype="<f8")
         fh.readinto(w)  # the size check above guarantees a full read
-        w.setflags(write=False)
     ids_path = Path(f"{path}.ids.csv")
     if ids_path.exists():
         bank_ids = read_csv(ids_path, ("bank_id",))["bank_id"]

@@ -8,6 +8,10 @@ pipeline (a shared quality factor behind all ratio latents supplies realistic
 cross-correlations). The hidden network's row/column sums are used verbatim
 as the panel's interbank aggregates, so the generated system is closed by
 construction and the pipeline has to reconstruct the bilaterals itself.
+
+The network is held as its edges, never as an n x n array: its n x n draws
+are made ``ROW_BLOCK`` rows at a time on the stream of one full draw, and its
+sums run in numpy's full-matrix order, so the outputs are the dense draw's.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 from .artifacts import write_csv, write_json
@@ -36,6 +41,7 @@ RATIO_SIGNAL = 1.3  # log-odds weight of the planted ratio latents
 # independent of every attribute, they guarantee the classes overlap and
 # keep oversampled panels from being perfectly separable.
 IDIOSYNCRATIC_FRACTION = 0.08
+ROW_BLOCK = 256  # rows of the hidden network's n x n draws held at a time
 
 
 @dataclass(frozen=True)
@@ -73,18 +79,57 @@ def _quarter_tags(spec: SyntheticSpec) -> list[str]:
     return tags
 
 
-def _hidden_edges(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Directed Erdos-Renyi adjacency, zero diagonal, >= 2 lending partners."""
+def _row_blocks(n: int, edges: np.ndarray):
+    """``(first row, row count, slice of edges)`` for each block of
+    ``ROW_BLOCK`` rows of an n x n matrix, ``edges`` being sorted row-major
+    positions ``i * n + j``."""
+    firsts = range(0, n, ROW_BLOCK)
+    cuts = np.searchsorted(edges, [*(r * n for r in firsts), n * n])
+    for r0, k0, k1 in zip(firsts, cuts, cuts[1:]):
+        yield r0, min(ROW_BLOCK, n - r0), slice(k0, k1)
+
+
+def _hidden_edges(rng: np.random.Generator, n: int, buf: np.ndarray) -> np.ndarray:
+    """Directed Erdos-Renyi adjacency, zero diagonal, >= 2 lending partners,
+    as sorted row-major positions. The n x n uniforms are drawn a block of
+    rows at a time into ``buf``, the stream of one ``(n, n)`` draw."""
     p_edge = min(0.5, 20.0 / n)
-    adj = rng.random((n, n)) < p_edge
-    np.fill_diagonal(adj, False)
-    for i in range(n):
-        deg = int(adj[i].sum())
-        if deg < 2:
-            candidates = np.setdiff1d(np.arange(n), np.append(np.flatnonzero(adj[i]), i))
-            picked = rng.choice(candidates, size=2 - deg, replace=False)
-            adj[i, picked] = True
-    return adj
+    parts = []
+    for r0 in range(0, n, ROW_BLOCK):
+        m = min(ROW_BLOCK, n - r0)
+        adj = rng.random(out=buf[:m]) < p_edge
+        adj[np.arange(m), np.arange(r0, r0 + m)] = False
+        parts.append(np.flatnonzero(adj) + r0 * n)
+    edges = np.concatenate(parts)
+    degree = np.bincount(edges // n, minlength=n)
+    for i in np.flatnonzero(degree < 2):
+        lo, hi = np.searchsorted(edges, (i * n, (i + 1) * n))
+        candidates = np.setdiff1d(np.arange(n), np.append(edges[lo:hi] - i * n, i))
+        parts.append(i * n + rng.choice(candidates, size=2 - int(degree[i]), replace=False))
+    return np.sort(np.concatenate(parts))
+
+
+def _on_edges(draw, n: int, edges: np.ndarray) -> np.ndarray:
+    """The values at ``edges`` of an n x n draw made a block of rows at a
+    time: ``draw(m)`` returns the next m rows."""
+    values = np.empty(edges.size)
+    for r0, m, sl in _row_blocks(n, edges):
+        values[sl] = draw(m).ravel()[edges[sl] - r0 * n]
+    return values
+
+
+def _row_sums(values: np.ndarray, n: int, edges: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Row sums of the n x n matrix holding ``values`` at ``edges``, in
+    numpy's pairwise order over whole rows: each block of rows is scattered
+    into the zeroed ``buf`` and summed there."""
+    buf.fill(0.0)
+    sums = []
+    for r0, m, sl in _row_blocks(n, edges):
+        flat = buf[:m].reshape(-1)
+        flat[edges[sl] - r0 * n] = values[sl]
+        sums.append(buf[:m].sum(axis=1))
+        flat[edges[sl] - r0 * n] = 0.0
+    return np.concatenate(sums)
 
 
 def _standardize(values: np.ndarray) -> np.ndarray:
@@ -124,11 +169,13 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
     t1r_latent = np.clip(0.14 + 0.03 * quality + rng.normal(0, 0.015, n), 0.02, None)
     t1l_latent = np.clip(0.095 + 0.02 * quality + rng.normal(0, 0.008, n), 0.01, None)
 
-    base_weights = np.where(_hidden_edges(rng, n), rng.lognormal(0.0, 0.5, (n, n)), 0.0)
+    buf = np.empty((min(ROW_BLOCK, n), n))  # one block of rows, reused
+    edges = _hidden_edges(rng, n, buf)
+    rows, cols = np.divmod(edges, n)
+    base_weights = _on_edges(lambda m: rng.lognormal(0.0, 0.5, (m, n)), n, edges)
 
     panels = []
     growth = np.ones(n)
-    w = np.empty((n, n))  # the hidden bilaterals, redrawn in place each quarter
     for tag in tags:
         growth = growth * np.exp(rng.normal(0.0, 0.02, n))
         ta = ta0 * growth
@@ -139,20 +186,19 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
         # Interbank books churn noticeably quarter over quarter, so the
         # quarterly contagion columns are correlated but not collinear.
         iba_q = np.clip(iba * np.exp(rng.normal(0.0, 0.35, n)), 1e-4, 0.25)
-        # w = base_weights * exp(0.4 z), z standard normal, in the one buffer.
-        rng.standard_normal(out=w)
-        w *= 0.4
-        np.exp(w, out=w)
-        w *= base_weights
-        rs = w.sum(axis=1)
-        w *= (iba_q * ta / rs)[:, None]
+        # w = base_weights * exp(0.4 z), z standard normal over all n x n cells.
+        z = _on_edges(lambda m: rng.standard_normal(out=buf[:m]), n, edges)
+        w = np.exp(z * 0.4) * base_weights
+        rs = _row_sums(w, n, edges, buf)
+        w *= (iba_q * ta / rs)[rows]
         # Borrowing capacity cap: no bank owes more than 40% of liabilities.
-        cs = w.sum(axis=0)
+        # bincount adds each column's edges in row order, as sum(axis=0) does.
+        cs = np.bincount(cols, weights=w, minlength=n)
         cap = 0.4 * tl
         shrink = np.minimum(1.0, np.divide(cap, cs, out=np.ones_like(cs), where=cs > 0))
-        w *= shrink[None, :]
-        ia = w.sum(axis=1)
-        il = w.sum(axis=0)
+        w *= shrink[cols]
+        ia = _row_sums(w, n, edges, buf)
+        il = np.bincount(cols, weights=w, minlength=n)
 
         roa_q = roa_latent + rng.normal(0, 0.0008, n)
         roe_q = roe_latent + rng.normal(0, 0.008, n)
@@ -165,10 +211,8 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
 
     # Ground-truth contagion damage: run the propagation on the hidden
     # bilaterals of the last quarter (the pipeline only ever sees aggregates).
-    # Frozen, the buffer is taken over by ExposureMatrix without a copy.
-    del base_weights
-    w.setflags(write=False)
-    state = init_state(ExposureMatrix(bank_ids=ids, w=w), equity)
+    hidden = sparse.coo_array((w, (rows, cols)), shape=(n, n))
+    state = init_state(ExposureMatrix(bank_ids=ids, w=hidden), equity)
     run = propagate(apply_shock(state, ShockSpec.uniform(ids, spec.shock_fraction)))
     damage = -run.proxy  # percent equity lost to contagion, >= 0
     z_damage = _standardize(damage)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's vectorized code paths: the contagion
 re-evaluator is literal per-bank Python loops, the RAS reference rescales the
-dense n x n matrix in place every step, the sensitivity oracle
+dense n x n matrix in place every step, the generator reference draws and
+propagates its hidden network as dense n x n arrays, the sensitivity oracle
 enumerates every forward path, the logistic oracle is a direct
 Newton-Raphson solve of the score equations, the lasso certificate checks
 the optimality conditions one column at a time, and the MLP trainer oracle
@@ -18,6 +19,9 @@ from itertools import product
 import numpy as np
 from scipy.special import expit
 
+from banknet import synthetic
+from banknet.balance_sheets import NUMERIC_COLUMNS, QuarterlyPanel
+from banknet.debtrank import ShockSpec, apply_shock, init_state, propagate
 from banknet.errors import DimensionError, DivergenceError
 from banknet.mlp import (
     DEFAULT_LEARNING_RATES,
@@ -106,6 +110,105 @@ def ras_reference(ia, il, tolerance=1e-8, max_iter=10_000):
             converged = True
             break
     return w, iterations, converged
+
+
+class DenseExposures:
+    """A bilateral matrix held as a dense n x n array, with the dense contagion
+    step: each period adds every live borrower's row of ratios ``W_ij / e0_j``
+    into its lenders' equity, borrower by borrower. It stands in for an
+    ``ExposureMatrix`` in ``init_state``, ``apply_shock`` and ``propagate``."""
+
+    def __init__(self, bank_ids, w):
+        self.bank_ids = tuple(bank_ids)
+        self.w = np.asarray(w, dtype=float)
+
+    @property
+    def n(self):
+        return len(self.bank_ids)
+
+    def loss_step(self, e0):
+        phi_by_borrower = np.divide(self.w.T, e0[:, None], order="C")
+
+        def dense_step(e, borrowers, impulse):
+            e = e.copy()
+            for j, s in zip(borrowers, impulse):
+                e += phi_by_borrower[j] * s
+            return e
+
+        return dense_step
+
+
+def synthetic_reference(spec):
+    """``synthetic.generate`` with the hidden network held dense: one (n, n)
+    draw each of the Erdos-Renyi uniforms, the lognormal base weights and
+    every quarter's normals, numpy's n x n row and column sums, and the
+    ground truth propagated over ``DenseExposures``."""
+    rng = np.random.default_rng(spec.rng_seed)
+    n = spec.n_banks
+    ids = tuple(f"B{i:05d}" for i in range(n))
+    tags = synthetic._quarter_tags(spec)
+
+    quality = rng.normal(0.0, 1.0, n)
+    ta0 = rng.lognormal(np.log(3e5), 1.2, n)
+    equity_frac = rng.uniform(0.06, 0.14, n)
+    iba = np.clip(rng.lognormal(np.log(0.05), 0.7, n), 1e-4, 0.22)
+    roa_latent = 0.004 + 0.004 * quality + rng.normal(0, 0.002, n)
+    roe_latent = 0.04 + 0.05 * quality + rng.normal(0, 0.02, n)
+    stpd_latent = np.clip(0.012 - 0.008 * quality + rng.normal(0, 0.004, n), 0.0, None)
+    t1r_latent = np.clip(0.14 + 0.03 * quality + rng.normal(0, 0.015, n), 0.02, None)
+    t1l_latent = np.clip(0.095 + 0.02 * quality + rng.normal(0, 0.008, n), 0.01, None)
+
+    adj = rng.random((n, n)) < min(0.5, 20.0 / n)
+    np.fill_diagonal(adj, False)
+    for i in range(n):
+        deg = int(adj[i].sum())
+        if deg < 2:
+            candidates = np.setdiff1d(np.arange(n), np.append(np.flatnonzero(adj[i]), i))
+            adj[i, rng.choice(candidates, size=2 - deg, replace=False)] = True
+    base_weights = np.where(adj, rng.lognormal(0.0, 0.5, (n, n)), 0.0)
+
+    panels = []
+    growth = np.ones(n)
+    for tag in tags:
+        growth = growth * np.exp(rng.normal(0.0, 0.02, n))
+        ta = ta0 * growth
+        ef = np.clip(equity_frac + rng.normal(0.0, 0.004, n), 0.04, 0.2)
+        equity = ef * ta
+        tl = ta - equity
+        iba_q = np.clip(iba * np.exp(rng.normal(0.0, 0.35, n)), 1e-4, 0.25)
+        w = np.exp(rng.standard_normal((n, n)) * 0.4) * base_weights
+        w *= (iba_q * ta / w.sum(axis=1))[:, None]
+        cs = w.sum(axis=0)
+        cap = 0.4 * tl
+        w *= np.minimum(1.0, np.divide(cap, cs, out=np.ones_like(cs), where=cs > 0))[None, :]
+        values = (
+            ta,
+            tl,
+            w.sum(axis=1),
+            w.sum(axis=0),
+            roa_latent + rng.normal(0, 0.0008, n),
+            roe_latent + rng.normal(0, 0.008, n),
+            np.clip(stpd_latent + rng.normal(0, 0.0015, n), 0.0, None),
+            np.clip(t1r_latent + rng.normal(0, 0.004, n), 0.01, None),
+            np.clip(t1l_latent + rng.normal(0, 0.002, n), 0.005, None),
+        )
+        panels.append(QuarterlyPanel(tag, bank_ids=ids, columns=dict(zip(NUMERIC_COLUMNS, values))))
+
+    state = init_state(DenseExposures(ids, w), equity)
+    damage = -propagate(apply_shock(state, ShockSpec.uniform(ids, spec.shock_fraction))).proxy
+    eta_centered = (
+        -synthetic.RATIO_SIGNAL * 0.75 * synthetic._standardize(t1l_latent)
+        - synthetic.RATIO_SIGNAL * 0.75 * synthetic._standardize(roe_latent)
+        + spec.contagion_signal_strength * synthetic._standardize(damage)
+    )
+    if spec.default_rate == 0.0:
+        probs, intercept = np.zeros(n), None
+    else:
+        mix = synthetic.IDIOSYNCRATIC_FRACTION
+        intercept = synthetic._calibrate_intercept(eta_centered, spec.default_rate)
+        probs = (1.0 - mix) * expit(intercept + eta_centered) + mix * spec.default_rate
+    failed = rng.random(n) < probs
+    return panels, failed, intercept, damage, probs
 
 
 def path_sum_gradient(weights, biases, x):

@@ -5,6 +5,7 @@ import pytest
 
 from banknet.artifacts import (
     float_columns,
+    label_column,
     read_csv,
     read_first_row,
     read_json,
@@ -153,6 +154,21 @@ class TestFloatColumns:
         with pytest.raises(ParseError, match=f"t.csv: row 3: non-numeric b={cell!r}") as excinfo:
             float_columns("t.csv", table, ("a", "b"))
         assert excinfo.value.row == 3
+
+
+class TestLabelColumn:
+    def test_zero_one_cells_parse_as_int(self):
+        labels = label_column("t.csv", {"label": ("0", "1", "1")}, "label")
+        assert labels.dtype == np.int64 and labels.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize(
+        "cell, message", [("x", "non-numeric label='x'"), ("2", "label='2' is not 0 or 1")]
+    )
+    def test_first_bad_cell_is_parse_error(self, cell, message):
+        table = {"label": ("0", "1", cell, "-1")}
+        with pytest.raises(ParseError, match=f"t.csv: row 4: {message}") as excinfo:
+            label_column("t.csv", table, "label")
+        assert excinfo.value.row == 4
 
 
 class TestReadFirstRow:

@@ -317,6 +317,30 @@ class TestRunCommand:
         assert main(argv) == 3
         assert f"{q2}: row 2: non-numeric proxy_pct=''" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cell, message", [("x", "non-numeric label='x'"), ("2", "label='2' is not 0 or 1")]
+    )
+    def test_bad_label_cell_exits_three(self, full_run, tmp_path, capsys, cell, message):
+        data = tmp_path / "dataset"
+        shutil.copytree(full_run / "dataset", data)
+        panel = data / "panel.csv"
+        header, first, second, *rest = panel.read_text().splitlines()
+        second = second.rsplit(",", 1)[0] + "," + cell
+        panel.write_text("\n".join([header, first, second, *rest]) + "\n")
+        assert main(["logit", "--data", str(data), "--out", str(tmp_path / "fit.json")]) == 3
+        assert f"{panel}: row 3: {message}" in capsys.readouterr().err
+
+    def test_bad_gradient_cell_exits_three(self, full_run, tmp_path, capsys):
+        sensitivity = tmp_path / "sensitivity.csv"
+        header, first, *rest = (full_run / "sensitivity.csv").read_text().splitlines()
+        first = first.split(",")[0] + ",n/a"
+        sensitivity.write_text("\n".join([header, first, *rest]) + "\n")
+        argv = ["report", "--data", str(full_run / "dataset"), "--model", str(full_run / "model.json")]
+        argv += ["--sensitivity", str(sensitivity), "--fit", str(full_run / "fit.json")]
+        assert main(argv + ["--out", str(tmp_path / "report")]) == 3
+        assert f"{sensitivity}: row 2: non-numeric gradient='n/a'" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
     def test_chained_stages_match_run_artifacts(self, full_run, tmp_path):
         # build-dataset and train-mlp, driven stage by stage on the files the
         # full run produced with the run's own --seed: stage isolation means

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from banknet.balance_sheets import NUMERIC_COLUMNS, QuarterlyPanel, live_subsystem
 from banknet.debtrank import (
@@ -26,7 +27,7 @@ from banknet.reconstruction import (
 )
 from banknet.synthetic import SyntheticSpec, generate
 
-from .oracles import debtrank_reference
+from .oracles import DenseExposures, debtrank_reference
 from .test_balance_sheets import make_record
 
 
@@ -274,6 +275,42 @@ class TestOracleEquivalence:
             assert run.converged == ref_converged
             for got, want in zip(run.trajectory, ref_traj):
                 np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+
+class TestNonzerosForm:
+    """``ExposureMatrix``'s borrower-major nonzeros against the dense step of
+    ``oracles.DenseExposures``, which adds each live borrower's ratio row in
+    borrower order: the same terms in the same order, so the same bits."""
+
+    def _network(self, seed, n=200, density=0.1):
+        rng = np.random.default_rng(seed)
+        e0 = rng.uniform(50.0, 150.0, n)
+        w = np.where(rng.random((n, n)) < density, rng.uniform(0.0, 0.9, (n, n)) * e0, 0.0)
+        np.fill_diagonal(w, 0.0)
+        return tuple(map(str, range(n))), w, e0
+
+    def _trajectory(self, exposures, e0, fraction, beta=1.0, wiped=0):
+        # The first ``wiped`` banks lose all their equity, the rest ``fraction``.
+        targets = {b: 1.0 if i < wiped else fraction for i, b in enumerate(exposures.bank_ids)}
+        shock = ShockSpec("equity_fraction", targets)
+        run = propagate(apply_shock(init_state(exposures, e0), shock), beta=beta, record_trajectory=True)
+        return run, np.array(run.trajectory)
+
+    @pytest.mark.parametrize("fraction, beta, wiped", [(0.1, 1.0, 0), (0.3, 0.5, 0), (0.05, 1.0, 10)])
+    def test_matches_the_dense_step_bit_for_bit(self, fraction, beta, wiped):
+        ids, w, e0 = self._network(seed=wiped + int(100 * fraction))
+        run, got = self._trajectory(ExposureMatrix(ids, w), e0, fraction, beta, wiped)
+        _, want = self._trajectory(DenseExposures(ids, w), e0, fraction, beta, wiped)
+        assert got.tobytes() == want.tobytes()
+        assert run.periods > 2 and run.defaults_cascaded > 0
+
+    def test_sparse_and_dense_input_give_the_same_trajectory(self):
+        ids, w, e0 = self._network(seed=4, n=600, density=0.03)
+        rows, cols = np.nonzero(w)
+        hidden = sparse.coo_array((w[rows, cols], (rows, cols)), shape=w.shape)
+        _, from_sparse = self._trajectory(ExposureMatrix(ids, hidden), e0, 0.2)
+        _, from_dense = self._trajectory(ExposureMatrix(ids, w), e0, 0.2)
+        np.testing.assert_array_equal(from_sparse, from_dense)
 
 
 class TestProxy:
