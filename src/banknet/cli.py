@@ -1,14 +1,18 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages so each can be run in isolation on
-files; `run` chains the lot from a config file and writes a manifest.
+Every stage subcommand is built from one entry of ``pipeline.STAGES``: one
+required flag per path, one optional flag per optional path, and the option
+flags of its RunConfig sections; ``_cmd_stage`` runs it through
+``pipeline.call_stage`` and prints its summary as JSON. `generate-synthetic`
+writes the inputs that `run` would generate, and `run` chains the lot from a
+config file and writes a manifest.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error,
 5 I/O error. `reconstruct` and `simulate` exit 4 when RAS (or, for
 `simulate`, the propagation) did not converge, after writing their outputs;
 `run` exits 4 at the first quarter that did not, and writes no manifest.
-A stage subcommand's option flags are its RunConfig fields' INI keys, with
-`-` for `_`, the same defaults and the same parsers as the INI file.
+An option flag is its RunConfig field's INI key, with `-` for `_`, the same
+default and the same parser as the INI file.
 """
 
 from __future__ import annotations
@@ -20,33 +24,30 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .balance_sheets import live_subsystem, load_panel, quarter_tag, write_rejection_report
-from .debtrank import live_network
+from .balance_sheets import quarter_tag
 from .errors import DataError, NumericalError, StageError
 from .pipeline import (
+    SPEC_FIELDS,
+    STAGES,
     RunConfig,
+    call_stage,
     field_parser,
     rerun_from_manifest,
     run_pipeline,
-    stage_build_dataset,
-    stage_logit,
-    stage_report,
-    stage_sensitivity,
-    stage_simulate,
-    stage_train_mlp,
+    synthetic_spec,
     unconverged_solvers,
 )
-from .reconstruction import write_matrix
 from .synthetic import SyntheticSpec, generate, write_outputs
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *sections: str) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, sections=(), names=()) -> None:
     """One ``--<ini key>`` flag (``_`` spelt ``-``) per RunConfig field of
-    ``sections``, with the field's default and its INI parser; a bool field
-    is a ``store_true`` flag. Each value lands on the field's name."""
+    ``sections`` or in ``names``, with the field's default and its INI
+    parser; a bool field is a ``store_true`` flag. Each value lands on the
+    field's name."""
     for f in fields(RunConfig):
         section = f.metadata["section"]
-        if section not in sections:
+        if section not in sections and f.name not in names:
             continue
         key = (f.metadata["keys"] or (f.name,))[0]
         flag = "--" + key.replace("_", "-")
@@ -70,59 +71,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-synthetic", help="emit seeded synthetic study inputs")
-    p.add_argument("--n-banks", type=int, default=SyntheticSpec.n_banks)
+    _add_config_flags(p, names=("seed", *SPEC_FIELDS))
     p.add_argument("--quarters", type=int, default=SyntheticSpec.quarters)
-    p.add_argument("--default-rate", type=float, default=SyntheticSpec.default_rate)
-    p.add_argument("--signal-strength", type=float, default=SyntheticSpec.contagion_signal_strength)
-    p.add_argument("--start-quarter", default=SyntheticSpec.start_quarter)
-    p.add_argument("--seed", type=int, default=SyntheticSpec.rng_seed)
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("reconstruct", help="rebuild the bilateral exposure matrix")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--quarter", required=True)
-    _add_config_flags(p, "reconstruct")
-    p.add_argument("--dump-matrix", help="binary matrix dump path")
-    p.add_argument("--rejects", help="rejection report path")
-
-    p = sub.add_parser("simulate", help="run the contagion scenario for one quarter")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--quarter", required=True)
-    _add_config_flags(p, "simulate", "reconstruct")
-    p.add_argument("--dump-matrix")
-    p.add_argument("--trajectory", help="per-period equity dump path")
-    p.add_argument("--rejects", help="rejection report path")
-    p.add_argument("--out", required=True, help="proxy CSV path")
-
-    p = sub.add_parser("build-dataset", help="assemble the 24-column feature panel")
-    for k in range(1, 5):
-        p.add_argument(f"--q{k}", required=True, help=f"quarter {k} panel CSV")
-    p.add_argument("--proxies", required=True, help="directory of proxies_<tag>.csv files")
-    p.add_argument("--labels", required=True, help="failed-bank CSV")
-    _add_config_flags(p, "dataset", "run")
-    p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("train-mlp", help="tune and train the neural classifier")
-    p.add_argument("--data", required=True, help="dataset directory")
-    _add_config_flags(p, "mlp", "run")
-    p.add_argument("--out", required=True, help="model JSON path")
-
-    p = sub.add_parser("sensitivity", help="mean output gradient per input column")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="sensitivity CSV path")
-
-    p = sub.add_parser("logit", help="L1-penalized logistic fit with refit inference")
-    p.add_argument("--data", required=True)
-    _add_config_flags(p, "logit")
-    p.add_argument("--out", required=True, help="fit JSON path")
-
-    p = sub.add_parser("report", help="correlation matrix and summary report")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--sensitivity", required=True)
-    p.add_argument("--fit", required=True)
-    p.add_argument("--out", required=True, help="output directory")
+    for command, stage in STAGES.items():
+        p = sub.add_parser(command, help=stage.help)
+        places = {name: f"<run>/{place}" for name, place in zip(stage.paths, stage.run)}
+        for name in stage.paths:
+            p.add_argument(f"--{name}", required=True, help=places.get(name))
+        for name in stage.options:
+            p.add_argument("--" + name.replace("_", "-"), help="optional output path")
+        _add_config_flags(p, stage.sections)
 
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("--config", help="INI config file")
@@ -132,79 +92,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    spec = SyntheticSpec(
-        n_banks=args.n_banks,
-        quarters=args.quarters,
-        default_rate=args.default_rate,
-        contagion_signal_strength=args.signal_strength,
-        rng_seed=args.seed,
-        start_quarter=args.start_quarter,
-    )
-    result = generate(spec)
+    result = generate(synthetic_spec(_config(args), args.quarters))
     paths = write_outputs(result, args.out)
     print(f"wrote {len(paths)} files to {args.out} ({result.ground_truth['n_failed']} failed banks)")
     return 0
 
 
-def _cmd_reconstruct(args) -> int:
-    panel = load_panel(args.panel, args.quarter)
-    if panel.rejections and args.rejects:
-        write_rejection_report(args.rejects, panel.rejections)
-    sub, _ = live_subsystem(panel)
-    config = _config(args)
-    exposures, report = live_network(sub, tolerance=config.tolerance, max_iter=config.max_iter)
-    if args.dump_matrix:
-        write_matrix(args.dump_matrix, exposures)
-    print(
-        f"n={exposures.n} iterations={report.iterations} "
-        f"max_marginal_error={report.max_marginal_error:.3e} converged={report.converged}"
-    )
-    return 0 if report.converged else 4
-
-
-def _cmd_simulate(args) -> int:
-    summary = stage_simulate(
-        args.panel,
-        args.quarter,
-        args.out,
-        config=_config(args),
-        dump_matrix=args.dump_matrix,
-        trajectory_path=args.trajectory,
-        rejects_path=args.rejects,
-    )
+def _cmd_stage(args) -> int:
+    stage = STAGES[args.command]
+    paths = [getattr(args, name) for name in stage.paths]
+    if args.command == "build-dataset":  # --q1..--q4 travel as (path, quarter) pairs
+        paths[:4] = [[(path, quarter_tag(path)) for path in paths[:4]]]
+    options = {name: getattr(args, name) for name in stage.options}
+    summary = call_stage(args.command, *paths, config=_config(args), **options)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 4 if unconverged_solvers(summary) else 0
-
-
-def _cmd_build_dataset(args) -> int:
-    panels = [(path, quarter_tag(path)) for path in (args.q1, args.q2, args.q3, args.q4)]
-    summary = stage_build_dataset(panels, args.proxies, args.labels, args.out, config=_config(args))
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_train_mlp(args) -> int:
-    summary = stage_train_mlp(args.data, args.out, config=_config(args))
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_sensitivity(args) -> int:
-    summary = stage_sensitivity(args.model, args.data, args.out)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_logit(args) -> int:
-    summary = stage_logit(args.data, args.out, config=_config(args))
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_report(args) -> int:
-    summary = stage_report(args.data, args.model, args.sensitivity, args.fit, args.out)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
 
 
 def _cmd_run(args) -> int:
@@ -221,17 +123,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "generate-synthetic": _cmd_generate,
-    "reconstruct": _cmd_reconstruct,
-    "simulate": _cmd_simulate,
-    "build-dataset": _cmd_build_dataset,
-    "train-mlp": _cmd_train_mlp,
-    "sensitivity": _cmd_sensitivity,
-    "logit": _cmd_logit,
-    "report": _cmd_report,
-    "run": _cmd_run,
-}
+_HANDLERS = {"generate-synthetic": _cmd_generate, "run": _cmd_run}
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -251,7 +143,7 @@ def exit_code_for(exc: BaseException) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)  # --grid reads its file here
-        return _HANDLERS[args.command](args)
+        return _HANDLERS.get(args.command, _cmd_stage)(args)
     except (StageError, DataError, NumericalError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -9,6 +9,13 @@ manifest alone. Every stage takes its seed from ``config.seed``: the
 generator draws from it, the dataset from ``seed + 1`` and the MLP grid
 from ``seed + 2``.
 
+``STAGES`` is the one table of the stage layer. Each entry is a stage
+subcommand (``cli`` builds its flags from it) and names, by its key, the
+``stage_*`` function that ``call_stage`` looks up on this module at call
+time; the entries after ``build-dataset`` also place each path in a run
+directory, and ``run_pipeline`` walks them. The generator's spec comes from
+``synthetic_spec`` on both ways in: ``run`` and ``generate-synthetic``.
+
 A quarter panel travels as a ``(path, quarter)`` pair, resolved once per run
 (from the generator, or from ``balance_sheets.quarter_tag``), and its
 contagion proxies live at ``proxy_csv(proxy_dir, quarter)``. The dataset's
@@ -34,7 +41,13 @@ import numpy as np
 
 from . import __version__, mlp
 from .artifacts import float_columns, label_column, read_csv, read_json, write_csv, write_json
-from .balance_sheets import derive_labels, load_panel, quarter_tag, write_rejection_report
+from .balance_sheets import (
+    derive_labels,
+    live_subsystem,
+    load_panel,
+    quarter_tag,
+    write_rejection_report,
+)
 from .dataset import (
     FeaturePanel,
     RobustScalerParams,
@@ -52,6 +65,7 @@ from .debtrank import (
     DEFAULT_BETA,
     DEFAULT_MAX_PERIODS,
     DEFAULT_SHOCK_FRACTION,
+    live_network,
     simulate_quarter,
 )
 from .errors import ConvergenceError, DataError, SchemaError, StageError
@@ -219,6 +233,31 @@ def _input_digests(paths, recorded: dict[str, str] | None = None) -> dict[str, s
 # stages
 
 
+def _load_quarter(panel_path, quarter: str, rejects):
+    """One quarter's panel; its rejected rows go to ``rejects`` when given."""
+    panel = load_panel(panel_path, quarter)
+    if panel.rejections and rejects:
+        write_rejection_report(rejects, panel.rejections)
+    return panel
+
+
+def stage_reconstruct(
+    panel_path, quarter: str, *, config: RunConfig = RunConfig(), dump_matrix=None, rejects=None
+) -> dict:
+    """Load one quarter and reconstruct its live banks' network: the first
+    half of ``stage_simulate``. Uses the ``[reconstruct]`` options of ``config``."""
+    sub, _ = live_subsystem(_load_quarter(panel_path, quarter, rejects))
+    exposures, ras = live_network(sub, tolerance=config.tolerance, max_iter=config.max_iter)
+    if dump_matrix is not None:
+        write_matrix(dump_matrix, exposures)
+    return {
+        "n_banks": exposures.n,
+        "ras_iterations": ras.iterations,
+        "ras_max_marginal_error": ras.max_marginal_error,
+        "ras_converged": ras.converged,
+    }
+
+
 def stage_simulate(
     panel_path,
     quarter: str,
@@ -226,16 +265,14 @@ def stage_simulate(
     *,
     config: RunConfig = RunConfig(),
     dump_matrix=None,
-    trajectory_path=None,
-    rejects_path=None,
+    trajectory=None,
+    rejects=None,
 ) -> dict:
     """Load one quarter, reconstruct its network, run the shock, dump proxies.
 
     Uses the ``[reconstruct]`` and ``[simulate]`` options of ``config``.
     """
-    panel = load_panel(panel_path, quarter)
-    if panel.rejections and rejects_path:
-        write_rejection_report(rejects_path, panel.rejections)
+    panel = _load_quarter(panel_path, quarter, rejects)
     sim = simulate_quarter(
         panel,
         beta=config.beta,
@@ -244,17 +281,17 @@ def stage_simulate(
         tolerance=config.tolerance,
         max_iter=config.max_iter,
         max_periods=config.max_periods,
-        record_trajectory=trajectory_path is not None,
+        record_trajectory=trajectory is not None,
     )
     run = sim.run
     header = ("bank_id", "proxy_pct", "initially_defaulted", "cascade_defaulted")
     defaulted = (run.initially_defaulted.astype(int), run.cascade_defaulted.astype(int))
     write_csv(out_csv, header, [sim.bank_ids, run.proxy, *defaulted])
-    if trajectory_path is not None:
+    if trajectory is not None:
         periods = len(run.trajectory)
         period = np.arange(periods).repeat(len(sim.bank_ids))
         columns = [period, sim.bank_ids * periods, np.concatenate(run.trajectory)]
-        write_csv(trajectory_path, ("period", "bank_id", "equity"), columns)
+        write_csv(trajectory, ("period", "bank_id", "equity"), columns)
     if dump_matrix is not None:
         write_matrix(dump_matrix, sim.exposures)
     return {
@@ -273,9 +310,10 @@ def stage_simulate(
 
 
 def unconverged_solvers(summary: dict) -> list[str]:
-    """The solvers that ran out of budget in a ``stage_simulate`` summary."""
+    """The solvers that ran out of budget in a stage summary; a stage that
+    runs no solver reports none."""
     flags = (("RAS", "ras_converged"), ("propagation", "converged"))
-    return [solver for solver, key in flags if not summary[key]]
+    return [solver for solver, key in flags if not summary.get(key, True)]
 
 
 def proxy_csv(proxy_dir, quarter: str) -> Path:
@@ -530,6 +568,75 @@ def stage_report(data_dir, model_path, sensitivity_path, fit_path, out_dir) -> d
 # orchestration
 
 
+class Stage(typing.NamedTuple):
+    """A stage subcommand: its help, its path flags in call order, its
+    optional path keywords, the RunConfig sections of its option flags and,
+    for a stage that ``run_pipeline`` runs on fixed paths, each path's place
+    in the run directory ("" is the directory itself)."""
+
+    help: str
+    paths: tuple[str, ...]
+    options: tuple[str, ...] = ()
+    sections: tuple[str, ...] = ()
+    run: tuple[str, ...] = ()
+
+
+STAGES = {
+    "reconstruct": Stage(
+        "rebuild the bilateral exposure matrix",
+        ("panel", "quarter"), ("dump_matrix", "rejects"), ("reconstruct",),
+    ),
+    "simulate": Stage(
+        "run the contagion scenario for one quarter",
+        ("panel", "quarter", "out"), ("dump_matrix", "trajectory", "rejects"),
+        ("simulate", "reconstruct"),
+    ),
+    "build-dataset": Stage(
+        "assemble the 24-column feature panel",
+        ("q1", "q2", "q3", "q4", "proxies", "labels", "out"), sections=("dataset", "run"),
+    ),
+    "train-mlp": Stage(
+        "tune and train the neural classifier",
+        ("data", "out"), sections=("mlp", "run"), run=("dataset", "model.json"),
+    ),
+    "sensitivity": Stage(
+        "mean output gradient per input column",
+        ("model", "data", "out"), run=("model.json", "dataset", "sensitivity.csv"),
+    ),
+    "logit": Stage(
+        "L1-penalized logistic fit with refit inference",
+        ("data", "out"), sections=("logit",), run=("dataset", "fit.json"),
+    ),
+    "report": Stage(
+        "correlation matrix and summary report",
+        ("data", "model", "sensitivity", "fit", "out"),
+        run=("dataset", "model.json", "sensitivity.csv", "fit.json", ""),
+    ),
+}
+
+
+def call_stage(command: str, *paths, config: RunConfig, **options) -> dict:
+    """Run ``STAGES[command]``'s function, ``stage_<command>`` with ``_`` for
+    ``-``, on its paths; it gets ``config`` when its table entry names
+    sections. The function is looked up on this module at each call, so a
+    wrapper set on the module attribute (a tracer, a test) sees the call."""
+    if STAGES[command].sections:
+        options["config"] = config
+    return globals()["stage_" + command.replace("-", "_")](*paths, **options)
+
+
+# The generator options RunConfig carries under SyntheticSpec's names.
+SPEC_FIELDS = tuple(
+    f.name for f in fields(RunConfig) if f.name in {g.name for g in fields(SyntheticSpec)}
+)
+
+
+def synthetic_spec(config: RunConfig, quarters: int = 4) -> SyntheticSpec:
+    """The generator's spec for ``config``: its ``SPEC_FIELDS`` and its seed."""
+    shared = {name: getattr(config, name) for name in SPEC_FIELDS}
+    return SyntheticSpec(quarters=quarters, rng_seed=config.seed, **shared)
+
+
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -543,7 +650,8 @@ def run_pipeline(config: RunConfig, out_dir, command=None, *, input_digests=None
     """Execute the full pipeline and write run_manifest.json.
 
     Stage order: inputs -> simulate (x4) -> build-dataset -> train-mlp ->
-    sensitivity -> logit -> report. Partial artifacts are retained on error;
+    sensitivity -> logit -> report; the last four run on the run-directory
+    paths their ``STAGES`` entries give. Partial artifacts are retained on error;
     a quarter whose RAS or propagation did not converge stops the run after
     its proxy CSV is written. A missing input file is a DataError, and so is
     one whose SHA-256 differs from its entry in ``input_digests`` when given.
@@ -553,14 +661,7 @@ def run_pipeline(config: RunConfig, out_dir, command=None, *, input_digests=None
     inputs: dict[str, str] = {}
 
     if config.synthetic:
-        # The generator options RunConfig carries under the same names.
-        shared = {f.name for f in fields(SyntheticSpec)} & {f.name for f in fields(config)}
-        spec = SyntheticSpec(
-            quarters=4,
-            rng_seed=config.seed,
-            **{name: getattr(config, name) for name in shared},
-        )
-        result = _stage("generate-synthetic", generate, spec)
+        result = _stage("generate-synthetic", generate, synthetic_spec(config))
         paths = _stage("generate-synthetic", write_outputs, result, out / "inputs")
         panels = [(paths[f"panel_{p.quarter}"], p.quarter) for p in result.panels]
         labels_file = paths["failed_banks"]
@@ -585,7 +686,7 @@ def run_pipeline(config: RunConfig, out_dir, command=None, *, input_digests=None
             tag,
             proxy_csv(proxy_dir, tag),
             config=config,
-            rejects_path=proxy_dir / f"rejected_rows_{tag}.csv",
+            rejects=proxy_dir / f"rejected_rows_{tag}.csv",
         )
         failed = unconverged_solvers(summary)
         if failed:
@@ -595,29 +696,19 @@ def run_pipeline(config: RunConfig, out_dir, command=None, *, input_digests=None
         sim_summaries.append(summary)
     stages["simulate"] = sim_summaries
 
-    dataset_dir = out / "dataset"
     stages["build-dataset"] = _stage(
         "build-dataset",
         stage_build_dataset,
         panels,
         proxy_dir,
         labels_file,
-        dataset_dir,
+        out / "dataset",
         config=config,
     )
-    model_path = out / "model.json"
-    stages["train-mlp"] = _stage(
-        "train-mlp", stage_train_mlp, dataset_dir, model_path, config=config
-    )
-    sensitivity_path = out / "sensitivity.csv"
-    stages["sensitivity"] = _stage(
-        "sensitivity", stage_sensitivity, model_path, dataset_dir, sensitivity_path
-    )
-    fit_path = out / "fit.json"
-    stages["logit"] = _stage("logit", stage_logit, dataset_dir, fit_path, config=config)
-    stages["report"] = _stage(
-        "report", stage_report, dataset_dir, model_path, sensitivity_path, fit_path, out
-    )
+    for command, stage in STAGES.items():
+        if stage.run:
+            paths = [out / place for place in stage.run]
+            stages[command] = _stage(command, call_stage, command, *paths, config=config)
 
     artifacts = {}
     for path in sorted(out.rglob("*")):

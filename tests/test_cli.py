@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from banknet import cli
+from banknet import cli, pipeline
 from banknet.balance_sheets import QuarterlyPanel, write_panel_csv
 from banknet.cli import main
 from banknet.pipeline import RunConfig
@@ -74,8 +74,7 @@ class TestStageCommands:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "converged=True" in out
+        assert json.loads(capsys.readouterr().out)["ras_converged"] is True
         assert (tmp_path / "w.bin").exists()
 
     def test_simulate_writes_proxies(self, inputs_dir, tmp_path):
@@ -262,8 +261,8 @@ class TestRunCommand:
         # A file-mode run records its inputs' SHA-256; a rerun on an edited
         # or missing input stops before any stage, with exit 3 and no manifest.
         inputs = tmp_path / "inputs"
-        argv = ["generate-synthetic", "--n-banks", "60", "--default-rate", "0.3"]
-        assert main(argv + ["--signal-strength", "0.6", "--seed", "9", "--out", str(inputs)]) == 0
+        argv = ["generate-synthetic", "--n-banks", "60", "--default-rate", "0.3", "--seed", "9"]
+        assert main(argv + ["--contagion-signal-strength", "0.6", "--out", str(inputs)]) == 0
         (tmp_path / "grid.json").write_text(json.dumps(SMALL_GRID))
         quarters = "\n".join(f"q{k} = {inputs}/panel_2009Q{k}.csv" for k in range(1, 5))
         (tmp_path / "run.ini").write_text(
@@ -382,11 +381,72 @@ def test_run_stops_with_exit_four_on_an_unconverged_quarter(tmp_path, capsys):
     assert not (out / "run_manifest.json").exists()
 
 
+class _Captured(BaseException):
+    """Stops a command at the generator, past its ``except Exception`` blocks."""
+
+
+def test_run_and_generate_synthetic_build_the_same_spec(tmp_path, monkeypatch):
+    # A run's generator keys, [run] seed and [simulate] shock_fraction are
+    # generate-synthetic's flags, so both hand the generator one spec.
+    specs = []
+
+    def capture(spec):
+        specs.append(spec)
+        raise _Captured
+
+    monkeypatch.setattr(pipeline, "generate", capture)
+    monkeypatch.setattr(cli, "generate", capture)
+    (tmp_path / "run.ini").write_text(
+        "[run]\nseed = 23\n\n[inputs]\nn_banks = 50\ndefault_rate = 0.3\n"
+        "contagion_signal_strength = 0.6\nstart_quarter = 2010Q3\n\n"
+        "[simulate]\nshock_fraction = 0.3\n"
+    )
+    with pytest.raises(_Captured):
+        main(["run", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "run")])
+    flags = "--seed 23 --n-banks 50 --default-rate 0.3 --contagion-signal-strength 0.6 "
+    flags += "--start-quarter 2010Q3 --shock-fraction 0.3"
+    with pytest.raises(_Captured):
+        main(["generate-synthetic", *flags.split(), "--out", str(tmp_path / "gen")])
+    run_spec, cli_spec = specs
+    assert run_spec == cli_spec
+    assert (run_spec.rng_seed, run_spec.shock_fraction) == (23, 0.3)
+
+
+def test_every_stage_call_goes_through_the_pipeline_module(tmp_path, monkeypatch):
+    # perfbench's tracer wraps a stage where banknet holds it, on the
+    # pipeline module: a run and each stage subcommand must call it there.
+    names = [name for name in vars(pipeline) if name.startswith("stage_")]
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    config = RunConfig(
+        n_banks=60, default_rate=0.3, total=40, epochs=5, batch_size=8, grid=SMALL_GRID, lam=0.5
+    )
+    pipeline.run_pipeline(config, tmp_path / "run")
+    assert calls == {**dict.fromkeys(names, 1), "stage_reconstruct": 0, "stage_simulate": 4}
+
+    reached = []
+    for name in names:
+        monkeypatch.setattr(pipeline, name, lambda *a, _name=name, **k: reached.append(_name) or {})
+    for command, stage in pipeline.STAGES.items():
+        paths = [arg for path in stage.paths for arg in (f"--{path}", "panel_2009Q1.csv")]
+        assert main([command, *paths]) == 0, command
+    assert reached == ["stage_" + command.replace("-", "_") for command in pipeline.STAGES]
+
+
 # Every subcommand's option flags, pinned by hand: renaming or dropping a
 # RunConfig field must not silently rename or drop a flag.
 FLAGS = {
-    "generate-synthetic": "--n-banks --quarters --default-rate --signal-strength "
-    "--start-quarter --seed --out",
+    "generate-synthetic": "--n-banks --quarters --default-rate --contagion-signal-strength "
+    "--start-quarter --seed --shock-fraction --out",
     "reconstruct": "--panel --quarter --tolerance --max-iter --dump-matrix --rejects",
     "simulate": "--panel --quarter --shock-fraction --beta --alpha --max-periods "
     "--tolerance --max-iter --dump-matrix --trajectory --rejects --out",
@@ -402,6 +462,7 @@ FLAGS = {
 # The required arguments of each stage subcommand; quarter files are named
 # by tag, so build-dataset never opens them before its stage runs.
 REQUIRED = {
+    "generate-synthetic": ["--out", "gen"],
     "reconstruct": ["--panel", "p.csv", "--quarter", "2009Q1"],
     "simulate": ["--panel", "p.csv", "--quarter", "2009Q1", "--out", "o.csv"],
     "build-dataset": [
@@ -457,7 +518,7 @@ def test_stage_flag_parses_like_its_ini_key(name, tmp_path, monkeypatch):
         handed.append(config)
         return {"ras_converged": True, "converged": True}
 
-    monkeypatch.setattr(cli, stage, fake_stage)
+    monkeypatch.setattr(pipeline, stage, fake_stage)
     key, _, raw = (part.strip() for part in line.partition("="))
     value = [] if isinstance(expected, bool) else [raw]
     assert main([command, "--" + key.replace("_", "-"), *value, *REQUIRED[command]]) == 0

@@ -450,7 +450,7 @@ class TestStageSimulate:
             paths["panel_2009Q1"],
             "2009Q1",
             out_csv,
-            trajectory_path=traj,
+            trajectory=traj,
             dump_matrix=tmp_path / "w.bin",
         )
         with open(out_csv, newline="") as fh:
