@@ -13,8 +13,10 @@ from ``seed + 2``.
 subcommand (``cli`` builds its flags from it) and names, by its key, the
 ``stage_*`` function that ``call_stage`` looks up on this module at call
 time; the entries after ``build-dataset`` also place each path in a run
-directory, and ``run_pipeline`` walks them. The generator's spec comes from
-``synthetic_spec`` on both ways in: ``run`` and ``generate-synthetic``.
+directory. ``run_pipeline`` sends every stage through ``call_stage`` in one
+loop: simulate per quarter, build-dataset, then those entries. The
+generator's spec comes from ``synthetic_spec`` on both ways in: ``run`` and
+``generate-synthetic``.
 
 A quarter panel travels as a ``(path, quarter)`` pair, resolved once per run
 (from the generator, or from ``balance_sheets.quarter_tag``), and its
@@ -89,6 +91,7 @@ VOLATILE_MANIFEST_KEYS = ("created_utc", "command", "out_dir")
 
 LAMBDA_AUTO = "auto"  # the lam value that selects lambda on the validation split
 GRID_KEYS = ("structures", "solvers", "learning_rates")  # mlp.tune's grid arguments
+SPLITS = ("train", "validation", "test")  # SplitAssignment's partitions, in field order
 
 
 def parse_grid(raw: str) -> dict | None:
@@ -241,6 +244,16 @@ def _load_quarter(panel_path, quarter: str, rejects):
     return panel
 
 
+def _network_summary(exposures, ras) -> dict:
+    """The reconstructed network's keys of the reconstruct and simulate summaries."""
+    return {
+        "n_banks": exposures.n,
+        "ras_iterations": ras.iterations,
+        "ras_max_marginal_error": ras.max_marginal_error,
+        "ras_converged": ras.converged,
+    }
+
+
 def stage_reconstruct(
     panel_path, quarter: str, *, config: RunConfig = RunConfig(), dump_matrix=None, rejects=None
 ) -> dict:
@@ -250,12 +263,7 @@ def stage_reconstruct(
     exposures, ras = live_network(sub, tolerance=config.tolerance, max_iter=config.max_iter)
     if dump_matrix is not None:
         write_matrix(dump_matrix, exposures)
-    return {
-        "n_banks": exposures.n,
-        "ras_iterations": ras.iterations,
-        "ras_max_marginal_error": ras.max_marginal_error,
-        "ras_converged": ras.converged,
-    }
+    return _network_summary(exposures, ras)
 
 
 def stage_simulate(
@@ -295,14 +303,11 @@ def stage_simulate(
     if dump_matrix is not None:
         write_matrix(dump_matrix, sim.exposures)
     return {
+        **_network_summary(sim.exposures, sim.ras),
         "quarter": quarter,
-        "n_banks": len(sim.bank_ids),
         "n_rejected_rows": len(panel.rejections),
         "excluded_nonpositive_equity": [b for b, _ in sim.excluded],
         "closure_factor": sim.closure_factor,
-        "ras_iterations": sim.ras.iterations,
-        "ras_max_marginal_error": sim.ras.max_marginal_error,
-        "ras_converged": sim.ras.converged,
         "periods": sim.run.periods,
         "converged": sim.run.converged,
         "defaults_cascaded": sim.run.defaults_cascaded,
@@ -359,7 +364,7 @@ def stage_build_dataset(
         per_part += per_part % 2  # rebalance needs an even target
         parts = [
             rebalanced_rows(panel.y, rows, per_part, seed + 11 + k)
-            for k, rows in enumerate((raw_splits.train, raw_splits.validation, raw_splits.test))
+            for k, rows in enumerate(getattr(raw_splits, part) for part in SPLITS)
         ]
         final = take(panel, np.concatenate(parts))
         splits = SplitAssignment(*np.arange(len(final)).reshape(3, per_part), seed)
@@ -377,11 +382,7 @@ def stage_build_dataset(
         "horizon": labels.horizon,
         "quarters": [q.quarter for q in quarters],
         "rebalance_after_split": config.rebalance_after_split,
-        "splits": {
-            "train": splits.train.tolist(),
-            "validation": splits.validation.tolist(),
-            "test": splits.test.tolist(),
-        },
+        "splits": {part: getattr(splits, part).tolist() for part in SPLITS},
         "scaler": {"median": scaler.median.tolist(), "iqr": scaler.iqr.tolist()},
         "exclusions": [list(e) for e in panel.exclusions],
         "source_rows": len(panel),
@@ -411,12 +412,8 @@ def load_dataset_dir(data_dir):
         x=np.column_stack([values[c] for c in columns]),
         y=label_column(path, table, "label"),
     )
-    splits = SplitAssignment(
-        train=np.array(sidecar["splits"]["train"], dtype=int),
-        validation=np.array(sidecar["splits"]["validation"], dtype=int),
-        test=np.array(sidecar["splits"]["test"], dtype=int),
-        rng_seed=sidecar["seed"],
-    )
+    parts = (np.array(sidecar["splits"][part], dtype=int) for part in SPLITS)
+    splits = SplitAssignment(*parts, rng_seed=sidecar["seed"])
     scaler = RobustScalerParams(
         median=np.array(sidecar["scaler"]["median"], dtype=float),
         iqr=np.array(sidecar["scaler"]["iqr"], dtype=float),
@@ -650,11 +647,13 @@ def run_pipeline(config: RunConfig, out_dir, command=None, *, input_digests=None
     """Execute the full pipeline and write run_manifest.json.
 
     Stage order: inputs -> simulate (x4) -> build-dataset -> train-mlp ->
-    sensitivity -> logit -> report; the last four run on the run-directory
-    paths their ``STAGES`` entries give. Partial artifacts are retained on error;
-    a quarter whose RAS or propagation did not converge stops the run after
-    its proxy CSV is written. A missing input file is a DataError, and so is
-    one whose SHA-256 differs from its entry in ``input_digests`` when given.
+    sensitivity -> logit -> report, each reached through ``call_stage``; the
+    last four run on the run-directory paths their ``STAGES`` entries give.
+    Partial artifacts are retained on error; a stage whose summary names an
+    unconverged solver stops the run after writing its outputs. A missing
+    input file is a DataError, and so is one whose SHA-256 differs from its
+    entry in ``input_digests`` when given. The manifest records ``command``
+    (default ``sys.argv``).
     """
     out = Path(out_dir)
     stages: dict[str, dict] = {}
@@ -677,38 +676,30 @@ def run_pipeline(config: RunConfig, out_dir, command=None, *, input_digests=None
         panels = [(p, _stage("inputs", quarter_tag, p)) for p in config.quarter_files]
 
     proxy_dir = out / "proxies"
-    sim_summaries = []
-    for path, tag in panels:
-        summary = _stage(
+    calls = [  # (stage, its paths, its optional paths), in run order
+        (
             "simulate",
-            stage_simulate,
-            path,
-            tag,
-            proxy_csv(proxy_dir, tag),
-            config=config,
-            rejects=proxy_dir / f"rejected_rows_{tag}.csv",
+            (path, tag, proxy_csv(proxy_dir, tag)),
+            {"rejects": proxy_dir / f"rejected_rows_{tag}.csv"},
         )
+        for path, tag in panels
+    ]
+    calls.append(("build-dataset", (panels, proxy_dir, labels_file, out / "dataset"), {}))
+    for name, stage in STAGES.items():
+        if stage.run:
+            calls.append((name, [out / place for place in stage.run], {}))
+    for name, args, options in calls:
+        summary = _stage(name, call_stage, name, *args, config=config, **options)
         failed = unconverged_solvers(summary)
         if failed:
             budget = f"max_iter = {config.max_iter}, max_periods = {config.max_periods}"
-            error = f"quarter {tag}: {' and '.join(failed)} did not converge ({budget})"
-            raise StageError("simulate", ConvergenceError(error))
-        sim_summaries.append(summary)
-    stages["simulate"] = sim_summaries
-
-    stages["build-dataset"] = _stage(
-        "build-dataset",
-        stage_build_dataset,
-        panels,
-        proxy_dir,
-        labels_file,
-        out / "dataset",
-        config=config,
-    )
-    for command, stage in STAGES.items():
-        if stage.run:
-            paths = [out / place for place in stage.run]
-            stages[command] = _stage(command, call_stage, command, *paths, config=config)
+            where = f"quarter {summary['quarter']}: " if "quarter" in summary else ""
+            error = f"{where}{' and '.join(failed)} did not converge ({budget})"
+            raise StageError(name, ConvergenceError(error))
+        if "quarter" in STAGES[name].paths:  # a per-quarter stage keeps a list
+            stages.setdefault(name, []).append(summary)
+        else:
+            stages[name] = summary
 
     artifacts = {}
     for path in sorted(out.rglob("*")):

@@ -85,9 +85,10 @@ class ExposureMatrix:
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """Row sums (each lender's interbank assets) and column sums (each
-        borrower's interbank liabilities)."""
+        borrower's interbank liabilities), in O(edges) or O(n): neither form
+        builds ``w``."""
         if self.factors is None:
-            return self.w.sum(axis=1), self.w.sum(axis=0)
+            return self.csc.sum(axis=1), self.csc.sum(axis=0)
         x, y = self.factors
         return x * (y.sum() - y), y * (x.sum() - x)
 

@@ -4,6 +4,7 @@ import re
 import shlex
 import shutil
 import string
+import sys
 from pathlib import Path
 
 import pytest
@@ -412,6 +413,44 @@ def test_run_and_generate_synthetic_build_the_same_spec(tmp_path, monkeypatch):
     assert (run_spec.rng_seed, run_spec.shock_fraction) == (23, 0.3)
 
 
+# The smallest run that completes, and its INI spelling.
+TINY_RUN = RunConfig(
+    n_banks=60, default_rate=0.3, total=40, epochs=5, batch_size=8, grid=SMALL_GRID, lam=0.5
+)
+TINY_INI = """\
+[inputs]
+n_banks = 60
+default_rate = 0.3
+
+[dataset]
+total = 40
+
+[mlp]
+epochs = 5
+batch_size = 8
+grid = {grid_path}
+
+[logit]
+lambda = 0.5
+"""
+
+
+def test_manifest_records_the_invoking_command(tmp_path, monkeypatch):
+    manifest = pipeline.run_pipeline(TINY_RUN, tmp_path / "api", command=["banknet", "run"])
+    assert manifest["command"] == ["banknet", "run"]
+    recorded = tmp_path / "api" / "run_manifest.json"
+    assert json.loads(recorded.read_text())["command"] == ["banknet", "run"]
+    rerun = pipeline.rerun_from_manifest(recorded, tmp_path / "rerun")
+    assert rerun["command"] == ["rerun", str(recorded)]
+
+    (tmp_path / "grid.json").write_text(json.dumps(SMALL_GRID))
+    (tmp_path / "run.ini").write_text(TINY_INI.format(grid_path=tmp_path / "grid.json"))
+    argv = ["banknet", "run", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "cli")]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert main(argv[1:]) == 0
+    assert json.loads((tmp_path / "cli" / "run_manifest.json").read_text())["command"] == argv
+
+
 def test_every_stage_call_goes_through_the_pipeline_module(tmp_path, monkeypatch):
     # perfbench's tracer wraps a stage where banknet holds it, on the
     # pipeline module: a run and each stage subcommand must call it there.
@@ -427,11 +466,19 @@ def test_every_stage_call_goes_through_the_pipeline_module(tmp_path, monkeypatch
 
     for name in names:
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
-    config = RunConfig(
-        n_banks=60, default_rate=0.3, total=40, epochs=5, batch_size=8, grid=SMALL_GRID, lam=0.5
-    )
-    pipeline.run_pipeline(config, tmp_path / "run")
+    # ... and reach it through call_stage, in run order.
+    commands = []
+    call_stage = pipeline.call_stage
+
+    def recording(command, *args, **kwargs):
+        commands.append(command)
+        return call_stage(command, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "call_stage", recording)
+    pipeline.run_pipeline(TINY_RUN, tmp_path / "run")
     assert calls == {**dict.fromkeys(names, 1), "stage_reconstruct": 0, "stage_simulate": 4}
+    tail = ["build-dataset", "train-mlp", "sensitivity", "logit", "report"]
+    assert commands == ["simulate"] * 4 + tail
 
     reached = []
     for name in names:

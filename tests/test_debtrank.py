@@ -378,8 +378,9 @@ class TestQuarterlyProxies:
 class TestAllocations:
     """Peak traced allocation of each engine step at n=500, in units of one
     n x n float64 matrix. RAS, its marginal check and propagation over its
-    rank-1 result form no matrix; propagation over a dense matrix adds one
-    borrower-major ratio matrix."""
+    rank-1 result form no matrix, nor does the marginal check of a sparse
+    network; propagation over a dense matrix adds one borrower-major ratio
+    matrix."""
 
     N = 500
 
@@ -425,6 +426,19 @@ class TestAllocations:
         assert peak < 0.25
         peak, (row, col) = self._peak_matrices(lambda: marginal_errors(exposures, ia, il))
         assert max(row.max(), col.max()) <= 1e-8
+        assert peak < 0.25
+
+    def test_marginals_of_a_sparse_network_form_no_matrix(self):
+        rng = np.random.default_rng(7)
+        lenders = np.repeat(np.arange(self.N), 20)
+        borrowers = (lenders + rng.integers(1, self.N, lenders.size)) % self.N  # no self-loan
+        loans = rng.uniform(1.0, 10.0, lenders.size)
+        w = sparse.coo_array((loans, (lenders, borrowers)), shape=(self.N, self.N))
+        exposures = ExposureMatrix(tuple(map(str, range(self.N))), w)
+        ia = np.bincount(lenders, weights=loans, minlength=self.N)
+        il = np.bincount(borrowers, weights=loans, minlength=self.N)
+        peak, (row, col) = self._peak_matrices(lambda: marginal_errors(exposures, ia, il))
+        assert max(row.max(), col.max()) <= 1e-12
         assert peak < 0.25
 
 
