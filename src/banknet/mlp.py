@@ -13,8 +13,9 @@ buffers and batched matmul over per-layer ``(k, in, out)`` views, so SGD,
 Adam and RMSProp are each one update formula on the rows that use it. Every
 candidate keeps its own random stream and comes out bit-identical to
 training it alone; ``train`` is the one-candidate case. Tuning trains each
-structure's grid candidates as one stack and returns the best one as
-trained.
+structure's grid candidates as one stack, the stacks on up to
+``os.cpu_count()`` worker processes (a single stack in-process), and
+returns the best one as trained.
 
 The input-sensitivity pass accumulates dY/dInput backwards through the
 layers, which is arithmetically the sum over all forward paths of the
@@ -24,8 +25,10 @@ products of path weights and activation gradients.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from dataclasses import asdict, dataclass, replace
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 from scipy.special import expit
@@ -39,7 +42,6 @@ DEFAULT_SOLVERS = ("sgd", "adam", "rmsprop")
 DEFAULT_LEARNING_RATES = (0.001, 0.05, 0.1)
 
 _TRUNC_STDDEVS = 2.0
-_LOSS_CLIP = 1e-12
 _DROPOUT_LAYERS = 2  # hidden layers followed by dropout during training
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -59,7 +61,10 @@ class MlpConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
+        widths = tuple(self.hidden_layers)
+        if any(isinstance(h, bool) or not isinstance(h, numbers.Integral) for h in widths):
+            raise ValueError(f"hidden layer widths must be integers, got {list(widths)}")
+        object.__setattr__(self, "hidden_layers", tuple(int(h) for h in widths))
         if len(self.hidden_layers) != 3 or any(h <= 0 for h in self.hidden_layers):
             raise ValueError(f"exactly 3 positive hidden layers required, got {self.hidden_layers}")
         if self.solver not in DEFAULT_SOLVERS:
@@ -68,6 +73,8 @@ class MlpConfig:
             raise ValueError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
+        if isinstance(self.learning_rate, bool) or not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be a finite number, got {self.learning_rate!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 1:
@@ -116,6 +123,11 @@ def _truncated_normal(rng: np.random.Generator, shape, stddev: float) -> np.ndar
         out[mask] = rng.normal(0.0, stddev, size=int(mask.sum()))
         mask = np.abs(out) > bound
     return out
+
+
+def _check_rows(n: int, batch_size: int) -> None:
+    if n < batch_size:
+        raise ValueError(f"{n} rows is fewer than batch_size={batch_size}")
 
 
 def _check_inputs(x: np.ndarray, width: int | None = None) -> np.ndarray:
@@ -171,12 +183,15 @@ def _train_stack(x, y, configs) -> list:
     alone. Candidate c draws from its own ``default_rng(rng_seed)`` in a
     fixed order: the truncated-normal init layer by layer, then each epoch
     a permutation of the rows and, with dropout, the uniforms for every
-    minibatch's two masks in one draw.
+    minibatch's two masks in one draw. Each epoch gathers the permuted rows
+    once and slices its minibatches from them.
 
     Returns one entry per config, in order: the trained MlpModel, whose
     weights and biases are views into that candidate's row of the parameter
     buffer, or the DivergenceError naming the first epoch with a non-finite
-    loss.
+    loss. The log-loss clips probabilities to [1e-12, 1 - 1e-12], so it is
+    non-finite exactly when some probability is NaN; that is what is tested,
+    and the loss itself is never formed.
     """
     x = _check_inputs(x)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -184,8 +199,7 @@ def _train_stack(x, y, configs) -> list:
         raise DimensionError(f"{y.size} labels for {x.shape[0]} rows")
     first = configs[0]
     n, batch_size = x.shape[0], first.batch_size
-    if n < batch_size:
-        raise ValueError(f"{n} rows is fewer than batch_size={batch_size}")
+    _check_rows(n, batch_size)
     # Rows sorted by solver, so each update formula acts on one slice.
     order = sorted(range(len(configs)), key=lambda c: DEFAULT_SOLVERS.index(configs[c].solver))
     cfgs = [configs[c] for c in order]
@@ -218,28 +232,26 @@ def _train_stack(x, y, configs) -> list:
 
     for epoch in range(first.epochs):
         perms = np.stack([rng.permutation(n) for rng in rngs])
+        xs, ys = x[perms], y[perms]
         if widths:
             uniforms = np.stack([rng.random(n * sum(widths)) for rng in rngs])
             dropout = (uniforms >= p_drop) / (1.0 - p_drop)  # every mask this epoch
-        epoch_loss = np.zeros(k)
+        nan = np.zeros(k, dtype=bool)
         for start in range(0, n, batch_size):
-            rows = perms[:, start : start + batch_size]
-            b = rows.shape[1]
-            xb, yb = x[rows], y[rows]
+            xb, yb = xs[:, start : start + batch_size], ys[:, start : start + batch_size]
+            b = yb.shape[1]
             masks, offset = [], start * sum(widths)
             for h in widths:
                 masks.append(dropout[:, offset : offset + b * h].reshape(k, b, h))
                 offset += b * h
             inputs, pres = _forward(weights, biases, xb, masks)
             prob = expit(pres[-1][..., 0])
-
-            pc = np.clip(prob, _LOSS_CLIP, 1.0 - _LOSS_CLIP)
-            epoch_loss -= np.sum(yb * np.log(pc) + (1 - yb) * np.log(1 - pc), axis=1)
+            nan |= np.isnan(prob).any(axis=1)
 
             dz = ((prob - yb) / b)[..., None]
             for i in reversed(range(4)):
                 np.matmul(inputs[i].transpose(0, 2, 1), dz, out=gw[i])
-                np.sum(dz, axis=1, keepdims=True, out=gb[i])
+                np.add.reduce(dz, axis=1, keepdims=True, out=gb[i])
                 if i:
                     da = dz @ weights[i].transpose(0, 2, 1)
                     if i - 1 < len(masks):
@@ -265,7 +277,7 @@ def _train_stack(x, y, configs) -> list:
                     v *= _RMSPROP_DECAY
                     v += (1 - _RMSPROP_DECAY) * g * g
                     p -= rate * g / (np.sqrt(v) + _SOLVER_EPS)
-        for c in np.flatnonzero(~np.isfinite(epoch_loss)):
+        for c in np.flatnonzero(nan):
             if diverged[c] is None:
                 diverged[c] = DivergenceError(
                     f"non-finite loss at epoch {epoch} "
@@ -328,8 +340,10 @@ def tune(
     so results do not depend on evaluation order. The candidates that share
     a hidden-layer structure train together as one stack (``_train_stack``,
     the path ``train`` also takes), one stack per structure in order of first
-    appearance; each candidate comes out bit-identical to ``train`` on its
-    own config, and the best one is kept as trained. Validation accuracy,
+    appearance. The stacks run on ``min(os.cpu_count(), stacks)`` worker
+    processes, or in this process when that is one; each candidate comes out
+    bit-identical to ``train`` on its own config either way, and the best one
+    is kept as trained. No worker outlives the call. Validation accuracy,
     the record and the tie-break then run in grid order: ties break toward
     the lower learning rate, then grid order. If candidates diverge, the
     DivergenceError of the first one in grid order is raised.
@@ -351,12 +365,21 @@ def tune(
         )
         for idx, (structure, solver, lr) in enumerate(grid)
     ]
+    _check_rows(len(yt), base_config.batch_size)  # here, not in a worker
     groups: dict[tuple, list[int]] = {}
     for idx, cfg in enumerate(configs):
         groups.setdefault(cfg.hidden_layers, []).append(idx)
+    stacks = [[configs[i] for i in indices] for indices in groups.values()]
+    workers = min(os.cpu_count() or 1, len(stacks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers) as pool:
+            trained = list(pool.map(_train_stack, repeat(xt), repeat(yt), stacks))
+    else:
+        trained = [_train_stack(xt, yt, stack) for stack in stacks]
     results = [None] * len(configs)
-    for indices in groups.values():
-        stacked = _train_stack(xt, yt, [configs[i] for i in indices])
+    for indices, stacked in zip(groups.values(), trained):
         for idx, result in zip(indices, stacked):
             results[idx] = result
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import numbers
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -145,6 +146,10 @@ class RunConfig:
     lam: float | str = _ini("logit", LAMBDA_AUTO, "lambda", parse=parse_lambda)
 
     def __post_init__(self):
+        # The stages draw from seed, seed + 1 and seed + 2; numpy takes no negative seed.
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise SchemaError(f"[run] seed must be a nonnegative integer, got {seed!r}")
         if self.synthetic and (self.quarter_files or self.labels_file):
             raise SchemaError("[inputs] synthetic = true takes no q1..q4 or labels files")
         if self.grid is not None:

@@ -591,6 +591,11 @@ def test_grid_with_a_fourth_key_exits_three(tmp_path, capsys, route):
         ({**SMALL_GRID, "solvers": []}, "'solvers' is not a non-empty list"),
         ({**SMALL_GRID, "structures": [[8, 16]]}, "exactly 3 positive hidden layers"),
         ({**SMALL_GRID, "learning_rates": ["fast"]}, "not supported between"),
+        # a bool or infinite rate and a fractional width used to train (as
+        # rate 1, to a DivergenceError, as width 8)
+        ({**SMALL_GRID, "learning_rates": [True]}, "learning_rate must be a finite number"),
+        ({**SMALL_GRID, "learning_rates": [float("inf")]}, "finite number, got inf"),
+        ({**SMALL_GRID, "structures": [[8, 16, 8.5]]}, "widths must be integers, got [8, 16, 8.5]"),
     ]:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(grid))
@@ -606,6 +611,28 @@ def test_grid_with_a_fourth_key_exits_three(tmp_path, capsys, route):
         assert main(argv) == 3, grid
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "route", ["generate-synthetic", "train-mlp", "run --config", "run --from-manifest"]
+)
+def test_negative_seed_exits_three_naming_the_field(tmp_path, capsys, route):
+    # The stages draw from seed + 1 and seed + 2; a negative seed used to
+    # reach numpy and fail there with a message that named no setting.
+    out = tmp_path / "out"
+    if route == "run --config":
+        (tmp_path / "run.ini").write_text("[run]\nseed = -5\n")
+        argv = ["run", "--config", str(tmp_path / "run.ini"), "--out", str(out)]
+    elif route == "run --from-manifest":
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_text(json.dumps({"config": {**RunConfig().to_dict(), "seed": -5}}))
+        argv = ["run", "--from-manifest", str(manifest), "--out", str(out)]
+    else:
+        data = ["--data", "ds"] if route == "train-mlp" else []
+        argv = [route, *data, "--seed", "-5", "--out", str(out)]
+    assert main(argv) == 3
+    assert "[run] seed must be a nonnegative integer, got -5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

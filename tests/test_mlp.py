@@ -1,8 +1,15 @@
+import concurrent.futures
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from banknet import mlp
 from banknet.dataset import SplitAssignment
 from banknet.errors import DimensionError, DivergenceError
 from banknet.mlp import (
@@ -140,6 +147,22 @@ class TestConfigValidation:
     def test_zero_epochs_and_unit_batch_are_valid(self):
         cfg = MlpConfig(epochs=0, batch_size=1)
         assert (cfg.epochs, cfg.batch_size) == (0, 1)
+
+    @pytest.mark.parametrize("rate", [True, False, float("inf"), float("nan")])
+    def test_bool_or_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be a finite number"):
+            MlpConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("layers", [(8, 16, 8.5), (8, 16, 8.0), (8, True, 8), (8, "16", 8)])
+    def test_non_integer_width_rejected(self, layers):
+        # A width used to go through int(), so 8.5 trained as 8.
+        with pytest.raises(ValueError, match="hidden layer widths must be integers"):
+            MlpConfig(hidden_layers=layers)
+
+    def test_numpy_integer_widths_are_ints(self):
+        cfg = MlpConfig(hidden_layers=np.array([8, 16, 8]))
+        assert cfg.hidden_layers == (8, 16, 8)
+        assert all(type(h) is int for h in cfg.hidden_layers)
 
 
 def _assert_same_parameters(got, want):
@@ -444,6 +467,96 @@ class TestTune:
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         assert a.tuning_record == b.tuning_record
+
+
+class TestPool:
+    """``tune`` trains its structure stacks on up to ``os.cpu_count()``
+    worker processes, and a single stack in this process."""
+
+    KW = dict(
+        structures=((8, 16, 8), (4, 8, 16), (16, 8, 4)),
+        solvers=("sgd", "adam"),
+        learning_rates=(0.01, 0.1),
+        base_config=MlpConfig(epochs=3, batch_size=16, rng_seed=7),
+    )
+
+    def _data(self):
+        x, y = toy_clusters(m=120, seed=8, gap=0.8)
+        idx = np.arange(120)
+        return x, y, SplitAssignment(idx[:60], idx[60:90], idx[90:], rng_seed=0)
+
+    @staticmethod
+    def _count_pools(monkeypatch):
+        started = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        return started
+
+    def test_worker_count_does_not_change_the_result(self, monkeypatch):
+        x, y, splits = self._data()
+        started = self._count_pools(monkeypatch)
+        models = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(mlp.os, "cpu_count", lambda: cpus)
+            models[cpus] = tune(x, y, splits, **self.KW)
+        assert started == [(2,)]  # one CPU trains in-process
+        assert models[2].tuning_record == models[1].tuning_record
+        assert models[2].config == models[1].config
+        _assert_same_parameters(models[2], models[1])
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_diverging_grid(self, monkeypatch):
+        monkeypatch.setattr(mlp.os, "cpu_count", lambda: 2)
+        started = self._count_pools(monkeypatch)
+        kw, (x, y, splits) = TestDivergenceInStack.KW, TestDivergenceInStack()._data()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as want:
+                reference_tune(x, y, splits, **kw)
+            with pytest.raises(DivergenceError) as got:
+                tune(x, y, splits, **kw)
+        assert started == [(2,)]
+        assert str(got.value) == str(want.value)
+        assert multiprocessing.active_children() == []
+
+    def test_short_training_split_fails_before_any_worker_starts(self, monkeypatch):
+        monkeypatch.setattr(mlp.os, "cpu_count", lambda: 2)
+        started = self._count_pools(monkeypatch)
+        x, y, splits = self._data()
+        kw = {**self.KW, "base_config": replace(self.KW["base_config"], batch_size=61)}
+        with pytest.raises(ValueError, match="^60 rows is fewer than batch_size=61$"):
+            tune(x, y, splits, **kw)
+        assert started == []
+
+    def test_one_structure_grid_starts_no_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-stack grid started a process pool")
+
+        monkeypatch.setattr(mlp.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        x, y, splits = self._data()
+        model = tune(x, y, splits, **{**self.KW, "structures": ((8, 16, 8),)})
+        assert len(model.tuning_record) == 4
+
+    def test_train_loads_no_process_pool(self):
+        # The network stages and train never load the pool's modules; only
+        # a tune with more than one stack does.
+        script = (
+            "import sys, numpy as np\n"
+            "from banknet import pipeline, mlp\n"
+            "x = np.random.default_rng(0).normal(size=(40, 24))\n"
+            "mlp.train(x, x[:, 0] > 0, mlp.MlpConfig(epochs=2))\n"
+            "loaded = [m for m in ('multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(mlp.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
 class TestSensitivity:
