@@ -2,11 +2,12 @@
 
 Run manifests hash these bytes, so the format lives here and nowhere else.
 CSV is UTF-8 in the csv module's default dialect (comma separated, minimal
-quoting, CRLF line ends) with a header row, and travels as columns: the
-reader gives one tuple of cells per header name and the writer takes one
-sequence per header name. A float cell is written as the repr of its Python
-float, which reads back to the same double. JSON is UTF-8 with an indent of
-2, sorted keys and a trailing newline.
+quoting, CRLF line ends) with a header row, written without a byte-order mark
+and read with or without one, and travels as columns: the reader gives one
+tuple of cells per header name and the writer takes one sequence per header
+name. A float cell is written as the repr of its Python float, which reads
+back to the same double. JSON is UTF-8 with an indent of 2, sorted keys and
+a trailing newline.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def read_csv(path, required) -> dict[str, tuple[str, ...]]:
     """Each header name's column of cells, after the ``_header`` check. A
     blank line is skipped, a short row's missing cells read as "" and a long
     row's extra cells are dropped."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _header(reader, path, required)
         rows = list(filter(None, reader))
@@ -72,7 +73,7 @@ def read_csv(path, required) -> dict[str, tuple[str, ...]]:
 def read_first_row(path, required) -> dict[str, str] | None:
     """The first row alone, by header name (None if there is none), under the
     same header check and row rules; the rest of the file is not read."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _header(reader, path, required)
         row = next(filter(None, reader), None)

@@ -32,6 +32,7 @@ the same fraction of its equity. Any other shock goes through ``init_state``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -67,13 +68,15 @@ class ShockSpec:
         if self.mode not in SHOCK_MODES:
             raise ValueError(f"unknown shock mode {self.mode!r}; use one of {SHOCK_MODES}")
         if self.mode == "equity_fraction":
-            bad = {b: f for b, f in self.targets.items() if not 0.0 <= f <= 1.0}
-            if bad:
-                raise ValueError(f"equity fractions must lie in [0, 1]: {bad}")
+            rule = "equity fractions must lie in [0, 1]"
+            bad = [b for b, f in self.targets.items() if not 0.0 <= f <= 1.0]
         else:
-            bad = {b: a for b, a in self.targets.items() if a < 0.0}
-            if bad:
-                raise ValueError(f"absolute shocks must be nonnegative: {bad}")
+            rule = "absolute shocks must be nonnegative"
+            bad = [b for b, a in self.targets.items() if a < 0.0]
+        if bad:
+            shown = ", ".join(f"{b}={self.targets[b]!r}" for b in bad[:10])
+            more = f" and {len(bad) - 10} more" if len(bad) > 10 else ""
+            raise ValueError(f"{rule}: {shown}{more}")
 
     @classmethod
     def uniform(cls, bank_ids, fraction: float) -> "ShockSpec":
@@ -174,10 +177,10 @@ def propagate(
     it is skipped in the per-period sum, so a bank transmits its losses up to
     the period in which it hits zero and nothing after.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     step = state.exposures.loss_step(state.e0)
     e_prev = state.e0.copy()
     e_curr = state.e_curr.copy()
@@ -238,9 +241,9 @@ def live_network(
 ) -> tuple[ExposureMatrix, RasReport]:
     """Reconstructed exposure network of a live subsystem (the closed panel
     ``live_subsystem`` returns). A lone live bank has no counterparties: its
-    network is the 1 x 1 zero matrix, settled in zero RAS iterations."""
+    network has zero factors, settled in zero RAS iterations."""
     if len(sub.bank_ids) == 1:
-        exposures = ExposureMatrix(bank_ids=sub.bank_ids, w=np.zeros((1, 1)))
+        exposures = ExposureMatrix(sub.bank_ids, factors=(np.zeros(1), np.zeros(1)))
         return exposures, RasReport(iterations=0, max_marginal_error=0.0, converged=True)
     return reconstruct(
         sub.interbank_assets(),

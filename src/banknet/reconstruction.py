@@ -9,16 +9,16 @@ the observed aggregates and no self-lending.
 From that start every iterate is W = diag(x)(J - I)diag(y), whose row i sums
 to x_i (sum(y) - y_i) and column j to y_j (sum(x) - x_j), so the loop only
 updates the two scaling vectors, and the result keeps them: a rank-1
-``ExposureMatrix`` that costs O(n) to hold and to propagate losses through.
-A matrix given in full keeps only its nonzeros, borrower-major. Either
-form builds the n x n array only when ``.w`` is read (``write_matrix`` reads
-it for ``--dump-matrix``).
+``ExposureMatrix`` that costs O(n) to hold, to propagate losses through and
+to dump (``write_matrix``, ``--dump-matrix``). A matrix given in full keeps
+only its nonzeros, borrower-major.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from scipy import sparse
 from .artifacts import create, read_csv, write_csv
 from .errors import DimensionError, DomainError, InfeasibilityError, SchemaError
 
-MAGIC = b"IBNW0001"
+MAGIC = b"IBNW0002"
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITER = 10_000
 _EPS = 1e-12
@@ -37,12 +37,12 @@ class ExposureMatrix:
     """Bilateral loan matrix of ``bank_ids``; ``w[i, j]`` is the loan from i to j.
 
     Nonzeros form, ``ExposureMatrix(bank_ids, w)``: a given n x n matrix,
-    dense or scipy sparse (a ``read_matrix`` file, the generator's hidden
-    network, a literal matrix), copied borrower-major as ``csc``, a
-    ``scipy.sparse.csc_array``. Rank-1 form, ``ExposureMatrix(bank_ids,
-    factors=(x, y))``: RAS's ``W = diag(x)(J - I)diag(y)``, held as its two
-    scaling vectors. The form not held is None. ``w`` is the dense array,
-    read-only, built on first read and cached.
+    dense or scipy sparse (the generator's hidden network, a literal
+    matrix), copied borrower-major as ``csc``, a ``scipy.sparse.csc_array``.
+    Rank-1 form, ``ExposureMatrix(bank_ids, factors=(x, y))``: RAS's
+    ``W = diag(x)(J - I)diag(y)``, held as its two scaling vectors. The form
+    not held is None. ``w``, read-only and cached, is the rank-1 form as an
+    n x n array, kept only for perfbench's dense reference and the tests.
     """
 
     def __init__(self, bank_ids, w=None, *, factors=None):
@@ -50,7 +50,7 @@ class ExposureMatrix:
             raise TypeError("give exactly one of w and factors")
         self.bank_ids = tuple(bank_ids)
         n = len(self.bank_ids)
-        self.factors = self.csc = self._w = None
+        self.factors = self.csc = None
         if factors is not None:
             self.factors = tuple(np.array(v, dtype=float) for v in factors)
             for v in self.factors:
@@ -71,22 +71,17 @@ class ExposureMatrix:
     def n(self) -> int:
         return len(self.bank_ids)
 
-    @property
+    @cached_property
     def w(self) -> np.ndarray:
-        if self._w is None:
-            if self.factors is None:
-                w = self.csc.toarray()
-            else:
-                w = np.multiply.outer(*self.factors)
-                np.fill_diagonal(w, 0.0)
-            w.setflags(write=False)
-            self._w = w
-        return self._w
+        x, y = self.factors  # TypeError on the nonzeros form: read its csc
+        w = np.multiply.outer(x, y)
+        np.fill_diagonal(w, 0.0)
+        w.setflags(write=False)
+        return w
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """Row sums (each lender's interbank assets) and column sums (each
-        borrower's interbank liabilities), in O(edges) or O(n): neither form
-        builds ``w``."""
+        borrower's interbank liabilities), in O(edges) or O(n)."""
         if self.factors is None:
             return self.csc.sum(axis=1), self.csc.sum(axis=0)
         x, y = self.factors
@@ -194,6 +189,8 @@ def reconstruct(
         raise DimensionError("need at least 2 banks to reconstruct a network")
     if bank_ids is None:
         bank_ids = tuple(str(i) for i in range(n))
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be a nonnegative number, got {tolerance}")
     bad = np.flatnonzero(~(np.isfinite(ia) & np.isfinite(il)))
     if bad.size:
         names = ", ".join(bank_ids[i] for i in bad[:10])
@@ -259,19 +256,22 @@ def reconstruct(
 
 
 def write_matrix(path, exposures: ExposureMatrix) -> None:
-    """Binary dump: 8-byte magic, n as little-endian uint64, row-major float64.
+    """Binary dump of a rank-1 network, 16 + 16n bytes: 8-byte magic, n as
+    little-endian uint64, then x and y as little-endian float64.
 
-    A sidecar CSV `<path>.ids.csv` records bank_ids in row order.
+    A sidecar CSV `<path>.ids.csv` records bank_ids in order.
     """
+    if exposures.factors is None:
+        raise TypeError("write_matrix dumps a rank-1 network; this one is in nonzeros form")
     with create(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", exposures.n))
-        fh.write(np.ascontiguousarray(exposures.w, dtype="<f8").tobytes())
+        fh.write(np.asarray(exposures.factors, dtype="<f8").tobytes())
     write_csv(f"{path}.ids.csv", ("bank_id",), [exposures.bank_ids])
 
 
 def read_matrix(path) -> ExposureMatrix:
-    """Read a ``write_matrix`` dump; the file size must match the header's n."""
+    """The rank-1 network of a ``write_matrix`` dump, whose size must match its n."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -281,17 +281,16 @@ def read_matrix(path) -> ExposureMatrix:
         if len(header) != 8:
             raise SchemaError(f"{path}: truncated header, {8 + len(header)} of 16 bytes")
         (n,) = struct.unpack("<Q", header)
-        expected = 16 + 8 * n * n
+        expected = 16 + 16 * n
         actual = path.stat().st_size
         if actual != expected:
             raise SchemaError(
                 f"{path}: header n={n} needs {expected} bytes, file has {actual}"
             )
-        w = np.empty((n, n), dtype="<f8")
-        fh.readinto(w)  # the size check above guarantees a full read
+        x, y = np.frombuffer(fh.read(), dtype="<f8").reshape(2, n)
     ids_path = Path(f"{path}.ids.csv")
     if ids_path.exists():
         bank_ids = read_csv(ids_path, ("bank_id",))["bank_id"]
     else:
         bank_ids = tuple(str(i) for i in range(n))
-    return ExposureMatrix(bank_ids=bank_ids, w=w)
+    return ExposureMatrix(bank_ids=bank_ids, factors=(x, y))

@@ -52,7 +52,7 @@ def _random_contagion_instance(rng, n=None, max_phi=0.9):
         "equity_fraction",
         {str(i): float(rng.uniform(0.05, 0.95)) for i in rng.choice(n, k, replace=False)},
     )
-    return ExposureMatrix(bank_ids=ids, w=w), e0, shock
+    return ExposureMatrix(bank_ids=ids, w=w), e0, shock, w
 
 
 @pytest.fixture(scope="module")
@@ -79,12 +79,12 @@ def test_criterion_1_contagion_engine_matches_literal_reference():
     started = time.perf_counter()
     rng = np.random.default_rng(1001)
     for _ in range(100):
-        exposures, e0, shock = _random_contagion_instance(rng)
+        exposures, e0, shock, w = _random_contagion_instance(rng)
         beta = float(rng.choice([0.5, 1.0]))
         state = apply_shock(init_state(exposures, e0), shock)
         run = propagate(state, beta=beta, alpha=1e-6, record_trajectory=True)
         ref_traj, ref_periods, ref_converged = debtrank_reference(
-            exposures.w, e0, state.e_curr.tolist(), beta, 1e-6
+            w, e0, state.e_curr.tolist(), beta, 1e-6
         )
         assert run.periods == ref_periods
         assert run.converged == ref_converged
@@ -214,7 +214,7 @@ def test_criterion_6_monotonicity_suite():
     for _ in range(100):
         # Margin keeps the run cascade-free, where the beta ordering is
         # guaranteed (an insolvency zero-out can otherwise shelter lenders).
-        exposures, e0, shock = _random_contagion_instance(rng, max_phi=0.4)
+        exposures, e0, shock, _ = _random_contagion_instance(rng, max_phi=0.4)
         state = apply_shock(init_state(exposures, e0), shock)
         run1 = propagate(state, beta=1.0, record_trajectory=True)
         traj = np.array(run1.trajectory)

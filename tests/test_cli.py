@@ -13,6 +13,7 @@ from banknet import cli, pipeline
 from banknet.balance_sheets import QuarterlyPanel, write_panel_csv
 from banknet.cli import main
 from banknet.pipeline import RunConfig
+from banknet.reconstruction import read_matrix
 
 from .test_balance_sheets import make_record
 from .test_pipeline import NON_DEFAULT_INI
@@ -172,6 +173,33 @@ class TestStageCommands:
         for suffix in ("", ".ids.csv"):
             dumped = (tmp_path / f"r.bin{suffix}").read_bytes()
             assert dumped == (tmp_path / f"s.bin{suffix}").read_bytes(), suffix
+        back = read_matrix(tmp_path / "r.bin")
+        assert (tmp_path / "r.bin").stat().st_size == 16 + 16 * back.n
+        assert back.factors is not None
+        if panel == "one-live-bank":
+            assert back.bank_ids == ("A",)
+            assert back.factors[0].tolist() == back.factors[1].tolist() == [0.0]
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--alpha", "nan"), ("--beta", "nan"), ("--beta", "inf"), ("--tolerance", "nan")]
+    )
+    def test_nan_or_infinite_network_parameter_exits_three(
+        self, flag, value, inputs_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "proxies.csv"
+        source = ["--panel", str(inputs_dir / "panel_2009Q1.csv"), "--quarter", "2009Q1"]
+        assert main(["simulate", *source, flag, value, "--out", str(out)]) == 3
+        assert f"error: {flag[2:]} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_panel_with_a_byte_order_mark_reads_as_without(self, inputs_dir, tmp_path):
+        plain = inputs_dir / "panel_2009Q1.csv"
+        marked = tmp_path / "panel_2009Q1.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for panel, out in ((plain, "plain.csv"), (marked, "marked.csv")):
+            argv = ["simulate", "--panel", str(panel), "--quarter", "2009Q1"]
+            assert main([*argv, "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "marked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -9,6 +9,7 @@ from scipy import sparse
 from banknet.balance_sheets import NUMERIC_COLUMNS, QuarterlyPanel, live_subsystem
 from banknet.debtrank import (
     _EPS,
+    DEFAULT_SHOCK_FRACTION,
     ShockSpec,
     _proxy_vector,
     apply_shock,
@@ -38,7 +39,8 @@ def em(w, ids=None):
 
 
 def random_instance(rng, n=None, max_phi=0.9):
-    """Random network + equity + fractional shock on a random subset."""
+    """Random network + equity + fractional shock on a random subset, and
+    the network's literal matrix."""
     n = n or int(rng.integers(2, 6))
     e0 = rng.uniform(50.0, 1000.0, n)
     w = rng.uniform(0.0, max_phi, (n, n)) * e0[None, :]  # keeps phi below max_phi
@@ -50,7 +52,7 @@ def random_instance(rng, n=None, max_phi=0.9):
         for i in rng.choice(n, size=k, replace=False)
     }
     ids = tuple(str(i) for i in range(n))
-    return em(w, ids), e0, ShockSpec(mode="equity_fraction", targets=targets)
+    return em(w, ids), e0, ShockSpec(mode="equity_fraction", targets=targets), w
 
 
 class TestInitState:
@@ -123,6 +125,15 @@ class TestApplyShock:
         with pytest.raises(ValueError):
             ShockSpec("equity_fraction", {"A": 1.5})
 
+    @pytest.mark.parametrize("mode, size", [("equity_fraction", 1.5), ("absolute", -1.0)])
+    def test_out_of_range_error_names_at_most_ten_banks(self, mode, size):
+        ids = [f"B{i:05d}" for i in range(1000)]
+        with pytest.raises(ValueError) as excinfo:
+            ShockSpec(mode, dict.fromkeys(ids, size))
+        message = str(excinfo.value)
+        assert message.endswith(f"B00009={size!r} and 990 more")
+        assert "B00010" not in message and len(message) < 200
+
 
 class TestPropagate:
     def test_two_bank_chain_worked_example(self):
@@ -178,11 +189,11 @@ class TestPropagate:
         # B defaults during the run, so the run's own equity reaches zero.
         state = init_state(em([[0, 0], [500, 0]], ids=("A", "B")), [1000.0, 50.0])
         shocked = apply_shock(state, ShockSpec("equity_fraction", {"A": 0.5}))
-        w_before = shocked.exposures.w.copy()
+        w_before = shocked.exposures.csc.toarray()
         e_before = shocked.e_curr.copy()
         run = propagate(shocked)
         assert run.defaults_cascaded == 1
-        np.testing.assert_array_equal(shocked.exposures.w, w_before)
+        np.testing.assert_array_equal(shocked.exposures.csc.toarray(), w_before)
         np.testing.assert_array_equal(shocked.e_curr, e_before)
         assert shocked.e0.tolist() == [1000.0, 50.0]
 
@@ -191,7 +202,7 @@ class TestInvariants:
     def test_equity_monotone_and_clamped(self):
         rng = np.random.default_rng(21)
         for _ in range(40):
-            exposures, e0, shock = random_instance(rng)
+            exposures, e0, shock, _ = random_instance(rng)
             state = apply_shock(init_state(exposures, e0), shock)
             run = propagate(state, beta=1.0, record_trajectory=True)
             traj = np.array(run.trajectory)
@@ -209,7 +220,7 @@ class TestInvariants:
         betas = (0.0, 0.25, 0.5, 0.75, 1.0)
         checked = 0
         while checked < 30:
-            exposures, e0, shock = random_instance(rng, max_phi=0.5)
+            exposures, e0, shock, _ = random_instance(rng, max_phi=0.5)
             state = apply_shock(init_state(exposures, e0), shock)
             probe = propagate(state, beta=1.0)
             if probe.defaults_cascaded or probe.initially_defaulted.any():
@@ -264,12 +275,12 @@ class TestOracleEquivalence:
     def test_matches_literal_reference(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
-            exposures, e0, shock = random_instance(rng)
+            exposures, e0, shock, w = random_instance(rng)
             beta = float(rng.choice([0.5, 1.0]))
             state = apply_shock(init_state(exposures, e0), shock)
             run = propagate(state, beta=beta, alpha=1e-6, record_trajectory=True)
             ref_traj, ref_periods, ref_converged = debtrank_reference(
-                exposures.w, e0, state.e_curr.tolist(), beta, 1e-6
+                w, e0, state.e_curr.tolist(), beta, 1e-6
             )
             assert run.periods == ref_periods
             assert run.converged == ref_converged
@@ -519,8 +530,9 @@ def _assert_runs_agree(run, other, tol, alpha=1e-6):
 
 class TestFactoredPath:
     """Propagation over a reconstructed (rank-1) network against the same
-    network passed as a dense matrix, whose loop matches the literal
-    reference bit for bit (``TestOracleEquivalence``)."""
+    network held dense, whose loop adds the same terms in the same order as
+    the nonzeros form (``TestNonzerosForm``), which matches the literal
+    reference (``TestOracleEquivalence``)."""
 
     def _run(self, exposures, equity, fraction, beta=1.0):
         shock = ShockSpec.uniform(exposures.bank_ids, fraction)
@@ -535,7 +547,7 @@ class TestFactoredPath:
             sub, _ = live_subsystem(panel)
             exposures, _ = live_network(sub)
             assert exposures.factors is not None
-            dense = ExposureMatrix(exposures.bank_ids, exposures.w)
+            dense = DenseExposures(exposures.bank_ids, exposures.w)
             equity = sub.equity()
             for fraction, beta in ((0.1, 1.0), (0.5, 1.0), (0.5, 0.5)):
                 run = self._run(exposures, equity, fraction, beta)
@@ -550,12 +562,15 @@ class TestFactoredPath:
         exposures, _ = live_network(sub)
         write_matrix(tmp_path / "w.bin", exposures)
         back = read_matrix(tmp_path / "w.bin")
-        assert back.factors is None and back.bank_ids == exposures.bank_ids
-        np.testing.assert_array_equal(back.w, exposures.w)
+        assert back.csc is None and back.bank_ids == exposures.bank_ids
+        for got, want in zip(back.factors, exposures.factors):
+            assert got.tobytes() == want.tobytes()
         equity = sub.equity()
-        run = self._run(exposures, equity, 0.5)
-        tol = _factored_bound(exposures, equity, 1.0, run)
-        _assert_runs_agree(run, self._run(back, equity, 0.5), tol)
+        run, again = (self._run(network, equity, 0.5) for network in (exposures, back))
+        assert run.defaults_cascaded > 0
+        for got, want in zip(again.trajectory, run.trajectory):
+            assert got.tobytes() == want.tobytes()
+        assert again.proxy.tobytes() == run.proxy.tobytes()
 
 
 class TestMetamorphic:
@@ -644,3 +659,20 @@ def test_simulate_quarter_at_100k_banks_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 8 * n, peak
+
+
+def test_a_100k_bank_dump_is_its_two_factors(tmp_path):
+    n = 100_000
+    panel = _lognormal_panel(n, seed=1)
+    sim = simulate_quarter(panel)
+    path = tmp_path / "w.bin"
+    write_matrix(path, sim.exposures)
+    assert path.stat().st_size == 16 + 16 * n
+    back = read_matrix(path)
+    assert back.csc is None and back.bank_ids == sim.bank_ids
+    for got, want in zip(back.factors, sim.exposures.factors):
+        assert got.tobytes() == want.tobytes()
+    shock = ShockSpec.uniform(back.bank_ids, DEFAULT_SHOCK_FRACTION)
+    run = propagate(apply_shock(init_state(back, live_subsystem(panel)[0].equity()), shock))
+    assert run.periods == sim.run.periods > 1
+    assert run.proxy.tobytes() == sim.run.proxy.tobytes()

@@ -71,6 +71,12 @@ class TestReconstruct:
         with pytest.raises(DomainError, match="non-finite .*: B$"):
             reconstruct(marginals["ia"], marginals["il"], bank_ids=("A", "B", "C"))
 
+    @pytest.mark.parametrize("tolerance", [np.nan, -1e-8])
+    def test_nan_or_negative_tolerance_is_rejected(self, tolerance):
+        # Either one can never be met: RAS would spend its whole budget.
+        with pytest.raises(ValueError, match=f"tolerance must be .*, got {tolerance}$"):
+            reconstruct([5, 7, 11], [11, 5, 7], tolerance=tolerance)
+
     def test_unbalanced_marginals_rejected(self):
         with pytest.raises(InfeasibilityError, match="close_system"):
             reconstruct([10, 10], [10, 5])
@@ -255,21 +261,39 @@ def test_caller_arrays_are_copied():
     matrices = [ExposureMatrix(("a", "b"), w) for w in (base, frozen_view)]
     base[0, 1] = 99.0
     for em in matrices:
-        assert em.w[0, 1] == 1.0
+        assert em.csc[0, 1] == 1.0
+
+
+def test_a_nonzeros_form_has_no_dense_view():
+    em = ExposureMatrix(("a", "b"), np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(TypeError):
+        em.w
 
 
 class TestMatrixDump:
     def test_roundtrip_and_header(self, tmp_path):
-        em, _ = reconstruct([6, 6, 6], [6, 6, 6], bank_ids=("x", "y", "z"))
+        em, _ = reconstruct([5, 7, 11], [11, 5, 7], bank_ids=("x", "y", "z"))
         path = tmp_path / "matrix.bin"
         write_matrix(path, em)
         raw = path.read_bytes()
-        assert raw[:8] == b"IBNW0001"
+        assert raw[:8] == b"IBNW0002"
         assert int.from_bytes(raw[8:16], "little") == 3
-        assert len(raw) == 16 + 8 * 9
+        assert raw[16:] == np.concatenate(em.factors).astype("<f8").tobytes()
         back = read_matrix(path)
-        assert back.bank_ids == ("x", "y", "z")
-        np.testing.assert_array_equal(back.w, em.w)
+        assert back.bank_ids == ("x", "y", "z") and back.csc is None
+        for got, want in zip(back.factors, em.factors):
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_nonzeros_form_is_not_dumped(self, tmp_path):
+        em = ExposureMatrix(("a", "b"), np.array([[0.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(TypeError, match="rank-1"):
+            write_matrix(tmp_path / "matrix.bin", em)
+
+    def test_the_dense_layout_is_a_bad_magic(self, tmp_path):
+        path, raw = self._dump(tmp_path)
+        path.write_bytes(b"IBNW0001" + raw[8:16] + bytes(8 * 9))
+        with pytest.raises(SchemaError, match="bad magic b'IBNW0001', expected b'IBNW0002'"):
+            read_matrix(path)
 
     def _dump(self, tmp_path):
         em, _ = reconstruct([6, 6, 6], [6, 6, 6])
@@ -280,19 +304,19 @@ class TestMatrixDump:
     def test_truncated_body_is_schema_error(self, tmp_path):
         path, raw = self._dump(tmp_path)
         path.write_bytes(raw[:-8])
-        with pytest.raises(SchemaError, match="needs 88 bytes, file has 80"):
+        with pytest.raises(SchemaError, match="needs 64 bytes, file has 56"):
             read_matrix(path)
 
     def test_trailing_bytes_are_schema_error(self, tmp_path):
         path, raw = self._dump(tmp_path)
         path.write_bytes(raw + b"\0")
-        with pytest.raises(SchemaError, match="needs 88 bytes, file has 89"):
+        with pytest.raises(SchemaError, match="needs 64 bytes, file has 65"):
             read_matrix(path)
 
     def test_huge_header_n_is_schema_error(self, tmp_path):
         path, raw = self._dump(tmp_path)
         path.write_bytes(raw[:8] + (2**40).to_bytes(8, "little") + raw[16:])
-        with pytest.raises(SchemaError, match=f"n={2**40} needs {16 + 8 * 4**40} bytes"):
+        with pytest.raises(SchemaError, match=f"n={2**40} needs {16 + 16 * 2**40} bytes"):
             read_matrix(path)
 
     def test_truncated_header_is_schema_error(self, tmp_path):
