@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .artifacts import float_columns, read_csv, read_first_row, write_csv
-from .errors import DataError, InfeasibilityError, IntegrityError, SchemaError
+from .errors import DataError, InfeasibilityError, IntegrityError, SchemaError, name_some
 
 FAILED_LIST_COLUMNS = ("bank_id", "failure_date")
 
@@ -101,12 +101,12 @@ class RejectedRow:
 
 def _sort_order(bank_ids, where: str = "") -> list[int]:
     """The indices that put ``bank_ids`` in sorted order; a repeated id is an
-    IntegrityError naming each one."""
+    IntegrityError naming the repeated ids."""
     order = sorted(range(len(bank_ids)), key=bank_ids.__getitem__)
     if len(set(bank_ids)) < len(bank_ids):
         ordered = [bank_ids[i] for i in order]
         dupes = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
-        raise IntegrityError(f"{where}duplicate bank_id(s): {', '.join(dupes)}")
+        raise IntegrityError(f"{where}duplicate bank_id(s): {name_some(dupes)}")
     return order
 
 
@@ -268,7 +268,7 @@ def derive_labels(universe: QuarterlyPanel, failed_list) -> DefaultLabelSet:
     if unmatched:
         warnings.warn(
             f"failed-bank list names {len(unmatched)} bank(s) outside the universe: "
-            + ", ".join(unmatched),
+            + name_some(unmatched),
             stacklevel=2,
         )
     horizon = next_quarter(universe.quarter)

@@ -39,12 +39,13 @@ from typing import Mapping
 import numpy as np
 
 from .balance_sheets import QuarterlyPanel, live_subsystem
-from .errors import DomainError, UnknownBankError
+from .errors import DomainError, UnknownBankError, name_some
 from .reconstruction import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOLERANCE,
     ExposureMatrix,
     RasReport,
+    check_tolerance,
     reconstruct,
 )
 
@@ -71,12 +72,10 @@ class ShockSpec:
             rule = "equity fractions must lie in [0, 1]"
             bad = [b for b, f in self.targets.items() if not 0.0 <= f <= 1.0]
         else:
-            rule = "absolute shocks must be nonnegative"
-            bad = [b for b, a in self.targets.items() if a < 0.0]
+            rule = "absolute shocks must be finite and nonnegative"
+            bad = [b for b, a in self.targets.items() if not 0.0 <= a < math.inf]
         if bad:
-            shown = ", ".join(f"{b}={self.targets[b]!r}" for b in bad[:10])
-            more = f" and {len(bad) - 10} more" if len(bad) > 10 else ""
-            raise ValueError(f"{rule}: {shown}{more}")
+            raise ValueError(f"{rule}: {name_some(f'{b}={self.targets[b]!r}' for b in bad)}")
 
     @classmethod
     def uniform(cls, bank_ids, fraction: float) -> "ShockSpec":
@@ -126,7 +125,7 @@ def init_state(w: ExposureMatrix, equity) -> NetworkState:
         raise DomainError(f"equity vector of length {equity.size} for n={w.n}")
     bad = np.flatnonzero(~np.isfinite(equity) | (equity <= 0))
     if bad.size:
-        names = ", ".join(w.bank_ids[i] for i in bad[:10])
+        names = name_some(w.bank_ids[i] for i in bad)
         raise DomainError(
             f"non-finite or non-positive starting equity for bank(s): {names}; "
             "exclude them upstream"
@@ -143,14 +142,14 @@ def apply_shock(state: NetworkState, shock: ShockSpec) -> NetworkState:
     index = dict(zip(state.bank_ids, range(state.n)))
     unknown = sorted(shock.targets.keys() - index.keys())
     if unknown:
-        raise UnknownBankError(f"shock targets unknown bank_id(s): {', '.join(unknown)}")
+        raise UnknownBankError(f"shock targets unknown bank_id(s): {name_some(unknown)}")
     rows = np.fromiter(map(index.__getitem__, shock.targets), dtype=np.intp)
     size = np.fromiter(shock.targets.values(), dtype=float)
     e_curr = state.e_curr.copy()
     if shock.mode == "equity_fraction":
         e_curr[rows] = state.e_curr[rows] * (1.0 - size)
     else:
-        e_curr[rows] = np.fmax(0.0, state.e_curr[rows] - size)  # as max(0.0, nan): 0.0
+        e_curr[rows] = np.fmax(0.0, state.e_curr[rows] - size)
     return NetworkState(exposures=state.exposures, e0=state.e0, e_curr=e_curr, shocked=True)
 
 
@@ -242,6 +241,7 @@ def live_network(
     """Reconstructed exposure network of a live subsystem (the closed panel
     ``live_subsystem`` returns). A lone live bank has no counterparties: its
     network has zero factors, settled in zero RAS iterations."""
+    check_tolerance(tolerance)
     if len(sub.bank_ids) == 1:
         exposures = ExposureMatrix(sub.bank_ids, factors=(np.zeros(1), np.zeros(1)))
         return exposures, RasReport(iterations=0, max_marginal_error=0.0, converged=True)

@@ -1,8 +1,16 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and ``name_some`` for the items a message names.
 
 DataError subclasses map to CLI exit code 3, NumericalError subclasses to 4.
 I/O problems are left to the builtin OSError family (exit code 5).
 """
+
+
+def name_some(names) -> str:
+    """The ``names`` of offending items for a message: at most ten, then
+    ``and N more``, so the message stays short however many there are."""
+    names = list(names)
+    shown = ", ".join(names[:10])
+    return f"{shown} and {len(names) - 10} more" if len(names) > 10 else shown
 
 
 class ToolkitError(Exception):

@@ -35,7 +35,7 @@ import hashlib
 import numbers
 import sys
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import product
 from pathlib import Path
@@ -152,6 +152,10 @@ class RunConfig:
             raise SchemaError(f"[run] seed must be a nonnegative integer, got {seed!r}")
         if self.synthetic and (self.quarter_files or self.labels_file):
             raise SchemaError("[inputs] synthetic = true takes no q1..q4 or labels files")
+        try:  # the run's base MLP config passes mlp.MlpConfig's own checks
+            base = self.mlp_config()
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"[mlp] {exc}") from None
         if self.grid is not None:
             wrong = [f"missing {k!r}" for k in GRID_KEYS if k not in self.grid]
             wrong += [f"unknown {k!r}" for k in self.grid if k not in GRID_KEYS]
@@ -159,11 +163,15 @@ class RunConfig:
             wrong += [f"{k!r} is not a non-empty list" for k in empty]
             if wrong:
                 raise SchemaError(f"[mlp] grid: {', '.join(wrong)}")
-            try:  # each grid point passes mlp.MlpConfig's own checks
+            try:  # and so does each grid point built from it
                 for layers, solver, rate in product(*(self.grid[k] for k in GRID_KEYS)):
-                    mlp.MlpConfig(hidden_layers=layers, solver=solver, learning_rate=rate)
+                    replace(base, hidden_layers=layers, solver=solver, learning_rate=rate)
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"[mlp] grid: {exc}") from None
+
+    def mlp_config(self) -> mlp.MlpConfig:
+        """The ``[mlp]`` options as the tuning grid's base config, seeded ``seed + 2``."""
+        return mlp.MlpConfig(epochs=self.epochs, batch_size=self.batch_size, rng_seed=self.seed + 2)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -434,12 +442,9 @@ def _scaled_dataset(data_dir):
 
 
 def stage_train_mlp(data_dir, out_path, *, config: RunConfig = RunConfig()) -> dict:
-    """Tune and train on the ``[mlp]`` options of ``config``; the grid's base
-    seed is ``config.seed + 2``."""
+    """Tune and train on the ``[mlp]`` options of ``config``."""
     scaled, target, splits = _scaled_dataset(data_dir)
-    base = mlp.MlpConfig(
-        epochs=config.epochs, batch_size=config.batch_size, rng_seed=config.seed + 2
-    )
+    base = config.mlp_config()
     model = mlp.tune(scaled.x, target, splits, base_config=base, **(config.grid or {}))
     oos = mlp.accuracy(model, scaled.x[splits.test], target[splits.test])
     mlp.save_model(

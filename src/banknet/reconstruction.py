@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .artifacts import create, read_csv, write_csv
-from .errors import DimensionError, DomainError, InfeasibilityError, SchemaError
+from .errors import DimensionError, DomainError, InfeasibilityError, SchemaError, name_some
 
 MAGIC = b"IBNW0002"
 DEFAULT_TOLERANCE = 1e-8
@@ -168,6 +168,12 @@ def _scaling(target: np.ndarray, capacity: np.ndarray) -> np.ndarray:
     return np.divide(target, capacity, out=np.zeros_like(target), where=capacity > 0)
 
 
+def check_tolerance(tolerance: float) -> None:
+    """RAS's stop rule needs a nonnegative tolerance: NaN would never stop it."""
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be a nonnegative number, got {tolerance}")
+
+
 def reconstruct(
     ia,
     il,
@@ -189,11 +195,10 @@ def reconstruct(
         raise DimensionError("need at least 2 banks to reconstruct a network")
     if bank_ids is None:
         bank_ids = tuple(str(i) for i in range(n))
-    if not tolerance >= 0.0:
-        raise ValueError(f"tolerance must be a nonnegative number, got {tolerance}")
+    check_tolerance(tolerance)
     bad = np.flatnonzero(~(np.isfinite(ia) & np.isfinite(il)))
     if bad.size:
-        names = ", ".join(bank_ids[i] for i in bad[:10])
+        names = name_some(bank_ids[i] for i in bad)
         raise DomainError(f"non-finite interbank marginal for bank(s): {names}")
     if (ia < 0).any() or (il < 0).any():
         raise ValueError("marginals must be nonnegative")

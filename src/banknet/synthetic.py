@@ -10,12 +10,14 @@ as the panel's interbank aggregates, so the generated system is closed by
 construction and the pipeline has to reconstruct the bilaterals itself.
 
 The network is held as its edges, never as an n x n array: its n x n draws
-are made ``ROW_BLOCK`` rows at a time on the stream of one full draw, and its
-sums run in numpy's full-matrix order, so the outputs are the dense draw's.
+are made ``ROW_BLOCK`` rows at a time on the stream of one full draw, and
+every row and column sum adds its edges one by one in row-major order
+(``np.bincount``), starting from 0.0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -61,6 +63,8 @@ class SyntheticSpec:
             raise ValueError("quarters must be positive")
         if not 0.0 <= self.default_rate < 1.0:
             raise ValueError("default_rate must lie in [0, 1)")
+        if not math.isfinite(self.contagion_signal_strength):
+            raise ValueError("contagion_signal_strength must be finite")
         validate_quarter(self.start_quarter)
 
 
@@ -77,16 +81,6 @@ def _quarter_tags(spec: SyntheticSpec) -> list[str]:
     for _ in range(spec.quarters - 1):
         tags.append(next_quarter(tags[-1]))
     return tags
-
-
-def _row_blocks(n: int, edges: np.ndarray):
-    """``(first row, row count, slice of edges)`` for each block of
-    ``ROW_BLOCK`` rows of an n x n matrix, ``edges`` being sorted row-major
-    positions ``i * n + j``."""
-    firsts = range(0, n, ROW_BLOCK)
-    cuts = np.searchsorted(edges, [*(r * n for r in firsts), n * n])
-    for r0, k0, k1 in zip(firsts, cuts, cuts[1:]):
-        yield r0, min(ROW_BLOCK, n - r0), slice(k0, k1)
 
 
 def _hidden_edges(rng: np.random.Generator, n: int, buf: np.ndarray) -> np.ndarray:
@@ -110,26 +104,14 @@ def _hidden_edges(rng: np.random.Generator, n: int, buf: np.ndarray) -> np.ndarr
 
 
 def _on_edges(draw, n: int, edges: np.ndarray) -> np.ndarray:
-    """The values at ``edges`` of an n x n draw made a block of rows at a
-    time: ``draw(m)`` returns the next m rows."""
+    """The values at ``edges`` (sorted row-major positions ``i * n + j``) of
+    an n x n draw made ``ROW_BLOCK`` rows at a time: ``draw(m)`` returns the
+    next m rows."""
+    cuts = np.searchsorted(edges, [*range(0, n * n, ROW_BLOCK * n), n * n])
     values = np.empty(edges.size)
-    for r0, m, sl in _row_blocks(n, edges):
-        values[sl] = draw(m).ravel()[edges[sl] - r0 * n]
+    for r0, k0, k1 in zip(range(0, n, ROW_BLOCK), cuts, cuts[1:]):
+        values[k0:k1] = draw(min(ROW_BLOCK, n - r0)).ravel()[edges[k0:k1] - r0 * n]
     return values
-
-
-def _row_sums(values: np.ndarray, n: int, edges: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Row sums of the n x n matrix holding ``values`` at ``edges``, in
-    numpy's pairwise order over whole rows: each block of rows is scattered
-    into the zeroed ``buf`` and summed there."""
-    buf.fill(0.0)
-    sums = []
-    for r0, m, sl in _row_blocks(n, edges):
-        flat = buf[:m].reshape(-1)
-        flat[edges[sl] - r0 * n] = values[sl]
-        sums.append(buf[:m].sum(axis=1))
-        flat[edges[sl] - r0 * n] = 0.0
-    return np.concatenate(sums)
 
 
 def _standardize(values: np.ndarray) -> np.ndarray:
@@ -189,15 +171,14 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
         # w = base_weights * exp(0.4 z), z standard normal over all n x n cells.
         z = _on_edges(lambda m: rng.standard_normal(out=buf[:m]), n, edges)
         w = np.exp(z * 0.4) * base_weights
-        rs = _row_sums(w, n, edges, buf)
+        rs = np.bincount(rows, weights=w, minlength=n)
         w *= (iba_q * ta / rs)[rows]
         # Borrowing capacity cap: no bank owes more than 40% of liabilities.
-        # bincount adds each column's edges in row order, as sum(axis=0) does.
         cs = np.bincount(cols, weights=w, minlength=n)
         cap = 0.4 * tl
         shrink = np.minimum(1.0, np.divide(cap, cs, out=np.ones_like(cs), where=cs > 0))
         w *= shrink[cols]
-        ia = _row_sums(w, n, edges, buf)
+        ia = np.bincount(rows, weights=w, minlength=n)
         il = np.bincount(cols, weights=w, minlength=n)
 
         roa_q = roa_latent + rng.normal(0, 0.0008, n)

@@ -141,8 +141,10 @@ class DenseExposures:
 def synthetic_reference(spec):
     """``synthetic.generate`` with the hidden network held dense: one (n, n)
     draw each of the Erdos-Renyi uniforms, the lognormal base weights and
-    every quarter's normals, numpy's n x n row and column sums, and the
-    ground truth propagated over ``DenseExposures``."""
+    every quarter's normals, row sums that add each row left to right
+    (``cumsum``: adding a zero cell is exact) as numpy's column sums add each
+    column top to bottom, and the ground truth propagated over
+    ``DenseExposures``."""
     rng = np.random.default_rng(spec.rng_seed)
     n = spec.n_banks
     ids = tuple(f"B{i:05d}" for i in range(n))
@@ -177,14 +179,14 @@ def synthetic_reference(spec):
         tl = ta - equity
         iba_q = np.clip(iba * np.exp(rng.normal(0.0, 0.35, n)), 1e-4, 0.25)
         w = np.exp(rng.standard_normal((n, n)) * 0.4) * base_weights
-        w *= (iba_q * ta / w.sum(axis=1))[:, None]
+        w *= (iba_q * ta / w.cumsum(axis=1)[:, -1])[:, None]
         cs = w.sum(axis=0)
         cap = 0.4 * tl
         w *= np.minimum(1.0, np.divide(cap, cs, out=np.ones_like(cs), where=cs > 0))[None, :]
         values = (
             ta,
             tl,
-            w.sum(axis=1),
+            w.cumsum(axis=1)[:, -1],
             w.sum(axis=0),
             roa_latent + rng.normal(0, 0.0008, n),
             roe_latent + rng.normal(0, 0.008, n),

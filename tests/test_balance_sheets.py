@@ -71,6 +71,13 @@ class TestLoadPanel:
         with pytest.raises(IntegrityError, match="1234"):
             load_panel(path, "2009Q1")
 
+    def test_duplicate_bank_ids_error_names_at_most_ten(self, tmp_path):
+        path = _write(tmp_path, [_row(f"{i:04d}") for i in range(1000) for _ in range(2)])
+        with pytest.raises(IntegrityError) as excinfo:
+            load_panel(path, "2009Q1")
+        message = str(excinfo.value)
+        assert message.endswith("0009 and 990 more") and len(message) < 400
+
     def test_interbank_assets_above_total_assets_is_rejected(self, tmp_path):
         path = _write(tmp_path, [_row("A"), _row("B", ta=100.0, ia=500.0)])
         panel = load_panel(path, "2009Q1")
@@ -269,6 +276,14 @@ class TestDeriveLabels:
             labels = derive_labels(self._universe(), self._failed_csv(tmp_path, ["Z"]))
         assert set(labels.labels.values()) == {1}
         assert labels.unmatched == ("Z",)
+
+    def test_unmatched_ids_warning_names_at_most_ten(self, tmp_path):
+        failed = self._failed_csv(tmp_path, [f"Z{i:04d}" for i in range(1000)])
+        with pytest.warns(UserWarning) as record:
+            labels = derive_labels(self._universe(), failed)
+        message = str(record[0].message)
+        assert message.endswith("Z0009 and 990 more") and len(message) < 400
+        assert "names 1000 bank(s)" in message and len(labels.unmatched) == 1000
 
     def test_coverage_matches_universe(self, tmp_path):
         labels = derive_labels(self._universe(), self._failed_csv(tmp_path, ["A", "C"]))

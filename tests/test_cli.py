@@ -192,6 +192,17 @@ class TestStageCommands:
         assert f"error: {flag[2:]} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_tolerance_exits_three_on_a_lone_live_bank(self, tmp_path, capsys):
+        # A lone live bank settles without RAS; its tolerance is checked all the same.
+        panel_path = tmp_path / "panel_2009Q1.csv"
+        records = (make_record("A"), make_record("Z", ta=100, tl=150))
+        write_panel_csv(QuarterlyPanel("2009Q1", records), panel_path)
+        out = tmp_path / "proxies.csv"
+        argv = ["simulate", "--panel", str(panel_path), "--quarter", "2009Q1", "--tolerance", "nan"]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert "error: tolerance must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a_panel_with_a_byte_order_mark_reads_as_without(self, inputs_dir, tmp_path):
         plain = inputs_dir / "panel_2009Q1.csv"
         marked = tmp_path / "panel_2009Q1.csv"
@@ -262,6 +273,16 @@ class TestRunCommand:
             ("[mlp]\nepochs = 5\n\n[mlp]\nbatch_size = 8\n", ["'mlp' already exists"]),
             ("[inputs]\nsynthetic = true\nq1 = a.csv\n", ["synthetic = true"]),
             ("[inputs]\nsynthetic = true\nlabels = failed.csv\n", ["synthetic = true"]),
+            ("[inputs]\nn_banks = 60\n\n[mlp]\nbatch_size = 0\n", ["[mlp] batch_size"]),
+            ("[inputs]\nn_banks = 60\n\n[mlp]\nepochs = -1\n", ["[mlp] epochs"]),
+            (
+                "[inputs]\nn_banks = 60\ncontagion_signal_strength = nan\n",
+                ["contagion_signal_strength"],
+            ),
+            (
+                "[inputs]\nn_banks = 60\ncontagion_signal_strength = inf\n",
+                ["contagion_signal_strength"],
+            ),
         ],
         ids=[
             "misspelt-keys",
@@ -269,6 +290,10 @@ class TestRunCommand:
             "duplicate-section",
             "synthetic-with-quarters",
             "synthetic-with-labels",
+            "zero-batch-size",
+            "negative-epochs",
+            "nan-signal-strength",
+            "infinite-signal-strength",
         ],
     )
     def test_run_rejects_unknown_or_malformed_config(self, tmp_path, capsys, text, named):

@@ -121,11 +121,23 @@ class TestApplyShock:
         with pytest.raises(UnknownBankError, match="Z"):
             apply_shock(state, ShockSpec("equity_fraction", {"Z": 0.5}))
 
+    def test_unknown_banks_error_names_at_most_ten(self):
+        state = init_state(em(np.zeros((2, 2))), [100.0, 100.0])
+        shock = ShockSpec("equity_fraction", dict.fromkeys((f"Z{i:04d}" for i in range(1000)), 0.5))
+        with pytest.raises(UnknownBankError) as excinfo:
+            apply_shock(state, shock)
+        message = str(excinfo.value)
+        assert message.endswith("Z0009 and 990 more") and len(message) < 400
+
     def test_fraction_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             ShockSpec("equity_fraction", {"A": 1.5})
 
-    @pytest.mark.parametrize("mode, size", [("equity_fraction", 1.5), ("absolute", -1.0)])
+    # A NaN absolute shock would otherwise wipe its bank: fmax(0.0, e - nan) is 0.0.
+    @pytest.mark.parametrize(
+        "mode, size",
+        [("equity_fraction", 1.5), ("absolute", -1.0), ("absolute", np.nan), ("absolute", np.inf)],
+    )
     def test_out_of_range_error_names_at_most_ten_banks(self, mode, size):
         ids = [f"B{i:05d}" for i in range(1000)]
         with pytest.raises(ValueError) as excinfo:

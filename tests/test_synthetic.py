@@ -139,7 +139,7 @@ class TestDenseReference:
 
 def test_generate_forms_no_n_by_n_array():
     # Traced peak of a whole generate in units of one n x n float64 matrix:
-    # one block of rows for the draws and row sums, and vectors of edges.
+    # one block of rows for the draws, and vectors of edges.
     n = 2000
     tracemalloc.start()
     try:
