@@ -99,12 +99,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stage(args) -> int:
+    config = _config(args)  # every value is checked before a file is read
     stage = STAGES[args.command]
     paths = [getattr(args, name) for name in stage.paths]
     if args.command == "build-dataset":  # --q1..--q4 travel as (path, quarter) pairs
         paths[:4] = [[(path, quarter_tag(path)) for path in paths[:4]]]
     options = {name: getattr(args, name) for name in stage.options}
-    summary = call_stage(args.command, *paths, config=_config(args), **options)
+    summary = call_stage(args.command, *paths, config=config, **options)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 4 if unconverged_solvers(summary) else 0
 

@@ -1,4 +1,4 @@
-"""Feature-panel assembly: 6 metrics x 4 quarters, rebalancing, scaling, splits.
+"""Feature panels (6 metrics x 4 quarters): rebalancing, scaling, splits, accuracy.
 
 Column order is metric-major then quarter and is fixed across every run:
 stpd, roe, roa, tier1_ratio, tier1_leverage, contagion_proxy, each q1..q4.
@@ -66,7 +66,6 @@ class SplitAssignment:
     train: np.ndarray
     validation: np.ndarray
     test: np.ndarray
-    rng_seed: int
 
 
 @dataclass(frozen=True)
@@ -136,6 +135,20 @@ def take(panel: FeaturePanel, rows) -> FeaturePanel:
     return replace(panel, bank_ids=bank_ids, x=panel.x[rows], y=panel.y[rows])
 
 
+def rebalance_size(total: int, per_partition: bool = False) -> int:
+    """The rows one rebalance draws for a dataset of ``total`` rows: all of
+    them, which must be a positive even count, or with ``per_partition``
+    (one rebalance per split partition) a third of them rounded up to even,
+    which needs a ``total`` of at least 3."""
+    if per_partition:
+        if not total >= 3:
+            raise ValueError(f"total must be at least 3 with rebalance_after_split, got {total}")
+        return total // 3 + total // 3 % 2
+    if not (total > 0 and total % 2 == 0):
+        raise ValueError(f"total must be a positive even count, got {total}")
+    return total
+
+
 def rebalanced_rows(y, rows, target_total: int, seed: int) -> np.ndarray:
     """Indices into ``y``: ``rows`` resampled to target_total, half per class.
 
@@ -143,9 +156,7 @@ def rebalanced_rows(y, rows, target_total: int, seed: int) -> np.ndarray:
     kept), the majority class subsampled without replacement; the result is
     shuffled.
     """
-    if target_total <= 0 or target_total % 2 != 0:
-        raise ValueError(f"target_total must be a positive even count, got {target_total}")
-    per_class = target_total // 2
+    per_class = rebalance_size(target_total) // 2
     rows = np.asarray(rows, dtype=int)
     rng = np.random.default_rng(seed)
     picks = []
@@ -228,4 +239,11 @@ def split(panel: FeaturePanel, seed: int) -> SplitAssignment:
             caps[q] -= 1
 
     train, validation, test = (np.array(sorted(p), dtype=int) for p in parts)
-    return SplitAssignment(train, validation, test, seed)
+    return SplitAssignment(train, validation, test)
+
+
+def accuracy(prob, y) -> float:
+    """The share of rows whose label ``y`` the probabilities ``prob`` call
+    right; a row is called a default (1) at a probability of 0.5 or more."""
+    y = np.asarray(y, dtype=int).reshape(-1)
+    return float(np.mean((np.asarray(prob) >= 0.5) == y))

@@ -45,7 +45,7 @@ from .reconstruction import (
     DEFAULT_TOLERANCE,
     ExposureMatrix,
     RasReport,
-    check_tolerance,
+    check_ras,
     reconstruct,
 )
 
@@ -56,6 +56,12 @@ DEFAULT_SHOCK_FRACTION = 0.1
 _EPS = 1e-12
 
 SHOCK_MODES = ("equity_fraction", "absolute")
+
+
+def check_shock_fraction(fraction: float) -> None:
+    """A uniform shock's equity fraction lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"shock_fraction must lie in [0, 1], got {fraction}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,7 @@ class ShockSpec:
 
     @classmethod
     def uniform(cls, bank_ids, fraction: float) -> "ShockSpec":
+        check_shock_fraction(fraction)
         return cls(mode="equity_fraction", targets=dict.fromkeys(bank_ids, fraction))
 
 
@@ -92,14 +99,6 @@ class NetworkState:
     e0: np.ndarray
     e_curr: np.ndarray
     shocked: bool = False
-
-    @property
-    def bank_ids(self) -> tuple[str, ...]:
-        return self.exposures.bank_ids
-
-    @property
-    def n(self) -> int:
-        return self.exposures.n
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def apply_shock(state: NetworkState, shock: ShockSpec) -> NetworkState:
     driven to zero are insolvent and transmit nothing."""
     if state.shocked:
         raise ValueError("state already shocked; apply_shock expects a fresh state")
-    index = dict(zip(state.bank_ids, range(state.n)))
+    index = dict(zip(state.exposures.bank_ids, range(state.exposures.n)))
     unknown = sorted(shock.targets.keys() - index.keys())
     if unknown:
         raise UnknownBankError(f"shock targets unknown bank_id(s): {name_some(unknown)}")
@@ -162,6 +161,17 @@ def _proxy_vector(e_post_shock: np.ndarray, e_final: np.ndarray):
     return proxy, initially_defaulted
 
 
+def check_propagation(beta: float, alpha: float, max_periods: int) -> None:
+    """``propagate``'s parameters: beta finite and nonnegative, alpha finite
+    and positive (NaN is neither), and at least one period."""
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if not max_periods >= 1:
+        raise ValueError(f"max_periods must be at least 1, got {max_periods}")
+
+
 def propagate(
     state: NetworkState,
     beta: float = DEFAULT_BETA,
@@ -176,10 +186,7 @@ def propagate(
     it is skipped in the per-period sum, so a bank transmits its losses up to
     the period in which it hits zero and nothing after.
     """
-    if not 0.0 <= beta < math.inf:
-        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    check_propagation(beta, alpha, max_periods)
     step = state.exposures.loss_step(state.e0)
     e_prev = state.e0.copy()
     e_curr = state.e_curr.copy()
@@ -206,7 +213,7 @@ def propagate(
     proxy, initially_defaulted = _proxy_vector(e_post_shock, e_curr)
     cascade_defaulted = (e_curr == 0.0) & ~initially_defaulted
     return ContagionRun(
-        bank_ids=state.bank_ids,
+        bank_ids=state.exposures.bank_ids,
         e_post_shock=e_post_shock,
         e_final=e_curr,
         proxy=proxy,
@@ -221,10 +228,8 @@ def propagate(
 
 @dataclass(frozen=True)
 class QuarterSimulation:
-    """One quarter's reconstruction + contagion run with bookkeeping."""
+    """One quarter's reconstruction + contagion run over its live banks, ``run.bank_ids``."""
 
-    quarter: str
-    bank_ids: tuple[str, ...]
     exposures: ExposureMatrix
     run: ContagionRun
     ras: RasReport
@@ -241,7 +246,7 @@ def live_network(
     """Reconstructed exposure network of a live subsystem (the closed panel
     ``live_subsystem`` returns). A lone live bank has no counterparties: its
     network has zero factors, settled in zero RAS iterations."""
-    check_tolerance(tolerance)
+    check_ras(tolerance, max_iter)
     if len(sub.bank_ids) == 1:
         exposures = ExposureMatrix(sub.bank_ids, factors=(np.zeros(1), np.zeros(1)))
         return exposures, RasReport(iterations=0, max_marginal_error=0.0, converged=True)
@@ -277,18 +282,8 @@ def simulate_quarter(
     shock = ShockSpec.uniform(sub.bank_ids, shock_fraction)
     state = apply_shock(init_state(exposures, sub.equity()), shock)
     run = propagate(
-        state,
-        beta=beta,
-        alpha=alpha,
-        max_periods=max_periods,
-        record_trajectory=record_trajectory,
+        state, beta=beta, alpha=alpha, max_periods=max_periods, record_trajectory=record_trajectory
     )
     return QuarterSimulation(
-        quarter=panel.quarter,
-        bank_ids=sub.bank_ids,
-        exposures=exposures,
-        run=run,
-        ras=ras,
-        excluded=excluded,
-        closure_factor=sub.closure_factor,
+        exposures=exposures, run=run, ras=ras, excluded=excluded, closure_factor=sub.closure_factor
     )

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import norm
 
-from .dataset import SplitAssignment
+from .dataset import SplitAssignment, accuracy
 from .errors import ConvergenceError, DimensionError, SeparationError
 
 DEFAULT_TOL = 1e-10
@@ -63,6 +63,12 @@ def _check_xy(x, y):
     if y.size != x.shape[0]:
         raise DimensionError(f"{y.size} labels for {x.shape[0]} rows")
     return x, y
+
+
+def check_lambda(lam: float) -> None:
+    """A lasso penalty is finite and nonnegative (NaN is not)."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
 
 
 def _objective(eta, y, beta=(), lam=0.0) -> float:
@@ -154,8 +160,7 @@ def fit_lasso(
     ConvergenceError after ``max_steps`` Newton steps without that.
     ``warm_start`` takes an (intercept, coefficients) pair, e.g. the previous
     solution on a lambda path."""
-    if not 0.0 <= lam < math.inf:  # also rejects NaN
-        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+    check_lambda(lam)
     x, y = _check_xy(x, y)
     n, p = x.shape
     if warm_start is not None:
@@ -275,15 +280,6 @@ def predict_proba(fit: LogitFit, x) -> np.ndarray:
     return expit(fit.intercept + x @ fit.coefficients)
 
 
-def classify(fit: LogitFit, x) -> np.ndarray:
-    return (predict_proba(fit, x) >= 0.5).astype(int)
-
-
-def accuracy(fit: LogitFit, x, y) -> float:
-    y = np.asarray(y, dtype=int).reshape(-1)
-    return float(np.mean(classify(fit, x) == y))
-
-
 def lambda_max(x, y) -> float:
     """Smallest penalty that zeroes every slope (intercept-only stationarity).
 
@@ -342,7 +338,7 @@ def select_lambda(x, y, splits: SplitAssignment) -> LogitFit:
             )
             break
         warm = (fit.intercept, fit.coefficients)
-        acc = accuracy(fit, xv, yv)
+        acc = accuracy(predict_proba(fit, xv), yv)
         if acc > best_acc:
             best_acc = acc
             best = fit

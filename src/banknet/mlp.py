@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import expit
 
 from .artifacts import read_json, write_json
-from .dataset import SplitAssignment
+from .dataset import SplitAssignment, accuracy
 from .errors import DimensionError, DivergenceError
 
 DEFAULT_STRUCTURES = ((8, 16, 8), (4, 8, 16), (16, 8, 4))
@@ -91,22 +91,6 @@ class MlpModel:
     @property
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Mean output gradient per input over the evaluation samples."""
-
-    gradients: np.ndarray
-    sample_count: int
-
-    def __post_init__(self):
-        g = np.asarray(self.gradients, dtype=float)
-        if g.ndim != 1:
-            raise DimensionError(f"expected a vector of gradients, got shape {g.shape}")
-        if not np.isfinite(g).all():
-            raise ValueError("sensitivity gradients must be finite")
-        object.__setattr__(self, "gradients", g)
 
 
 def sigmoid_grad(z: np.ndarray) -> np.ndarray:
@@ -316,15 +300,6 @@ def predict(model: MlpModel, x) -> np.ndarray:
     return expit(_forward(model.weights, model.biases, x)[1][-1].ravel())
 
 
-def classify(model: MlpModel, x) -> np.ndarray:
-    return (predict(model, x) >= 0.5).astype(int)
-
-
-def accuracy(model: MlpModel, x, y) -> float:
-    y = np.asarray(y, dtype=int).reshape(-1)
-    return float(np.mean(classify(model, x) == y))
-
-
 def tune(
     x,
     y,
@@ -388,7 +363,7 @@ def tune(
     for cfg, model in zip(configs, results):
         if isinstance(model, DivergenceError):
             raise model
-        val_acc = accuracy(model, xv, yv)
+        val_acc = accuracy(predict(model, xv), yv)
         record.append(
             {
                 "hidden_layers": list(cfg.hidden_layers),
@@ -421,10 +396,13 @@ def input_gradients(model: MlpModel, x) -> np.ndarray:
     return g @ model.weights[0].T
 
 
-def input_sensitivity(model: MlpModel, x_eval) -> SensitivityReport:
-    """Arithmetic mean of per-sample output gradients over the evaluation set."""
-    grads = input_gradients(model, x_eval)
-    return SensitivityReport(gradients=grads.mean(axis=0), sample_count=grads.shape[0])
+def input_sensitivity(model: MlpModel, x_eval) -> np.ndarray:
+    """Arithmetic mean of per-sample output gradients over the evaluation
+    set, one per input; ValueError if any is not finite."""
+    gradients = input_gradients(model, x_eval).mean(axis=0)
+    if not np.isfinite(gradients).all():
+        raise ValueError("sensitivity gradients must be finite")
+    return gradients
 
 
 def save_model(model: MlpModel, path, extra: dict | None = None) -> None:

@@ -55,10 +55,12 @@ from .dataset import (
     FeaturePanel,
     RobustScalerParams,
     SplitAssignment,
+    accuracy,
     apply_scaler,
     build_panel,
     fit_scaler,
     rebalance,
+    rebalance_size,
     rebalanced_rows,
     split,
     take,
@@ -68,21 +70,14 @@ from .debtrank import (
     DEFAULT_BETA,
     DEFAULT_MAX_PERIODS,
     DEFAULT_SHOCK_FRACTION,
+    check_propagation,
+    check_shock_fraction,
     live_network,
     simulate_quarter,
 )
 from .errors import ConvergenceError, DataError, SchemaError, StageError
-from .logit import (
-    accuracy as logit_accuracy,
-    fit_lasso,
-    refit_active,
-    select_lambda,
-)
-from .reconstruction import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOLERANCE,
-    write_matrix,
-)
+from .logit import check_lambda, fit_lasso, predict_proba, refit_active, select_lambda
+from .reconstruction import DEFAULT_MAX_ITER, DEFAULT_TOLERANCE, check_ras, write_matrix
 from .synthetic import SyntheticSpec, generate, write_outputs
 
 _MANIFEST_NAME = "run_manifest.json"
@@ -152,6 +147,18 @@ class RunConfig:
             raise SchemaError(f"[run] seed must be a nonnegative integer, got {seed!r}")
         if self.synthetic and (self.quarter_files or self.labels_file):
             raise SchemaError("[inputs] synthetic = true takes no q1..q4 or labels files")
+        checks = (  # each value passes the check of the stage that takes it
+            ("reconstruct", lambda: check_ras(self.tolerance, self.max_iter)),
+            ("simulate", lambda: check_propagation(self.beta, self.alpha, self.max_periods)),
+            ("simulate", lambda: check_shock_fraction(self.shock_fraction)),
+            ("dataset", lambda: rebalance_size(self.total, self.rebalance_after_split)),
+            ("logit", lambda: self.lam == LAMBDA_AUTO or check_lambda(self.lam)),
+        )
+        for section, check in checks:
+            try:
+                check()
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"[{section}] {exc}") from None
         try:  # the run's base MLP config passes mlp.MlpConfig's own checks
             base = self.mlp_config()
         except (TypeError, ValueError) as exc:
@@ -307,11 +314,11 @@ def stage_simulate(
     run = sim.run
     header = ("bank_id", "proxy_pct", "initially_defaulted", "cascade_defaulted")
     defaulted = (run.initially_defaulted.astype(int), run.cascade_defaulted.astype(int))
-    write_csv(out_csv, header, [sim.bank_ids, run.proxy, *defaulted])
+    write_csv(out_csv, header, [run.bank_ids, run.proxy, *defaulted])
     if trajectory is not None:
         periods = len(run.trajectory)
-        period = np.arange(periods).repeat(len(sim.bank_ids))
-        columns = [period, sim.bank_ids * periods, np.concatenate(run.trajectory)]
+        period = np.arange(periods).repeat(len(run.bank_ids))
+        columns = [period, run.bank_ids * periods, np.concatenate(run.trajectory)]
         write_csv(trajectory, ("period", "bank_id", "equity"), columns)
     if dump_matrix is not None:
         write_matrix(dump_matrix, sim.exposures)
@@ -373,14 +380,13 @@ def stage_build_dataset(
     seed = config.seed + 1
     if config.rebalance_after_split:
         raw_splits = split(panel, seed)
-        per_part = config.total // 3
-        per_part += per_part % 2  # rebalance needs an even target
+        per_part = rebalance_size(config.total, per_partition=True)
         parts = [
             rebalanced_rows(panel.y, rows, per_part, seed + 11 + k)
             for k, rows in enumerate(getattr(raw_splits, part) for part in SPLITS)
         ]
         final = take(panel, np.concatenate(parts))
-        splits = SplitAssignment(*np.arange(len(final)).reshape(3, per_part), seed)
+        splits = SplitAssignment(*np.arange(len(final)).reshape(3, per_part))
     else:
         final = rebalance(panel, config.total, seed)
         splits = split(final, seed)
@@ -426,7 +432,7 @@ def load_dataset_dir(data_dir):
         y=label_column(path, table, "label"),
     )
     parts = (np.array(sidecar["splits"][part], dtype=int) for part in SPLITS)
-    splits = SplitAssignment(*parts, rng_seed=sidecar["seed"])
+    splits = SplitAssignment(*parts)
     scaler = RobustScalerParams(
         median=np.array(sidecar["scaler"]["median"], dtype=float),
         iqr=np.array(sidecar["scaler"]["iqr"], dtype=float),
@@ -446,12 +452,8 @@ def stage_train_mlp(data_dir, out_path, *, config: RunConfig = RunConfig()) -> d
     scaled, target, splits = _scaled_dataset(data_dir)
     base = config.mlp_config()
     model = mlp.tune(scaled.x, target, splits, base_config=base, **(config.grid or {}))
-    oos = mlp.accuracy(model, scaled.x[splits.test], target[splits.test])
-    mlp.save_model(
-        model,
-        out_path,
-        extra={"oos_accuracy": oos, "target": "default_indicator"},
-    )
+    oos = accuracy(mlp.predict(model, scaled.x[splits.test]), target[splits.test])
+    mlp.save_model(model, out_path, extra={"oos_accuracy": oos, "target": "default_indicator"})
     return {
         "hidden_layers": list(model.config.hidden_layers),
         "solver": model.config.solver,
@@ -464,13 +466,11 @@ def stage_train_mlp(data_dir, out_path, *, config: RunConfig = RunConfig()) -> d
 def stage_sensitivity(model_path, data_dir, out_csv) -> dict:
     scaled, _, splits = _scaled_dataset(data_dir)
     model = mlp.load_model(model_path)
-    report = mlp.input_sensitivity(model, scaled.x[splits.test])
-    write_csv(out_csv, ("column_name", "gradient"), [scaled.column_names, report.gradients])
+    gradients = mlp.input_sensitivity(model, scaled.x[splits.test])
+    write_csv(out_csv, ("column_name", "gradient"), [scaled.column_names, gradients])
     return {
-        "sample_count": report.sample_count,
-        "gradients": {
-            name: float(g) for name, g in zip(scaled.column_names, report.gradients)
-        },
+        "sample_count": len(splits.test),
+        "gradients": dict(zip(scaled.column_names, gradients.tolist())),
     }
 
 
@@ -484,7 +484,7 @@ def stage_logit(data_dir, out_path, *, config: RunConfig = RunConfig()) -> dict:
         lasso = fit_lasso(xt, yt, float(config.lam))
     lam_value = lasso.lam
     refit = refit_active(xt, yt, lasso.active_set)
-    oos = logit_accuracy(refit, scaled.x[splits.test], target[splits.test])
+    oos = accuracy(predict_proba(refit, scaled.x[splits.test]), target[splits.test])
 
     columns = []
     for j, name in enumerate(scaled.column_names):

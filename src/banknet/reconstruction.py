@@ -168,10 +168,12 @@ def _scaling(target: np.ndarray, capacity: np.ndarray) -> np.ndarray:
     return np.divide(target, capacity, out=np.zeros_like(target), where=capacity > 0)
 
 
-def check_tolerance(tolerance: float) -> None:
-    """RAS's stop rule needs a nonnegative tolerance: NaN would never stop it."""
+def check_ras(tolerance: float, max_iter: int) -> None:
+    """RAS's budget: a nonnegative tolerance (NaN never stops it) and at least one iteration."""
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be a nonnegative number, got {tolerance}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def reconstruct(
@@ -195,7 +197,7 @@ def reconstruct(
         raise DimensionError("need at least 2 banks to reconstruct a network")
     if bank_ids is None:
         bank_ids = tuple(str(i) for i in range(n))
-    check_tolerance(tolerance)
+    check_ras(tolerance, max_iter)
     bad = np.flatnonzero(~(np.isfinite(ia) & np.isfinite(il)))
     if bad.size:
         names = name_some(bank_ids[i] for i in bad)

@@ -35,7 +35,14 @@ from .balance_sheets import (
     validate_quarter,
     write_panel_csv,
 )
-from .debtrank import ShockSpec, apply_shock, init_state, propagate
+from .debtrank import (
+    DEFAULT_SHOCK_FRACTION,
+    ShockSpec,
+    apply_shock,
+    check_shock_fraction,
+    init_state,
+    propagate,
+)
 from .reconstruction import ExposureMatrix
 
 RATIO_SIGNAL = 1.3  # log-odds weight of the planted ratio latents
@@ -54,7 +61,7 @@ class SyntheticSpec:
     contagion_signal_strength: float = 2.0
     rng_seed: int = 0
     start_quarter: str = "2009Q1"
-    shock_fraction: float = 0.1  # scenario behind the planted ground truth
+    shock_fraction: float = DEFAULT_SHOCK_FRACTION  # scenario behind the planted ground truth
 
     def __post_init__(self):
         if self.n_banks < 10:
@@ -65,6 +72,7 @@ class SyntheticSpec:
             raise ValueError("default_rate must lie in [0, 1)")
         if not math.isfinite(self.contagion_signal_strength):
             raise ValueError("contagion_signal_strength must be finite")
+        check_shock_fraction(self.shock_fraction)
         validate_quarter(self.start_quarter)
 
 

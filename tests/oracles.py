@@ -21,6 +21,7 @@ from scipy.special import expit
 
 from banknet import synthetic
 from banknet.balance_sheets import NUMERIC_COLUMNS, QuarterlyPanel
+from banknet.dataset import accuracy
 from banknet.debtrank import ShockSpec, apply_shock, init_state, propagate
 from banknet.errors import DimensionError, DivergenceError
 from banknet.mlp import (
@@ -29,7 +30,7 @@ from banknet.mlp import (
     DEFAULT_STRUCTURES,
     MlpConfig,
     MlpModel,
-    accuracy,
+    predict,
 )
 
 
@@ -452,7 +453,7 @@ def reference_tune(
             rng_seed=base_config.rng_seed + idx,
         )
         model = reference_train(xt, yt, cfg)
-        val_acc = accuracy(model, xv, yv)
+        val_acc = accuracy(predict(model, xv), yv)
         record.append(
             {
                 "hidden_layers": list(cfg.hidden_layers),

@@ -26,6 +26,7 @@ from banknet.pipeline import (
 )
 from banknet.reconstruction import ExposureMatrix, marginal_errors, reconstruct
 
+from .criteria import logit_claim_failures
 from .oracles import (
     debtrank_reference,
     finite_difference_gradient,
@@ -242,30 +243,10 @@ def test_criterion_7_end_to_end_qualitative_reproduction(pipeline_run):
     mlp_oos = summary["mlp"]["oos_accuracy"]
     logit_oos = summary["logit"]["oos_accuracy"]
     assert mlp_oos >= 0.90, f"MLP OOS accuracy {mlp_oos:.4f} below 0.90"
-    assert logit_oos >= 0.85, f"logit OOS accuracy {logit_oos:.4f} below 0.85"
-
-    retained = {
-        c["name"]: c
-        for c in summary["logit"]["columns"]
-        if c["coefficient"] != "lasso_reduced"
-    }
-    contagion_retained = [n for n in retained if n in CONTAGION_COLUMNS]
-    assert contagion_retained, "no contagion column in the lasso active set"
-    # Adjacent quarterly proxies are collinear, so when several survive the
-    # penalty a minor one can flip sign against the dominant one; what must
-    # hold is that the dominant retained contagion column (and the net
-    # contagion effect) carries the expected negative sign: more contagion
-    # damage, higher default odds.
-    dominant = max(
-        contagion_retained, key=lambda n: abs(retained[n]["coefficient"])
-    )
-    assert retained[dominant]["coefficient"] < 0.0, (
-        f"dominant contagion column {dominant} has coefficient "
-        f"{retained[dominant]['coefficient']:+.4f}, expected negative"
-    )
-    assert retained[dominant]["lasso_coefficient"] < 0.0
-    net = sum(retained[n]["coefficient"] for n in contagion_retained)
-    assert net < 0.0, f"net contagion coefficient {net:+.4f} not negative"
+    # The logit floor and the contagion coefficients (tests/test_claim.py
+    # shows these fail when no contagion is planted).
+    failures = logit_claim_failures(summary["logit"])
+    assert not failures, failures
 
     gradients = summary["sensitivity_gradients"]
     strongest = max(CONTAGION_COLUMNS, key=lambda c: abs(gradients[c]))
@@ -277,8 +258,6 @@ def test_criterion_7_end_to_end_qualitative_reproduction(pipeline_run):
     assert run_seconds < 600.0, f"pipeline took {run_seconds:.0f}s"
     print(
         f"  [criterion 7 detail] mlp_oos={mlp_oos:.4f} logit_oos={logit_oos:.4f} "
-        f"contagion_retained={contagion_retained} "
-        f"dominant={dominant}={retained[dominant]['coefficient']:+.4f} "
         f"strongest_gradient={strongest}={gradients[strongest]:+.3e} "
         f"pipeline={run_seconds:.0f}s"
     )

@@ -189,7 +189,8 @@ class TestStageCommands:
         out = tmp_path / "proxies.csv"
         source = ["--panel", str(inputs_dir / "panel_2009Q1.csv"), "--quarter", "2009Q1"]
         assert main(["simulate", *source, flag, value, "--out", str(out)]) == 3
-        assert f"error: {flag[2:]} must be" in capsys.readouterr().err
+        section = "reconstruct" if flag == "--tolerance" else "simulate"
+        assert f"error: [{section}] {flag[2:]} must be" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nan_tolerance_exits_three_on_a_lone_live_bank(self, tmp_path, capsys):
@@ -200,7 +201,7 @@ class TestStageCommands:
         out = tmp_path / "proxies.csv"
         argv = ["simulate", "--panel", str(panel_path), "--quarter", "2009Q1", "--tolerance", "nan"]
         assert main([*argv, "--out", str(out)]) == 3
-        assert "error: tolerance must be" in capsys.readouterr().err
+        assert "error: [reconstruct] tolerance must be" in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_panel_with_a_byte_order_mark_reads_as_without(self, inputs_dir, tmp_path):
@@ -686,6 +687,54 @@ def test_negative_seed_exits_three_naming_the_field(tmp_path, capsys, route):
     assert main(argv) == 3
     assert "[run] seed must be a nonnegative integer, got -5" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("reconstruct", "tolerance", "nan"),
+        ("reconstruct", "max_iter", "0"),
+        ("simulate", "max_periods", "0"),
+        ("simulate", "beta", "-1"),
+        ("simulate", "alpha", "0"),
+        ("simulate", "shock_fraction", "nan"),
+        ("simulate", "shock_fraction", "1.5"),
+        ("dataset", "total", "0"),
+        ("dataset", "total", "3"),
+        ("logit", "lambda", "-1"),
+        ("logit", "lambda", "nan"),
+    ],
+)
+def test_bad_run_ini_value_exits_three_before_any_file(tmp_path, capsys, section, key, value):
+    # Each value passes its stage's own check when the config is read. These
+    # used to stop the run (exit 3, or 4 as "did not converge") only after
+    # it had written 6 to 14 files, or, for shock_fraction, to name ten bank
+    # ids and not the key.
+    config = tmp_path / "run.ini"
+    config.write_text(f"[inputs]\nn_banks = 60\n\n[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    assert f"error: [{section}] {key} must " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, section",
+    [
+        ("generate-synthetic", "--shock-fraction", "nan", "simulate"),
+        ("reconstruct", "--max-iter", "0", "reconstruct"),
+        ("simulate", "--max-periods", "0", "simulate"),
+        ("build-dataset", "--total", "3", "dataset"),
+        ("logit", "--lambda", "-1", "logit"),
+    ],
+)
+def test_stage_subcommand_checks_its_values_first(
+    tmp_path, capsys, monkeypatch, command, flag, value, section
+):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, flag, value, *REQUIRED[command]]) == 3
+    assert f"error: [{section}] {flag[2:].replace('-', '_')} must " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,12 @@ from banknet.balance_sheets import DefaultLabelSet, QuarterlyPanel
 from banknet.dataset import (
     COLUMN_NAMES,
     FeaturePanel,
+    accuracy,
     apply_scaler,
     build_panel,
     fit_scaler,
     rebalance,
+    rebalance_size,
     split,
 )
 from banknet.errors import ArityError, ClassBalanceError, DatasetSizeError
@@ -148,6 +150,29 @@ class TestRebalance:
         b = rebalance(panel, 200, seed=9)
         assert a.bank_ids == b.bank_ids
         np.testing.assert_array_equal(a.x, b.x)
+
+
+class TestRebalanceSize:
+    @pytest.mark.parametrize(
+        "total, per_partition, size",
+        [(1000, False, 1000), (2, False, 2), (3, True, 2), (9, True, 4), (1000, True, 334)],
+    )
+    def test_size_of_one_rebalance(self, total, per_partition, size):
+        assert rebalance_size(total, per_partition) == size
+
+    @pytest.mark.parametrize(
+        "total, per_partition, rule",
+        [(0, False, "a positive even count"), (3, False, "a positive even count"),
+         (-2, False, "a positive even count"), (2, True, "at least 3 with rebalance_after_split")],
+    )
+    def test_rule_is_named(self, total, per_partition, rule):
+        with pytest.raises(ValueError, match=f"^total must be {rule}, got {total}$"):
+            rebalance_size(total, per_partition)
+
+
+def test_accuracy_calls_a_default_at_one_half():
+    # Both classifiers are scored by this one rule: 0.5 is a default.
+    assert accuracy(np.array([0.5, 0.4999, 0.9, 0.1]), [1, 0, 0, 0]) == 0.75
 
 
 class TestScaler:

@@ -179,6 +179,12 @@ class TestPropagate:
         assert not run.converged
         assert run.periods == 2
 
+    def test_zero_periods_rejected(self):
+        # Zero periods never run the loop and came back as "did not converge".
+        state = init_state(em([[0, 90], [90, 0]]), [100.0, 100.0])
+        with pytest.raises(ValueError, match="^max_periods must be at least 1, got 0$"):
+            propagate(apply_shock(state, ShockSpec.uniform(("A", "B"), 0.5)), max_periods=0)
+
     def test_cascade_default_is_counted(self):
         # B's entire equity is wiped by A's collapse.
         state = init_state(em([[0, 0], [200, 0]], ids=("A", "B")), [100.0, 50.0])
@@ -366,16 +372,32 @@ class TestQuarterlyProxies:
         # Both equities halve to 50; B's fall of 50 costs A 50/100 * 50 = 25,
         # half of A's post-shock equity.
         sim = simulate_quarter(self._panel(), shock_fraction=0.5)
-        assert dict(zip(sim.bank_ids, sim.run.proxy.tolist())) == {"A": -50.0, "B": 0.0}
+        assert dict(zip(sim.run.bank_ids, sim.run.proxy.tolist())) == {"A": -50.0, "B": 0.0}
 
     def test_beta_zero_all_zero(self):
         sim = simulate_quarter(self._panel(), beta=0.0, shock_fraction=0.2)
-        assert dict(zip(sim.bank_ids, sim.run.proxy.tolist())) == {"A": 0.0, "B": 0.0}
+        assert dict(zip(sim.run.bank_ids, sim.run.proxy.tolist())) == {"A": 0.0, "B": 0.0}
 
     def test_single_bank_panel(self):
         panel = QuarterlyPanel("2009Q1", (make_record("A", ia=0, il=0),))
         sim = simulate_quarter(panel)
-        assert dict(zip(sim.bank_ids, sim.run.proxy.tolist())) == {"A": 0.0}
+        assert dict(zip(sim.run.bank_ids, sim.run.proxy.tolist())) == {"A": 0.0}
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ({"tolerance": np.nan}, "tolerance must be a nonnegative number, got nan"),
+            ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+            ({"shock_fraction": np.nan}, "shock_fraction must lie in [0, 1], got nan"),
+            ({"shock_fraction": 1.5}, "shock_fraction must lie in [0, 1], got 1.5"),
+        ],
+    )
+    def test_bad_option_is_named_even_for_a_lone_live_bank(self, option, message):
+        # A lone live bank settles without RAS; its options are checked all the same.
+        panel = QuarterlyPanel("2009Q1", (make_record("A", ia=0, il=0),))
+        with pytest.raises(ValueError) as excinfo:
+            simulate_quarter(panel, **option)
+        assert str(excinfo.value) == message
 
     def test_nonpositive_equity_excluded_and_reclosed(self):
         panel = QuarterlyPanel(
@@ -388,7 +410,7 @@ class TestQuarterlyProxies:
         )
         sim = simulate_quarter(panel, shock_fraction=0.5)
         assert sim.excluded == (("Z", "non-positive starting equity (-50)"),)
-        assert sim.bank_ids == ("A", "B")
+        assert sim.run.bank_ids == ("A", "B")
         # After exclusion the remaining aggregates are re-closed: 50 vs 40.
         assert sim.closure_factor == pytest.approx(1.25)
         assert sim.run.proxy.tolist() == [-50.0, 0.0]
@@ -598,7 +620,7 @@ class TestMetamorphic:
         sim, twin = (
             simulate_quarter(p, shock_fraction=0.3, record_trajectory=True) for p in (panel, other)
         )
-        order = [twin.bank_ids.index(matching[b]) for b in sim.bank_ids]
+        order = [twin.run.bank_ids.index(matching[b]) for b in sim.run.bank_ids]
         back = {name: getattr(twin.run, name)[order] for name in self.FIELDS}
         for name in ("e_post_shock", "e_final"):
             back[name] = back[name] / unit
@@ -681,7 +703,7 @@ def test_a_100k_bank_dump_is_its_two_factors(tmp_path):
     write_matrix(path, sim.exposures)
     assert path.stat().st_size == 16 + 16 * n
     back = read_matrix(path)
-    assert back.csc is None and back.bank_ids == sim.bank_ids
+    assert back.csc is None and back.bank_ids == sim.run.bank_ids
     for got, want in zip(back.factors, sim.exposures.factors):
         assert got.tobytes() == want.tobytes()
     shock = ShockSpec.uniform(back.bank_ids, DEFAULT_SHOCK_FRACTION)

@@ -10,13 +10,11 @@ import numpy as np
 import pytest
 
 from banknet import mlp
-from banknet.dataset import SplitAssignment
+from banknet.dataset import SplitAssignment, accuracy
 from banknet.errors import DimensionError, DivergenceError
 from banknet.mlp import (
     MlpConfig,
     MlpModel,
-    accuracy,
-    classify,
     input_gradients,
     input_sensitivity,
     load_model,
@@ -66,7 +64,7 @@ class TestTrain:
             rng_seed=1,
         )
         model = train(x, y, cfg)
-        assert accuracy(model, x, y) >= 0.99
+        assert accuracy(predict(model, x), y) >= 0.99
 
     def test_zero_learning_rate_leaves_weights_at_init(self):
         x, y = toy_clusters(m=64)
@@ -83,7 +81,7 @@ class TestTrain:
         y = np.ones(100, dtype=int)
         cfg = MlpConfig(solver="adam", learning_rate=0.01, epochs=60, rng_seed=2)
         model = train(x, y, cfg)
-        assert accuracy(model, x, y) == 1.0
+        assert accuracy(predict(model, x), y) == 1.0
 
     def test_divergence_raises_with_epoch_and_rate(self):
         x, y = toy_clusters(m=64, seed=4)
@@ -109,7 +107,7 @@ class TestTrain:
         assert predict(model, x).shape == (40,)
         assert input_gradients(model, x).shape == (40, 20)
         idx = np.arange(40)
-        splits = SplitAssignment(idx[:24], idx[24:32], idx[32:], rng_seed=0)
+        splits = SplitAssignment(idx[:24], idx[24:32], idx[32:])
         grid = dict(structures=((4, 8, 4),), solvers=("sgd",), learning_rates=(0.05,))
         assert tune(x, y, splits, base_config=cfg, **grid).layer_sizes[0] == 20
         with pytest.raises(DimensionError):
@@ -213,7 +211,7 @@ class TestAgainstReferenceLoop:
     def _splits(self):
         x, y = toy_clusters(m=120, seed=8, gap=0.8)
         idx = np.arange(120)
-        return x, y, SplitAssignment(idx[:60], idx[60:90], idx[90:], rng_seed=0)
+        return x, y, SplitAssignment(idx[:60], idx[60:90], idx[90:])
 
     def _assert_same_tuning(self, kw):
         x, y, splits = self._splits()
@@ -254,7 +252,7 @@ class TestDivergenceInStack:
     def _data(self):
         x, y = toy_clusters(m=96, seed=4)
         idx = np.arange(96)
-        return 1e6 * x, y, SplitAssignment(idx[:48], idx[48:72], idx[72:], rng_seed=0)
+        return 1e6 * x, y, SplitAssignment(idx[:48], idx[48:72], idx[72:])
 
     def test_tune_raises_the_first_diverging_candidate_in_grid_order(self):
         x, y, splits = self._data()
@@ -364,7 +362,7 @@ class TestPredict:
         model = random_model(0, inputs=3)
         x = np.random.default_rng(1).normal(size=(5, 3))
         assert predict(model, x).shape == (5,)
-        assert input_sensitivity(model, x).gradients.shape == (3,)
+        assert input_sensitivity(model, x).shape == (3,)
         with pytest.raises(DimensionError):
             predict(model, np.zeros((5, 24)))
 
@@ -374,14 +372,14 @@ class TestPredict:
             w[:] = 0.0
         for b in model.biases:
             b[:] = 0.0
-        labels = classify(model, np.zeros((3, 24)))
-        assert labels.tolist() == [1, 1, 1]  # probability 0.5 maps to 1
+        # probability 0.5 is called a default (1)
+        assert accuracy(predict(model, np.zeros((3, 24))), [1, 1, 1]) == 1.0
 
     def test_separable_model_classifies_clusters(self):
         x, y = toy_clusters()
         cfg = MlpConfig(solver="adam", learning_rate=0.01, epochs=200, rng_seed=1)
         model = train(x, y, cfg)
-        assert (classify(model, x) == y).mean() >= 0.99
+        assert accuracy(predict(model, x), y) >= 0.99
 
     def test_dropout_zero_training_forward_equals_inference(self):
         # With no dropout the train-time forward pass is the same function as
@@ -400,7 +398,7 @@ class TestTune:
     def _data(self):
         x, y = toy_clusters(m=120, seed=8)
         idx = np.arange(120)
-        splits = SplitAssignment(idx[:60], idx[60:90], idx[90:], rng_seed=0)
+        splits = SplitAssignment(idx[:60], idx[60:90], idx[90:])
         return x, y, splits
 
     def test_single_combination_grid(self):
@@ -483,7 +481,7 @@ class TestPool:
     def _data(self):
         x, y = toy_clusters(m=120, seed=8, gap=0.8)
         idx = np.arange(120)
-        return x, y, SplitAssignment(idx[:60], idx[60:90], idx[90:], rng_seed=0)
+        return x, y, SplitAssignment(idx[:60], idx[60:90], idx[90:])
 
     @staticmethod
     def _count_pools(monkeypatch):
@@ -635,18 +633,22 @@ class TestSensitivity:
     def test_report_aggregates_mean(self):
         model = random_model(5)
         x = np.random.default_rng(6).normal(size=(40, 24))
-        report = input_sensitivity(model, x)
-        assert report.sample_count == 40
         np.testing.assert_allclose(
-            report.gradients, input_gradients(model, x).mean(axis=0), atol=1e-15
+            input_sensitivity(model, x), input_gradients(model, x).mean(axis=0), atol=1e-15
         )
+
+    def test_non_finite_gradients_are_rejected(self):
+        model = random_model(5)
+        model.weights[3][:] = np.nan
+        with pytest.raises(ValueError, match="^sensitivity gradients must be finite$"):
+            input_sensitivity(model, np.zeros((2, 24)))
 
     def test_same_seed_same_report(self):
         x, y = toy_clusters(m=90, seed=14)
         cfg = MlpConfig(epochs=20, rng_seed=21)
         a = input_sensitivity(train(x, y, cfg), x)
         b = input_sensitivity(train(x, y, cfg), x)
-        np.testing.assert_array_equal(a.gradients, b.gradients)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestModelIO:

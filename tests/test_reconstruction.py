@@ -77,6 +77,11 @@ class TestReconstruct:
         with pytest.raises(ValueError, match=f"tolerance must be .*, got {tolerance}$"):
             reconstruct([5, 7, 11], [11, 5, 7], tolerance=tolerance)
 
+    def test_zero_iterations_rejected(self):
+        # Zero iterations never run RAS and came back as "did not converge".
+        with pytest.raises(ValueError, match="^max_iter must be at least 1, got 0$"):
+            reconstruct([5, 7, 11], [11, 5, 7], max_iter=0)
+
     def test_unbalanced_marginals_rejected(self):
         with pytest.raises(InfeasibilityError, match="close_system"):
             reconstruct([10, 10], [10, 5])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from banknet.balance_sheets import NUMERIC_COLUMNS, close_system, load_panel
+from banknet.debtrank import DEFAULT_SHOCK_FRACTION
 from banknet.synthetic import SyntheticSpec, SyntheticResult, generate, write_outputs
 
 from .oracles import synthetic_reference
@@ -99,6 +100,13 @@ class TestGenerate:
     def test_too_few_banks_rejected(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n_banks=5)
+
+    @pytest.mark.parametrize("fraction", [float("nan"), 1.5, -0.1])
+    def test_shock_fraction_outside_the_unit_interval_is_named(self, fraction):
+        # It used to pass the spec and fail in generate, naming ten bank ids.
+        with pytest.raises(ValueError, match=r"^shock_fraction must lie in \[0, 1\], got "):
+            SyntheticSpec(shock_fraction=fraction)
+        assert SyntheticSpec().shock_fraction == DEFAULT_SHOCK_FRACTION
 
     def test_failed_list_matches_labels(self, tmp_path, medium_result):
         paths = write_outputs(medium_result, tmp_path)
