@@ -25,9 +25,10 @@ The per-bank contagion proxy is the percentage equity loss between the
 post-shock state and the converged state, i.e. the damage attributable to
 contagion alone, excluding the initial shock. It always lies in [-100, 0].
 
+A shock takes a fraction in [0, 1] of each target bank's equity.
 ``simulate_quarter`` runs the pipeline's one scenario: every live bank loses
-the same fraction of its equity. Any other shock goes through ``init_state``,
-``apply_shock`` and ``propagate`` directly.
+the same fraction. Any other set of fractions (one bank's failure, say) goes
+through ``init_state``, ``apply_shock`` and ``propagate`` directly.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ DEFAULT_MAX_PERIODS = 10_000
 DEFAULT_SHOCK_FRACTION = 0.1
 _EPS = 1e-12
 
-SHOCK_MODES = ("equity_fraction", "absolute")
-
 
 def check_shock_fraction(fraction: float) -> None:
     """A uniform shock's equity fraction lies in [0, 1] (NaN does not)."""
@@ -66,22 +65,18 @@ def check_shock_fraction(fraction: float) -> None:
 
 @dataclass(frozen=True)
 class ShockSpec:
-    """Initial shock: per-bank equity fractions in [0, 1] or absolute amounts."""
+    """Initial shock: per-bank equity fractions in [0, 1] (``mode`` "equity_fraction")."""
 
     mode: str
     targets: Mapping[str, float]
 
     def __post_init__(self):
-        if self.mode not in SHOCK_MODES:
-            raise ValueError(f"unknown shock mode {self.mode!r}; use one of {SHOCK_MODES}")
-        if self.mode == "equity_fraction":
-            rule = "equity fractions must lie in [0, 1]"
-            bad = [b for b, f in self.targets.items() if not 0.0 <= f <= 1.0]
-        else:
-            rule = "absolute shocks must be finite and nonnegative"
-            bad = [b for b, a in self.targets.items() if not 0.0 <= a < math.inf]
+        if self.mode != "equity_fraction":
+            raise ValueError(f"unknown shock mode {self.mode!r}; use 'equity_fraction'")
+        bad = [b for b, f in self.targets.items() if not 0.0 <= f <= 1.0]
         if bad:
-            raise ValueError(f"{rule}: {name_some(f'{b}={self.targets[b]!r}' for b in bad)}")
+            names = name_some(f"{b}={self.targets[b]!r}" for b in bad)
+            raise ValueError(f"equity fractions must lie in [0, 1]: {names}")
 
     @classmethod
     def uniform(cls, bank_ids, fraction: float) -> "ShockSpec":
@@ -103,18 +98,33 @@ class NetworkState:
 
 @dataclass(frozen=True)
 class ContagionRun:
-    """Outcome of one propagation: final/post-shock equity and the proxy."""
+    """Outcome of one propagation: post-shock and final equity, and what they imply."""
 
     bank_ids: tuple[str, ...]
     e_post_shock: np.ndarray
     e_final: np.ndarray
-    proxy: np.ndarray  # percentages in [-100, 0]
-    initially_defaulted: np.ndarray
-    cascade_defaulted: np.ndarray
     periods: int
     converged: bool
-    defaults_cascaded: int
     trajectory: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def initially_defaulted(self) -> np.ndarray:
+        return self.e_post_shock == 0.0
+
+    @property
+    def cascade_defaulted(self) -> np.ndarray:
+        return (self.e_final == 0.0) & ~self.initially_defaulted
+
+    @property
+    def defaults_cascaded(self) -> int:
+        return int(self.cascade_defaulted.sum())
+
+    @property
+    def proxy(self) -> np.ndarray:
+        """Percentages in [-100, 0]; zero for a bank the shock defaulted."""
+        gone = self.initially_defaulted
+        denom = np.where(gone, 1.0, self.e_post_shock)
+        return np.where(gone, 0.0, (self.e_final - self.e_post_shock) / denom * 100.0)
 
 
 def init_state(w: ExposureMatrix, equity) -> NetworkState:
@@ -145,20 +155,8 @@ def apply_shock(state: NetworkState, shock: ShockSpec) -> NetworkState:
     rows = np.fromiter(map(index.__getitem__, shock.targets), dtype=np.intp)
     size = np.fromiter(shock.targets.values(), dtype=float)
     e_curr = state.e_curr.copy()
-    if shock.mode == "equity_fraction":
-        e_curr[rows] = state.e_curr[rows] * (1.0 - size)
-    else:
-        e_curr[rows] = np.fmax(0.0, state.e_curr[rows] - size)
+    e_curr[rows] = state.e_curr[rows] * (1.0 - size)
     return NetworkState(exposures=state.exposures, e0=state.e0, e_curr=e_curr, shocked=True)
-
-
-def _proxy_vector(e_post_shock: np.ndarray, e_final: np.ndarray):
-    initially_defaulted = e_post_shock == 0.0
-    denom = np.where(initially_defaulted, 1.0, e_post_shock)
-    proxy = np.where(
-        initially_defaulted, 0.0, (e_final - e_post_shock) / denom * 100.0
-    )
-    return proxy, initially_defaulted
 
 
 def check_propagation(beta: float, alpha: float, max_periods: int) -> None:
@@ -210,18 +208,12 @@ def propagate(
             converged = True
             break
 
-    proxy, initially_defaulted = _proxy_vector(e_post_shock, e_curr)
-    cascade_defaulted = (e_curr == 0.0) & ~initially_defaulted
     return ContagionRun(
         bank_ids=state.exposures.bank_ids,
         e_post_shock=e_post_shock,
         e_final=e_curr,
-        proxy=proxy,
-        initially_defaulted=initially_defaulted,
-        cascade_defaulted=cascade_defaulted,
         periods=periods,
         converged=converged,
-        defaults_cascaded=int(cascade_defaulted.sum()),
         trajectory=tuple(trajectory) if record_trajectory else None,
     )
 

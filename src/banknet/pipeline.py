@@ -91,8 +91,11 @@ SPLITS = ("train", "validation", "test")  # SplitAssignment's partitions, in fie
 
 
 def parse_grid(raw: str) -> dict | None:
-    """``default`` (the 27-point grid, stored as None) or a grid JSON file."""
-    return None if raw == "default" else read_json(raw)
+    """``default`` (the 27-point grid, stored as None) or a grid JSON file's object."""
+    grid = None if raw == "default" else read_json(raw)
+    if raw != "default" and not isinstance(grid, dict):
+        raise SchemaError(f"[mlp] grid: {raw} does not hold a JSON object")
+    return grid
 
 
 def parse_lambda(raw: str) -> float | str:
@@ -105,6 +108,16 @@ def _parse_bool(raw: str) -> bool:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     except KeyError:
         raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+def _admits(hint, value) -> bool:
+    """Whether ``value`` has the type of the RunConfig annotation ``hint``:
+    a class, ``X | Y`` or ``tuple[X, ...]``. A bool is no number."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_admits(args[0], v) for v in value)
+    kinds = tuple({int: numbers.Integral, float: numbers.Real}.get(k, k) for k in args or (hint,))
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
 
 
 def _ini(section: str, default, *keys: str, parse=None):
@@ -141,10 +154,14 @@ class RunConfig:
     lam: float | str = _ini("logit", LAMBDA_AUTO, "lambda", parse=parse_lambda)
 
     def __post_init__(self):
+        hints = typing.get_type_hints(RunConfig)
+        for f in fields(self):  # every way in: INI file, flag, manifest and Python
+            section, value = f.metadata["section"], getattr(self, f.name)
+            if not _admits(hints[f.name], value):
+                raise SchemaError(f"[{section}] {f.name} must be {f.type}, got {value!r}")
         # The stages draw from seed, seed + 1 and seed + 2; numpy takes no negative seed.
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise SchemaError(f"[run] seed must be a nonnegative integer, got {seed!r}")
+        if self.seed < 0:
+            raise SchemaError(f"[run] seed must be a nonnegative integer, got {self.seed!r}")
         if self.synthetic and (self.quarter_files or self.labels_file):
             raise SchemaError("[inputs] synthetic = true takes no q1..q4 or labels files")
         checks = (  # each value passes the check of the stage that takes it
@@ -191,7 +208,8 @@ class RunConfig:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise SchemaError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**{**d, "quarter_files": tuple(d.get("quarter_files", ()))})
+        files = d.get("quarter_files", ())  # a JSON list; anything else fails the type check
+        return cls(**{**d, "quarter_files": tuple(files) if isinstance(files, list) else files})
 
     @classmethod
     def from_ini(cls, path) -> "RunConfig":

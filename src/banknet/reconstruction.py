@@ -8,10 +8,11 @@ the observed aggregates and no self-lending.
 
 From that start every iterate is W = diag(x)(J - I)diag(y), whose row i sums
 to x_i (sum(y) - y_i) and column j to y_j (sum(x) - x_j), so the loop only
-updates the two scaling vectors, and the result keeps them: a rank-1
-``ExposureMatrix`` that costs O(n) to hold, to propagate losses through and
-to dump (``write_matrix``, ``--dump-matrix``). A matrix given in full keeps
-only its nonzeros, borrower-major.
+updates the two scaling vectors. Each iterate is a rank-1 ``ExposureMatrix``
+that costs O(n) to hold, to propagate losses through and to dump
+(``write_matrix``, ``--dump-matrix``); the loop stops when its
+``marginal_errors`` fall within the tolerance, and the last iterate is the
+result. A matrix given in full keeps only its nonzeros, borrower-major.
 """
 
 from __future__ import annotations
@@ -238,28 +239,16 @@ def reconstruct(
             "no zero-diagonal matrix can satisfy the marginals"
         )
 
-    ia_scale = np.maximum(ia, _EPS)
-    il_scale = np.maximum(il, _EPS)
-    x = np.ones(n)
     y = np.ones(n)
-    iterations = 0
-    err = np.inf
-    converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, max_iter + 1):  # check_ras: at least once
         x = _scaling(ia, y.sum() - y)  # even step: rows match assets
-        col_capacity = x.sum() - x
-        y = _scaling(il, col_capacity)  # odd step: columns match liabilities
-        row_err = np.abs(x * (y.sum() - y) - ia) / ia_scale
-        col_err = np.abs(y * col_capacity - il) / il_scale
-        err = float(max(row_err.max(), col_err.max()))
+        y = _scaling(il, x.sum() - x)  # odd step: columns match liabilities
+        exposures = ExposureMatrix(bank_ids, factors=(x, y))
+        err = float(max(e.max() for e in marginal_errors(exposures, ia, il)))
         if err <= tolerance:
-            converged = True
             break
-
-    return (
-        ExposureMatrix(bank_ids, factors=(x, y)),
-        RasReport(iterations=iterations, max_marginal_error=err, converged=converged),
-    )
+    report = RasReport(iterations=iterations, max_marginal_error=err, converged=err <= tolerance)
+    return exposures, report
 
 
 def write_matrix(path, exposures: ExposureMatrix) -> None:

@@ -41,6 +41,10 @@ lambda = auto
 """
 
 SMALL_GRID = {"structures": [[8, 16, 8]], "solvers": ["adam"], "learning_rates": [0.05]}
+# Grid files that hold JSON but no object; null used to select the default grid.
+NOT_A_GRID = {
+    "list.json": "[1, 2]", "string.json": '"abc"', "number.json": "5", "null.json": "null"
+}
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +288,10 @@ class TestRunCommand:
                 "[inputs]\nn_banks = 60\ncontagion_signal_strength = inf\n",
                 ["contagion_signal_strength"],
             ),
+            *(
+                (f"[inputs]\nn_banks = 60\n\n[mlp]\ngrid = {name}\n", ["[mlp] grid", name])
+                for name in NOT_A_GRID
+            ),
         ],
         ids=[
             "misspelt-keys",
@@ -295,9 +303,15 @@ class TestRunCommand:
             "negative-epochs",
             "nan-signal-strength",
             "infinite-signal-strength",
+            *(f"grid-file-{name.removesuffix('.json')}" for name in NOT_A_GRID),
         ],
     )
-    def test_run_rejects_unknown_or_malformed_config(self, tmp_path, capsys, text, named):
+    def test_run_rejects_unknown_or_malformed_config(
+        self, tmp_path, monkeypatch, capsys, text, named
+    ):
+        monkeypatch.chdir(tmp_path)  # the grid files are named relative to it
+        for name, value in NOT_A_GRID.items():
+            (tmp_path / name).write_text(value)
         config_path = tmp_path / "typo.ini"
         config_path.write_text(text)
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 3
@@ -311,6 +325,31 @@ class TestRunCommand:
         manifest.write_text(json.dumps({"config": config}))
         assert main(["run", "--from-manifest", str(manifest), "--out", str(tmp_path / "out")]) == 3
         assert "shock_fracton" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("quarter_files", 5),
+            ("n_banks", "200"),
+            ("max_periods", 2.5),
+            ("synthetic", "no"),
+            ("tolerance", True),
+        ],
+    )
+    def test_rerun_rejects_a_manifest_value_of_the_wrong_type(
+        self, full_run, tmp_path, capsys, key, value
+    ):
+        # Each used to reach the stages: a traceback (exit 1), an out directory
+        # written, or a run on a coerced value (synthetic "no" ran as true,
+        # tolerance true as 1.0).
+        manifest = json.loads((full_run / "run_manifest.json").read_text())
+        manifest["config"][key] = value
+        path = tmp_path / "run_manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert main(["run", "--from-manifest", str(path), "--out", str(out)]) == 3
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_checks_recorded_input_digests(self, tmp_path, capsys):
         # A file-mode run records its inputs' SHA-256; a rerun on an edited

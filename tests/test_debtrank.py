@@ -10,8 +10,8 @@ from banknet.balance_sheets import NUMERIC_COLUMNS, QuarterlyPanel, live_subsyst
 from banknet.debtrank import (
     _EPS,
     DEFAULT_SHOCK_FRACTION,
+    ContagionRun,
     ShockSpec,
-    _proxy_vector,
     apply_shock,
     init_state,
     live_network,
@@ -110,11 +110,9 @@ class TestApplyShock:
         shocked = apply_shock(state, ShockSpec("equity_fraction", {}))
         assert shocked.e_curr.tolist() == [100.0, 100.0]
 
-    def test_absolute_shock_clamps(self):
-        state = init_state(em(np.zeros((2, 2))), [100.0, 100.0])
-        shocked = apply_shock(state, ShockSpec("absolute", {"A": 250.0}))
-        assert shocked.e_curr.tolist() == [0.0, 100.0]
-        assert (shocked.e_curr == 0).tolist() == [True, False]
+    def test_a_shock_is_equity_fractions_only(self):
+        with pytest.raises(ValueError, match="equity_fraction"):
+            ShockSpec("absolute", {"A": 250.0})
 
     def test_unknown_bank(self):
         state = init_state(em(np.zeros((2, 2))), [100.0, 100.0])
@@ -133,15 +131,19 @@ class TestApplyShock:
         with pytest.raises(ValueError):
             ShockSpec("equity_fraction", {"A": 1.5})
 
-    # A NaN absolute shock would otherwise wipe its bank: fmax(0.0, e - nan) is 0.0.
     @pytest.mark.parametrize(
-        "mode, size",
-        [("equity_fraction", 1.5), ("absolute", -1.0), ("absolute", np.nan), ("absolute", np.inf)],
+        "size",
+        [
+            pytest.param(1.5, id="equity_fraction-1.5"),
+            pytest.param(-1.0, id="negative"),
+            pytest.param(np.nan, id="nan"),
+            pytest.param(np.inf, id="inf"),
+        ],
     )
-    def test_out_of_range_error_names_at_most_ten_banks(self, mode, size):
+    def test_out_of_range_error_names_at_most_ten_banks(self, size):
         ids = [f"B{i:05d}" for i in range(1000)]
         with pytest.raises(ValueError) as excinfo:
-            ShockSpec(mode, dict.fromkeys(ids, size))
+            ShockSpec("equity_fraction", dict.fromkeys(ids, size))
         message = str(excinfo.value)
         assert message.endswith(f"B00009={size!r} and 990 more")
         assert "B00010" not in message and len(message) < 200
@@ -343,18 +345,20 @@ class TestNonzerosForm:
 
 
 class TestProxy:
+    @staticmethod
+    def _run(e_post_shock, e_final):
+        return ContagionRun(("A",), np.array([e_post_shock]), np.array([e_final]), 1, True)
+
     def test_formula(self):
-        proxy, _ = _proxy_vector(np.array([100.0]), np.array([75.0]))
-        assert proxy.tolist() == [-25.0]
+        assert self._run(100.0, 75.0).proxy.tolist() == [-25.0]
 
     def test_no_change_is_zero(self):
-        proxy, _ = _proxy_vector(np.array([50.0]), np.array([50.0]))
-        assert proxy.tolist() == [0.0]
+        assert self._run(50.0, 50.0).proxy.tolist() == [0.0]
 
     def test_initially_defaulted_marker(self):
-        proxy, marker = _proxy_vector(np.array([0.0]), np.array([0.0]))
-        assert proxy.tolist() == [0.0]
-        assert marker.tolist() == [True]
+        run = self._run(0.0, 0.0)
+        assert run.proxy.tolist() == [0.0]
+        assert run.initially_defaulted.tolist() == [True]
 
 
 class TestQuarterlyProxies:
@@ -611,7 +615,7 @@ class TestMetamorphic:
     """Relabelling the banks permutes the proxies, and a change of currency
     unit leaves them unchanged, up to the factored path's bound."""
 
-    FIELDS = ("e_post_shock", "e_final", "proxy", "initially_defaulted", "cascade_defaulted")
+    FIELDS = ("e_post_shock", "e_final")
 
     def _runs(self, panel, other, matching, unit=1.0):
         """The runs of ``panel`` and of ``other``, the second put in the first's
@@ -621,9 +625,7 @@ class TestMetamorphic:
             simulate_quarter(p, shock_fraction=0.3, record_trajectory=True) for p in (panel, other)
         )
         order = [twin.run.bank_ids.index(matching[b]) for b in sim.run.bank_ids]
-        back = {name: getattr(twin.run, name)[order] for name in self.FIELDS}
-        for name in ("e_post_shock", "e_final"):
-            back[name] = back[name] / unit
+        back = {name: getattr(twin.run, name)[order] / unit for name in self.FIELDS}
         back["trajectory"] = tuple(e[order] / unit for e in twin.run.trajectory)
         equity = live_subsystem(panel)[0].equity()
         tol = _factored_bound(sim.exposures, equity, 1.0, sim.run)

@@ -252,6 +252,18 @@ class TestMarginalErrors:
         with pytest.raises(DimensionError):
             marginal_errors(em, [1, 2, 3], [1, 2])
 
+    @pytest.mark.parametrize("max_iter", [1, 3, 10_000])
+    def test_ras_report_is_the_returned_matrix_largest_error(self, max_iter):
+        # RAS stops on marginal_errors: the reported error is its maximum on
+        # the returned iterate, bit for bit, converged or cut off.
+        for panel in generate(SyntheticSpec(n_banks=300, quarters=2, rng_seed=8)).panels:
+            sub, _ = live_subsystem(panel)
+            ia, il = sub.interbank_assets(), sub.interbank_liabilities()
+            exposures, ras = reconstruct(ia, il, max_iter=max_iter, bank_ids=sub.bank_ids)
+            row, col = marginal_errors(exposures, ia, il)
+            assert ras.max_marginal_error == max(row.max(), col.max())
+            assert ras.converged == (ras.max_marginal_error <= 1e-8)
+
 
 def test_returned_matrix_is_immutable():
     em, _ = reconstruct([6, 6, 6], [6, 6, 6])
