@@ -16,8 +16,9 @@ after ``max_steps`` steps). Inactive coefficients are exact zeros.
 Inference on the surviving columns comes from the same solver at lambda = 0
 on those columns alone, stopping on the same KKT conditions: Wald standard
 errors from the inverse observed information at that optimum and two-sided
-normal-tail p-values. Those p-values are post-selection, not
-selection-adjusted.
+normal-tail p-values, p = 2 * ndtr(-|z|) for z = b / se, with ndtr the
+standard normal CDF from ``scipy.special``. Those p-values are
+post-selection, not selection-adjusted.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr
 
 from .dataset import SplitAssignment, accuracy
 from .errors import ConvergenceError, DimensionError, SeparationError
@@ -260,7 +260,7 @@ def refit_active(x, y, active_set) -> LogitFit:
             "refit saturates on separated classes; the unpenalized MLE does not exist"
         )
     se = np.sqrt(np.diag(cov))
-    pvals = 2.0 * norm.sf(np.abs(beta / se))
+    pvals = 2.0 * ndtr(-np.abs(beta / se))
 
     coefficients = np.zeros(x.shape[1])
     coefficients[cols] = beta[1:]

@@ -12,10 +12,11 @@ in lockstep, with parameters, gradients and solver moments in ``(k, P)``
 buffers and batched matmul over per-layer ``(k, in, out)`` views, so SGD,
 Adam and RMSProp are each one update formula on the rows that use it. Every
 candidate keeps its own random stream and comes out bit-identical to
-training it alone; ``train`` is the one-candidate case. Tuning trains each
-structure's grid candidates as one stack, the stacks on up to
-``os.cpu_count()`` worker processes (a single stack in-process), and
-returns the best one as trained.
+training it alone; ``train`` is the one-candidate case. Tuning orders the
+grid by structure, cuts it into equal runs of candidates for up to
+``os.cpu_count()`` worker processes (one run, for a single structure or
+CPU, in this process), trains each run's share of a structure as one stack,
+and returns the best candidate as trained.
 
 The input-sensitivity pass accumulates dY/dInput backwards through the
 layers, which is arithmetically the sum over all forward paths of the
@@ -28,7 +29,7 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, replace
-from itertools import product, repeat
+from itertools import chain, groupby, product, repeat
 
 import numpy as np
 from scipy.special import expit
@@ -279,6 +280,16 @@ def _train_stack(x, y, configs) -> list:
     return results
 
 
+def _train_run(x, y, configs) -> list:
+    """``_train_stack`` on each run of consecutive configs that share a
+    structure; one entry per config, in order."""
+    return [
+        result
+        for _, stack in groupby(configs, key=lambda cfg: cfg.hidden_layers)
+        for result in _train_stack(x, y, list(stack))
+    ]
+
+
 def train(x, y, config: MlpConfig) -> MlpModel:
     """Minimize binary cross-entropy with the configured solver.
 
@@ -312,13 +323,16 @@ def tune(
     """Grid search on validation accuracy; the best candidate is the result.
 
     Each candidate trains with its own derived seed (base seed + grid index)
-    so results do not depend on evaluation order. The candidates that share
-    a hidden-layer structure train together as one stack (``_train_stack``,
-    the path ``train`` also takes), one stack per structure in order of first
-    appearance. The stacks run on ``min(os.cpu_count(), stacks)`` worker
-    processes, or in this process when that is one; each candidate comes out
-    bit-identical to ``train`` on its own config either way, and the best one
-    is kept as trained. No worker outlives the call. Validation accuracy,
+    so results do not depend on evaluation order. The grid is ordered by
+    hidden-layer structure, stably, in order of first appearance, and cut
+    into ``min(os.cpu_count(), structures)`` contiguous runs whose sizes
+    differ by at most one. Each run goes to its own worker process, or the
+    one run is trained in this process; within a run the candidates that
+    share a structure train together as one stack (``_train_stack``, the
+    path ``train`` also takes). The default grid on two workers trains 9 + 5
+    candidates on one and 4 + 9 on the other. Each candidate comes out
+    bit-identical to ``train`` on its own config either way, and the best
+    one is kept as trained. No worker outlives the call. Validation accuracy,
     the record and the tie-break then run in grid order: ties break toward
     the lower learning rate, then grid order. If candidates diverge, the
     DivergenceError of the first one in grid order is raised.
@@ -341,22 +355,22 @@ def tune(
         for idx, (structure, solver, lr) in enumerate(grid)
     ]
     _check_rows(len(yt), base_config.batch_size)  # here, not in a worker
-    groups: dict[tuple, list[int]] = {}
-    for idx, cfg in enumerate(configs):
-        groups.setdefault(cfg.hidden_layers, []).append(idx)
-    stacks = [[configs[i] for i in indices] for indices in groups.values()]
-    workers = min(os.cpu_count() or 1, len(stacks))
+    rank = {s: r for r, s in enumerate(dict.fromkeys(cfg.hidden_layers for cfg in configs))}
+    order = sorted(range(len(configs)), key=lambda i: rank[configs[i].hidden_layers])
+    workers = min(os.cpu_count() or 1, len(rank))
+    size, extra = divmod(len(order), workers)  # the first `extra` runs take one more
+    bounds = [w * size + min(w, extra) for w in range(workers + 1)]
+    runs = [[configs[i] for i in order[a:b]] for a, b in zip(bounds, bounds[1:])]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers) as pool:
-            trained = list(pool.map(_train_stack, repeat(xt), repeat(yt), stacks))
+            trained = list(pool.map(_train_run, repeat(xt), repeat(yt), runs))
     else:
-        trained = [_train_stack(xt, yt, stack) for stack in stacks]
+        trained = map(_train_run, repeat(xt), repeat(yt), runs)
     results = [None] * len(configs)
-    for indices, stacked in zip(groups.values(), trained):
-        for idx, result in zip(indices, stacked):
-            results[idx] = result
+    for idx, result in zip(order, chain.from_iterable(trained)):
+        results[idx] = result
 
     record = []
     best = best_key = None

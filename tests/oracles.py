@@ -5,8 +5,9 @@ re-evaluator is literal per-bank Python loops, the RAS reference rescales the
 dense n x n matrix in place every step, the generator reference draws and
 propagates its hidden network as dense n x n arrays, the sensitivity oracle
 enumerates every forward path, the logistic oracle is a direct
-Newton-Raphson solve of the score equations, the lasso certificate checks
-the optimality conditions one column at a time, and the MLP trainer oracle
+Newton-Raphson solve of the score equations, the Wald oracle takes its
+normal tail from ``scipy.stats``, the lasso certificate checks the
+optimality conditions one column at a time, and the MLP trainer oracle
 trains one candidate at a time with per-minibatch dropout draws.
 """
 
@@ -18,6 +19,7 @@ from itertools import product
 
 import numpy as np
 from scipy.special import expit
+from scipy.stats import norm
 
 from banknet import synthetic
 from banknet.balance_sheets import NUMERIC_COLUMNS, QuarterlyPanel
@@ -297,6 +299,11 @@ def newton_logistic(x, y, max_iter=200, tol=1e-12):
         if np.max(np.abs(step)) < tol:
             return float(beta[0]), beta[1:].copy()
     raise FloatingPointError("logistic MLE did not converge")
+
+
+def wald_pvalues(z):
+    """Two-sided normal-tail p-values 2 * P(Z > |z|), from scipy.stats."""
+    return 2.0 * norm.sf(np.abs(np.asarray(z, dtype=float)))
 
 
 def lasso_kkt_gap(x, y, b0, b, lam):

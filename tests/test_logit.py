@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, ndtr
 
 from banknet import logit
 from banknet.dataset import SplitAssignment, accuracy
@@ -16,7 +16,7 @@ from banknet.logit import (
     select_lambda,
 )
 
-from .oracles import lasso_kkt_gap, newton_logistic
+from .oracles import lasso_kkt_gap, newton_logistic, wald_pvalues
 
 
 def simulate(n, coefs, intercept=0.0, seed=0, p=None):
@@ -189,6 +189,30 @@ class TestRefit:
         b0, b = newton_logistic(x, y)
         assert fit.intercept == pytest.approx(b0, abs=1e-8)
         np.testing.assert_allclose(fit.coefficients, b, atol=1e-8)
+
+    def test_pvalues_equal_the_scipy_stats_tail_bit_for_bit(self, monkeypatch):
+        # The refit's one normal-tail call sees -|z|, intercept first; each
+        # slope's z is its reported coefficient over its standard error.
+        seen = []
+
+        def recording_ndtr(t):
+            seen.append(t.copy())
+            return ndtr(t)
+
+        monkeypatch.setattr(logit, "ndtr", recording_ndtr)
+        x, y = simulate(400, [0.8, -0.4, 0.05], intercept=0.3, p=4, seed=11)
+        fit = refit_active(x, y, (0, 1, 3))
+        (neg_abs_z,) = seen
+        z = [fit.coefficients[j] / fit.standard_errors[j] for j in fit.active_set]
+        assert (-neg_abs_z[1:]).tobytes() == np.abs(z).tobytes()
+        got = [fit.intercept_pvalue] + [fit.pvalues[j] for j in fit.active_set]
+        assert np.array(got).tobytes() == wald_pvalues(neg_abs_z).tobytes()
+        assert 0.0 < min(got) and max(got) < 1.0
+
+    def test_pvalue_formula_at_the_edges_of_z(self):
+        # The identity the refit relies on: 2 * ndtr(-|z|) is 2 * norm.sf(|z|).
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 40.0, -40.0, 38.0])
+        assert (2.0 * ndtr(-np.abs(z))).tobytes() == wald_pvalues(z).tobytes()
 
 
 class TestSelectLambda:

@@ -468,8 +468,9 @@ class TestTune:
 
 
 class TestPool:
-    """``tune`` trains its structure stacks on up to ``os.cpu_count()``
-    worker processes, and a single stack in this process."""
+    """``tune`` cuts its structure-ordered grid into equal runs for up to
+    ``os.cpu_count()`` worker processes, and trains a single structure in
+    this process."""
 
     KW = dict(
         structures=((8, 16, 8), (4, 8, 16), (16, 8, 4)),
@@ -484,7 +485,7 @@ class TestPool:
         return x, y, SplitAssignment(idx[:60], idx[60:90], idx[90:])
 
     @staticmethod
-    def _count_pools(monkeypatch):
+    def _count_pools(monkeypatch, submitted=None):
         started = []
 
         class Counting(concurrent.futures.ProcessPoolExecutor):
@@ -492,20 +493,32 @@ class TestPool:
                 started.append(args)
                 super().__init__(*args, **kwargs)
 
+            def map(self, fn, *iterables, **kwargs):
+                tasks = list(iterables[-1])  # each task's configs
+                if submitted is not None:
+                    submitted.extend(tasks)
+                return super().map(fn, *iterables[:-1], tasks, **kwargs)
+
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
         return started
 
     def test_worker_count_does_not_change_the_result(self, monkeypatch):
         x, y, splits = self._data()
-        started = self._count_pools(monkeypatch)
+        submitted = []
+        started = self._count_pools(monkeypatch, submitted)
         models = {}
-        for cpus in (1, 2):
+        for cpus in (1, 2, 3):
             monkeypatch.setattr(mlp.os, "cpu_count", lambda: cpus)
             models[cpus] = tune(x, y, splits, **self.KW)
-        assert started == [(2,)]  # one CPU trains in-process
-        assert models[2].tuning_record == models[1].tuning_record
-        assert models[2].config == models[1].config
-        _assert_same_parameters(models[2], models[1])
+        assert started == [(2,), (3,)]  # one CPU trains in-process
+        # Two CPUs split the 12-point grid 6 + 6, across the middle structure;
+        # three CPUs get one structure each.
+        assert [len(task) for task in submitted] == [6, 6, 4, 4, 4]
+        assert [c.hidden_layers for c in submitted[0]] == [(8, 16, 8)] * 4 + [(4, 8, 16)] * 2
+        for cpus in (2, 3):
+            assert models[cpus].tuning_record == models[1].tuning_record
+            assert models[cpus].config == models[1].config
+            _assert_same_parameters(models[cpus], models[1])
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_diverging_grid(self, monkeypatch):
@@ -549,6 +562,20 @@ class TestPool:
             "x = np.random.default_rng(0).normal(size=(40, 24))\n"
             "mlp.train(x, x[:, 0] > 0, mlp.MlpConfig(epochs=2))\n"
             "loaded = [m for m in ('multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(mlp.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+    def test_cli_loads_no_scipy_stats(self):
+        # The Wald p-values come from scipy.special, so no banknet process
+        # pays for scipy.stats or the scipy.optimize and scipy.linalg it pulls in.
+        script = (
+            "import sys\n"
+            "import banknet.cli\n"
+            "loaded = [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.linalg')"
             " if m in sys.modules]\n"
             "assert not loaded, loaded\n"
         )
