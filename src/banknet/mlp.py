@@ -12,11 +12,11 @@ in lockstep, with parameters, gradients and solver moments in ``(k, P)``
 buffers and batched matmul over per-layer ``(k, in, out)`` views, so SGD,
 Adam and RMSProp are each one update formula on the rows that use it. Every
 candidate keeps its own random stream and comes out bit-identical to
-training it alone; ``train`` is the one-candidate case. Tuning orders the
-grid by structure, cuts it into equal runs of candidates for up to
-``os.cpu_count()`` worker processes (one run, for a single structure or
-CPU, in this process), trains each run's share of a structure as one stack,
-and returns the best candidate as trained.
+training it alone; ``train`` is the one-candidate case. ``grid_configs``
+alone turns a grid into candidates. Tuning orders them by structure, cuts
+them into equal runs for up to ``os.cpu_count()`` worker processes (one
+run, for a single structure or CPU, in this process), trains each run's
+share of a structure as one stack, and returns the best one as trained.
 
 The input-sensitivity pass accumulates dY/dInput backwards through the
 layers, which is arithmetically the sum over all forward paths of the
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, groupby, product, repeat
 
 import numpy as np
@@ -36,11 +36,12 @@ from scipy.special import expit
 
 from .artifacts import read_json, write_json
 from .dataset import SplitAssignment, accuracy
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError, DivergenceError, SchemaError
 
 DEFAULT_STRUCTURES = ((8, 16, 8), (4, 8, 16), (16, 8, 4))
 DEFAULT_SOLVERS = ("sgd", "adam", "rmsprop")
 DEFAULT_LEARNING_RATES = (0.001, 0.05, 0.1)
+GRID_KEYS = ("structures", "solvers", "learning_rates")  # grid_configs' and tune's grid arguments
 
 _TRUNC_STDDEVS = 2.0
 _DROPOUT_LAYERS = 2  # hidden layers followed by dropout during training
@@ -311,6 +312,16 @@ def predict(model: MlpModel, x) -> np.ndarray:
     return expit(_forward(model.weights, model.biases, x)[1][-1].ravel())
 
 
+def grid_configs(base: MlpConfig, structures, solvers, learning_rates) -> list[MlpConfig]:
+    """The grid's candidates in grid order (structure, solver, rate): the i-th is
+    ``base`` at that point, seeded ``base.rng_seed + i``, checked by MlpConfig."""
+    grid = product(structures, solvers, learning_rates)
+    return [
+        replace(base, hidden_layers=s, solver=solver, learning_rate=lr, rng_seed=base.rng_seed + i)
+        for i, (s, solver, lr) in enumerate(grid)
+    ]
+
+
 def tune(
     x,
     y,
@@ -322,38 +333,28 @@ def tune(
 ) -> MlpModel:
     """Grid search on validation accuracy; the best candidate is the result.
 
-    Each candidate trains with its own derived seed (base seed + grid index)
-    so results do not depend on evaluation order. The grid is ordered by
-    hidden-layer structure, stably, in order of first appearance, and cut
-    into ``min(os.cpu_count(), structures)`` contiguous runs whose sizes
-    differ by at most one. Each run goes to its own worker process, or the
-    one run is trained in this process; within a run the candidates that
-    share a structure train together as one stack (``_train_stack``, the
-    path ``train`` also takes). The default grid on two workers trains 9 + 5
-    candidates on one and 4 + 9 on the other. Each candidate comes out
-    bit-identical to ``train`` on its own config either way, and the best
-    one is kept as trained. No worker outlives the call. Validation accuracy,
-    the record and the tie-break then run in grid order: ties break toward
-    the lower learning rate, then grid order. If candidates diverge, the
-    DivergenceError of the first one in grid order is raised.
+    The candidates are ``grid_configs``, each with its own derived seed
+    (base seed + grid index), so results do not depend on evaluation order.
+    The grid is ordered by hidden-layer structure, stably, in order of first
+    appearance, and cut into ``min(os.cpu_count(), structures)`` contiguous
+    runs whose sizes differ by at most one. Each run goes to its own worker
+    process, or the one run is trained in this process; within a run the
+    candidates that share a structure train together as one stack
+    (``_train_stack``, the path ``train`` also takes). The default grid on two
+    workers trains 9 + 5 candidates on one and 4 + 9 on the other. Each
+    candidate comes out bit-identical to ``train`` on its own config either
+    way, and the best one is kept as trained. No worker outlives the call.
+    Validation accuracy, the record and the tie-break then run in grid order:
+    ties break toward the lower learning rate, then grid order. If candidates
+    diverge, the DivergenceError of the first one in grid order is raised.
     """
-    grid = list(product(structures, solvers, learning_rates))
-    if not grid:
+    configs = grid_configs(base_config, structures, solvers, learning_rates)
+    if not configs:
         raise ValueError("hyperparameter grid is empty")
     x = _check_inputs(x)
     y = np.asarray(y, dtype=int).reshape(-1)
     xt, yt = x[splits.train], y[splits.train]
     xv, yv = x[splits.validation], y[splits.validation]
-    configs = [
-        replace(
-            base_config,
-            hidden_layers=tuple(structure),
-            solver=solver,
-            learning_rate=lr,
-            rng_seed=base_config.rng_seed + idx,
-        )
-        for idx, (structure, solver, lr) in enumerate(grid)
-    ]
     _check_rows(len(yt), base_config.batch_size)  # here, not in a worker
     rank = {s: r for r, s in enumerate(dict.fromkeys(cfg.hidden_layers for cfg in configs))}
     order = sorted(range(len(configs)), key=lambda i: rank[configs[i].hidden_layers])
@@ -432,14 +433,32 @@ def save_model(model: MlpModel, path, extra: dict | None = None) -> None:
     write_json(path, payload)
 
 
-def load_model(path) -> MlpModel:
+def load_model(path, n_inputs: int | None = None) -> MlpModel:
+    """The model ``save_model`` wrote to ``path``. Its config must be an
+    object of ``MlpConfig`` fields that ``MlpConfig`` accepts, and its weights
+    and biases must chain ``n_inputs`` inputs (when given; else the first
+    matrix's rows) through the config's hidden layers to one output. Anything
+    else is a SchemaError naming ``path``."""
     payload = read_json(path)
-    config = MlpConfig(**payload["config"])
-    weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
-    return MlpModel(
-        weights=weights,
-        biases=biases,
-        config=config,
-        tuning_record=tuple(payload.get("tuning_record", ())),
-    )
+    config = payload.get("config") if isinstance(payload, dict) else None
+    if not (isinstance(config, dict) and set(config) <= {f.name for f in fields(MlpConfig)}):
+        raise SchemaError(f"{path}: config must be an object of MlpConfig fields, got {config!r}")
+    try:
+        config = MlpConfig(**config)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: config: {exc}") from None
+    try:
+        weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
+        biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
+        record = tuple(payload.get("tuning_record", ()))
+    except (KeyError, TypeError, ValueError) as exc:
+        lists = "weights, biases and tuning_record must be lists"
+        raise SchemaError(f"{path}: {lists}: {exc!r}") from None
+    first = weights[0].shape[0] if weights and weights[0].ndim == 2 else None
+    sizes = (first if n_inputs is None else n_inputs,) + config.hidden_layers + (1,)
+    expected = list(zip(sizes, sizes[1:])) + [(size,) for size in sizes[1:]]
+    shapes = [a.shape for a in weights + biases]
+    if shapes != expected:
+        message = f"weights and biases of shapes {shapes} do not chain layer sizes {sizes}"
+        raise SchemaError(f"{path}: {message}")
+    return MlpModel(weights=weights, biases=biases, config=config, tuning_record=record)

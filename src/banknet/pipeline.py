@@ -21,7 +21,9 @@ generator's spec comes from ``synthetic_spec`` on both ways in: ``run`` and
 A quarter panel travels as a ``(path, quarter)`` pair, resolved once per run
 (from the generator, or from ``balance_sheets.quarter_tag``), and its
 contagion proxies live at ``proxy_csv(proxy_dir, quarter)``. The dataset's
-two split policies are both a ``take`` of the one joined panel.
+two split policies are both a ``take`` of the one joined panel, and its
+``panel.csv`` alone names its columns. ``RunConfig`` checks a grid file with
+the candidates ``mlp.grid_configs`` builds, the ones ``mlp.tune`` trains.
 
 Both classifiers are trained on the default indicator (1 = failed by the
 horizon, i.e. 1 - label), so reported coefficients and gradients are on the
@@ -35,9 +37,9 @@ import hashlib
 import numbers
 import sys
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from itertools import product
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,7 @@ from .balance_sheets import (
     write_rejection_report,
 )
 from .dataset import (
+    COLUMN_NAMES,
     FeaturePanel,
     RobustScalerParams,
     SplitAssignment,
@@ -86,8 +89,7 @@ VOLATILE_MANIFEST_KEYS = ("created_utc", "command", "out_dir")
 
 
 LAMBDA_AUTO = "auto"  # the lam value that selects lambda on the validation split
-GRID_KEYS = ("structures", "solvers", "learning_rates")  # mlp.tune's grid arguments
-SPLITS = ("train", "validation", "test")  # SplitAssignment's partitions, in field order
+SPLITS = tuple(f.name for f in fields(SplitAssignment))
 
 
 def parse_grid(raw: str) -> dict | None:
@@ -181,15 +183,14 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"[mlp] {exc}") from None
         if self.grid is not None:
-            wrong = [f"missing {k!r}" for k in GRID_KEYS if k not in self.grid]
-            wrong += [f"unknown {k!r}" for k in self.grid if k not in GRID_KEYS]
+            wrong = [f"missing {k!r}" for k in mlp.GRID_KEYS if k not in self.grid]
+            wrong += [f"unknown {k!r}" for k in self.grid if k not in mlp.GRID_KEYS]
             empty = [k for k, v in self.grid.items() if not (isinstance(v, list) and v)]
             wrong += [f"{k!r} is not a non-empty list" for k in empty]
             if wrong:
                 raise SchemaError(f"[mlp] grid: {', '.join(wrong)}")
-            try:  # and so does each grid point built from it
-                for layers, solver, rate in product(*(self.grid[k] for k in GRID_KEYS)):
-                    replace(base, hidden_layers=layers, solver=solver, learning_rate=rate)
+            try:  # and so does each candidate mlp.tune builds from it
+                mlp.grid_configs(base, **self.grid)
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"[mlp] grid: {exc}") from None
 
@@ -414,7 +415,6 @@ def stage_build_dataset(
     header = ("bank_id",) + final.column_names + ("label",)
     write_csv(out / "panel.csv", header, [final.bank_ids, *final.x.T, final.y])
     sidecar = {
-        "column_names": list(final.column_names),
         "seed": seed,
         "horizon": labels.horizon,
         "quarters": [q.quarter for q in quarters],
@@ -434,28 +434,63 @@ def stage_build_dataset(
     }
 
 
+def _sidecar_list(path, sidecar, key: str, what: str, valid, size: int | None = None) -> list:
+    """The list at the dotted ``key`` of a dataset sidecar: non-empty, ``size``
+    entries long when given, every entry passing ``valid``. Anything else is a
+    SchemaError naming ``path``, the key and ``what`` the list must be."""
+    value = sidecar
+    for part in key.split("."):
+        value = value.get(part) if isinstance(value, dict) else None
+    sized = isinstance(value, list) and value and size in (None, len(value))
+    if not (sized and all(map(valid, value))):
+        raise SchemaError(f"{path}: {key} must be {what}")
+    return value
+
+
+def _is_finite(value) -> bool:
+    """A JSON number that is a finite double; a bool is no number."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def load_dataset_dir(data_dir):
-    """Read panel.csv + dataset.json back into (panel, splits, scaler)."""
+    """Read panel.csv + dataset.json back into (panel, splits, scaler).
+
+    ``panel.csv`` alone names the columns: its header must hold
+    ``COLUMN_NAMES``, which are read in that order. In ``dataset.json`` each
+    partition is a non-empty list of row indices, the three together holding
+    each row of ``panel.csv`` exactly once, and the scaler's median and IQR
+    hold one finite number per column, no IQR negative. Anything else is a
+    SchemaError naming the file and the key.
+    """
     data_dir = Path(data_dir)
-    sidecar = read_json(data_dir / "dataset.json")
-    columns = tuple(sidecar["column_names"])
+    sidecar_path = data_dir / "dataset.json"
+    sidecar = read_json(sidecar_path)
     path = data_dir / "panel.csv"
-    table = read_csv(path, ("bank_id",) + columns + ("label",))
-    values = float_columns(path, table, columns)
+    table = read_csv(path, ("bank_id",) + COLUMN_NAMES + ("label",))
+    values = float_columns(path, table, COLUMN_NAMES)
     panel = FeaturePanel(
         bank_ids=table["bank_id"],
-        column_names=columns,
+        column_names=COLUMN_NAMES,
         # C-ordered like the rows; a transposed view sums in another order
-        x=np.column_stack([values[c] for c in columns]),
+        x=np.column_stack([values[c] for c in COLUMN_NAMES]),
         y=label_column(path, table, "label"),
     )
-    parts = (np.array(sidecar["splits"][part], dtype=int) for part in SPLITS)
-    splits = SplitAssignment(*parts)
-    scaler = RobustScalerParams(
-        median=np.array(sidecar["scaler"]["median"], dtype=float),
-        iqr=np.array(sidecar["scaler"]["iqr"], dtype=float),
+    indices = "a non-empty list of row indices"
+    parts = [
+        _sidecar_list(sidecar_path, sidecar, f"splits.{part}", indices, lambda v: type(v) is int)
+        for part in SPLITS
+    ]
+    if sorted(chain.from_iterable(parts)) != list(range(len(panel))):
+        raise SchemaError(f"{sidecar_path}: splits must hold each row of {path} exactly once")
+    width = len(COLUMN_NAMES)
+    per_column = f"one finite number per column ({width})"
+    median = _sidecar_list(sidecar_path, sidecar, "scaler.median", per_column, _is_finite, width)
+    iqr = _sidecar_list(
+        sidecar_path, sidecar, "scaler.iqr", f"{per_column}, none negative",
+        lambda v: _is_finite(v) and v >= 0, width,
     )
-    return panel, splits, scaler
+    splits = SplitAssignment(*(np.array(part, dtype=int) for part in parts))
+    return panel, splits, RobustScalerParams(np.array(median, float), np.array(iqr, float))
 
 
 def _scaled_dataset(data_dir):
@@ -483,7 +518,7 @@ def stage_train_mlp(data_dir, out_path, *, config: RunConfig = RunConfig()) -> d
 
 def stage_sensitivity(model_path, data_dir, out_csv) -> dict:
     scaled, _, splits = _scaled_dataset(data_dir)
-    model = mlp.load_model(model_path)
+    model = mlp.load_model(model_path, len(scaled.column_names))
     gradients = mlp.input_sensitivity(model, scaled.x[splits.test])
     write_csv(out_csv, ("column_name", "gradient"), [scaled.column_names, gradients])
     return {
@@ -557,6 +592,7 @@ def report_correlations(panel: FeaturePanel):
 
 def stage_report(data_dir, model_path, sensitivity_path, fit_path, out_dir) -> dict:
     panel, _, _ = load_dataset_dir(data_dir)
+    config = mlp.load_model(model_path, len(panel.column_names)).config
     model_payload = read_json(model_path)
     fit_payload = read_json(fit_path)
     table = read_csv(sensitivity_path, ("column_name", "gradient"))
@@ -570,9 +606,9 @@ def stage_report(data_dir, model_path, sensitivity_path, fit_path, out_dir) -> d
 
     summary = {
         "mlp": {
-            "hidden_layers": model_payload["config"]["hidden_layers"],
-            "solver": model_payload["config"]["solver"],
-            "learning_rate": model_payload["config"]["learning_rate"],
+            "hidden_layers": list(config.hidden_layers),
+            "solver": config.solver,
+            "learning_rate": config.learning_rate,
             "oos_accuracy": model_payload.get("oos_accuracy"),
         },
         "sensitivity_gradients": gradients,

@@ -78,7 +78,6 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class SyntheticResult:
-    spec: SyntheticSpec
     panels: tuple[QuarterlyPanel, ...]
     labels: DefaultLabelSet
     ground_truth: dict
@@ -242,9 +241,7 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
         "true_contagion_damage_pct": damage.tolist(),
         "default_probability": probs.tolist(),
     }
-    return SyntheticResult(
-        spec=spec, panels=tuple(panels), labels=labels, ground_truth=ground_truth
-    )
+    return SyntheticResult(panels=tuple(panels), labels=labels, ground_truth=ground_truth)
 
 
 def write_outputs(result: SyntheticResult, out_dir) -> dict:

@@ -12,6 +12,7 @@ import pytest
 from banknet import cli, pipeline
 from banknet.balance_sheets import QuarterlyPanel, write_panel_csv
 from banknet.cli import main
+from banknet.dataset import COLUMN_NAMES
 from banknet.pipeline import RunConfig
 from banknet.reconstruction import read_matrix
 
@@ -228,6 +229,55 @@ class TestStageCommands:
         assert excinfo.value.code == 2
 
 
+def put(*keys, value):
+    """A fault for a JSON payload: the entry at ``keys`` becomes ``value``."""
+
+    def fault(payload):
+        for key in keys[:-1]:
+            payload = payload[key]
+        payload[keys[-1]] = value
+
+    return fault
+
+
+# By test id: a fault in a dataset's dataset.json, and what the error says.
+SIDECAR_FAULTS = {
+    # A row past the end used to raise IndexError (exit 1) and -1 read the
+    # last row; 1.5 and true read row 1; a train row listed under test leaked.
+    "row-past-end": (put("splits", "test", 0, value=999), "splits must hold each row"),
+    "row-minus-one": (put("splits", "test", 0, value=-1), "splits must hold each row"),
+    "fractional-row": (put("splits", "test", 0, value=1.5), "splits.test must be a non-empty"),
+    "bool-row": (put("splits", "test", 0, value=True), "splits.test must be a non-empty"),
+    "train-row-in-test": (
+        lambda s: s["splits"]["test"].append(s["splits"]["train"][0]), "splits must hold each row"
+    ),
+    # An empty test list wrote "oos_accuracy": NaN; an empty validation list
+    # raised AttributeError (exit 1).
+    "empty-test": (put("splits", "test", value=[]), "splits.test must be a non-empty"),
+    "empty-validation": (put("splits", "validation", value=[]), "splits.validation must be"),
+    "no-splits": (put("splits", value=None), "splits.train must be a non-empty"),
+    # A null IQR exited 3 blaming lambda, a short median on a numpy broadcast;
+    # a negative IQR flipped its column's sign.
+    "null-iqr": (put("scaler", "iqr", value=None), "scaler.iqr must be one finite number"),
+    "short-median": (put("scaler", "median", value=[0.0] * 23), "scaler.median must be one"),
+    "nan-median": (put("scaler", "median", 0, value=float("nan")), "scaler.median must be"),
+    "negative-iqr": (put("scaler", "iqr", 0, value=-1.0), "scaler.iqr must be"),
+}
+
+# By test id: a fault in a model.json, and what the error says. Each used to
+# raise TypeError (exit 1), blame the data or go unnoticed.
+MODEL_FAULTS = {
+    "unknown-config-key": (put("config", "momentum", value=0.9), "config must be an object"),
+    "config-not-object": (put("config", value=[1]), "config must be an object"),
+    "unknown-solver": (put("config", "solver", value="lbfgs"), "config: unknown solver"),
+    "null-weights": (put("weights", value=None), "weights, biases and tuning_record must be"),
+    "null-tuning-record": (put("tuning_record", value=None), "and tuning_record must be lists"),
+    "short-first-matrix": (lambda m: m["weights"][0].pop(), "chain layer sizes (24, 8, 16, 8, 1)"),
+    "hidden-widths-differ": (put("config", "hidden_layers", value=[4, 4, 4]), "do not chain"),
+    "missing-bias": (lambda m: m["biases"].pop(), "do not chain"),
+}
+
+
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_run")
@@ -433,6 +483,52 @@ class TestRunCommand:
         assert main(argv + ["--out", str(tmp_path / "report")]) == 3
         assert f"{sensitivity}: row 2: non-numeric gradient='n/a'" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("fault, message", SIDECAR_FAULTS.values(), ids=SIDECAR_FAULTS)
+    def test_bad_dataset_sidecar_exits_three(self, full_run, tmp_path, capsys, fault, message):
+        data = tmp_path / "dataset"
+        shutil.copytree(full_run / "dataset", data)
+        sidecar = json.loads((data / "dataset.json").read_text())
+        fault(sidecar)
+        (data / "dataset.json").write_text(json.dumps(sidecar))
+        out = tmp_path / "fit.json"
+        assert main(["logit", "--data", str(data), "--out", str(out)]) == 3
+        assert f"{data / 'dataset.json'}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sidecar_column_names_are_ignored(self, full_run, tmp_path):
+        # panel.csv names the columns; an older sidecar's list, here with two
+        # names swapped, used to reorder them against the scaler (exit 4).
+        data = tmp_path / "dataset"
+        shutil.copytree(full_run / "dataset", data)
+        sidecar = json.loads((data / "dataset.json").read_text())
+        names = list(COLUMN_NAMES)
+        names[0], names[1] = names[1], names[0]
+        (data / "dataset.json").write_text(json.dumps({**sidecar, "column_names": names}))
+        out = tmp_path / "fit.json"
+        assert main(["logit", "--data", str(data), "--out", str(out)]) == 0
+        assert out.read_bytes() == (full_run / "fit.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["sensitivity", "report"])
+    @pytest.mark.parametrize("fault, message", MODEL_FAULTS.values(), ids=MODEL_FAULTS)
+    def test_bad_model_file_exits_three(
+        self, full_run, tmp_path, capsys, fault, message, command
+    ):
+        # report read model.json's config unchecked: a list raised TypeError
+        # (exit 1) after correlations.csv was written
+        model = tmp_path / "model.json"
+        payload = json.loads((full_run / "model.json").read_text())
+        fault(payload)
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = [command, "--model", str(model), "--data", str(full_run / "dataset")]
+        if command == "report":
+            argv += ["--sensitivity", str(full_run / "sensitivity.csv")]
+            argv += ["--fit", str(full_run / "fit.json")]
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and message in err
+        assert not out.exists()
 
     def test_chained_stages_match_run_artifacts(self, full_run, tmp_path):
         # build-dataset and train-mlp, driven stage by stage on the files the

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banknet import artifacts, pipeline, reconstruction
+from banknet import artifacts, mlp, pipeline, reconstruction
 from banknet.balance_sheets import derive_labels, load_panel
 from banknet.cli import main
 from banknet.dataset import (
@@ -326,6 +326,16 @@ class TestRunConfigSchema:
             assert getattr(expected, f.name) != f.default, f.name
         assert RunConfig.from_ini(ini).to_dict() == expected.to_dict()
         assert RunConfig.from_dict(expected.to_dict()) == expected
+
+    def test_a_grid_is_checked_by_the_candidates_tune_trains(self, monkeypatch):
+        # RunConfig builds no candidate of its own: what mlp.grid_configs
+        # refuses, the config refuses, naming the grid.
+        def refuse(base, **grid):
+            raise ValueError("no candidate")
+
+        monkeypatch.setattr(mlp, "grid_configs", refuse)
+        with pytest.raises(SchemaError, match=re.escape("[mlp] grid: no candidate")):
+            RunConfig(grid=SMALL_GRID)
 
     def test_readme_example_and_empty_ini_parse_to_defaults(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
