@@ -4,10 +4,10 @@ Run manifests hash these bytes, so the format lives here and nowhere else.
 CSV is UTF-8 in the csv module's default dialect (comma separated, minimal
 quoting, CRLF line ends) with a header row, written without a byte-order mark
 and read with or without one, and travels as columns: the reader gives one
-tuple of cells per header name and the writer takes one sequence per header
-name. A float cell is written as the repr of its Python float, which reads
-back to the same double. JSON is UTF-8 with an indent of 2, sorted keys and
-a trailing newline.
+tuple of cells per header name and each row's line in the file (blank lines
+count), and the writer takes one sequence per header name. A float cell is
+written as the repr of its Python float, which reads back to the same double.
+JSON is UTF-8 with an indent of 2, sorted keys and a trailing newline.
 """
 
 from __future__ import annotations
@@ -58,16 +58,28 @@ def _header(reader, path, required) -> list[str]:
     return header
 
 
-def read_csv(path, required) -> dict[str, tuple[str, ...]]:
+class Table(dict):
+    """``read_csv``'s columns, one tuple of cells per header name, and
+    ``lines``: each row's line in the file, the header's being 1. A skipped
+    blank line still counts as a line."""
+
+    def __init__(self, columns, lines):
+        super().__init__(columns)
+        self.lines = lines
+
+
+def read_csv(path, required) -> Table:
     """Each header name's column of cells, after the ``_header`` check. A
     blank line is skipped, a short row's missing cells read as "" and a long
     row's extra cells are dropped."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _header(reader, path, required)
-        rows = list(filter(None, reader))
+        # line_num, read once a row is out, is the line the row ends on
+        kept = [(reader.line_num, row) for row in reader if row]
+    lines, rows = zip(*kept) if kept else ((), ())
     columns = zip_longest(*rows, fillvalue="")
-    return dict(zip(header, chain(columns, repeat(("",) * len(rows)))))
+    return Table(zip(header, chain(columns, repeat(("",) * len(rows)))), lines)
 
 
 def read_first_row(path, required) -> dict[str, str] | None:
@@ -80,13 +92,13 @@ def read_first_row(path, required) -> dict[str, str] | None:
     return None if row is None else dict(zip(header, chain(row, repeat(""))))
 
 
-def float_columns(path, table, names) -> dict[str, np.ndarray]:
+def float_columns(path, table: Table, names) -> dict[str, np.ndarray]:
     """Float64 arrays of ``table``'s ``names`` columns; the first cell, row by
-    row, that is not a number is a ParseError naming its row and column."""
+    row, that is not a number is a ParseError naming its line and column."""
     try:
         return {c: np.fromiter(map(float, table[c]), float, len(table[c])) for c in names}
     except ValueError:
-        for line, row in enumerate(zip(*(table[c] for c in names)), start=2):
+        for line, row in zip(table.lines, zip(*(table[c] for c in names))):
             for name, raw in zip(names, row):
                 try:
                     float(raw)
@@ -96,13 +108,13 @@ def float_columns(path, table, names) -> dict[str, np.ndarray]:
         raise
 
 
-def label_column(path, table, name) -> np.ndarray:
+def label_column(path, table: Table, name) -> np.ndarray:
     """Int array of ``table``'s 0/1 column ``name``; the first cell that is
-    not 0 or 1 is a ParseError naming its row and column."""
+    not 0 or 1 is a ParseError naming its line and column."""
     values = float_columns(path, table, (name,))[name]
     bad = np.flatnonzero((values != 0.0) & (values != 1.0))
     if bad.size:
-        line = int(bad[0]) + 2
+        line = table.lines[bad[0]]
         message = f"{path}: row {line}: {name}={table[name][bad[0]]!r} is not 0 or 1"
         raise ParseError(message, row=line)
     return values.astype(int)

@@ -94,7 +94,7 @@ NUMERIC_COLUMNS = PANEL_COLUMNS[2:]
 
 @dataclass(frozen=True)
 class RejectedRow:
-    row_number: int  # 1-based line in the CSV (header is line 1)
+    line: int  # the row's line in the CSV (the header is line 1; blank lines count)
     values: tuple[str, ...]  # raw fields in PANEL_COLUMNS order
     reason: str
 
@@ -188,7 +188,7 @@ def load_panel(path, quarter: str) -> QuarterlyPanel:
         if wrong_quarter[i]:
             reasons.append(f"quarter {quarters[i]!r} does not match requested {quarter!r}")
         values = tuple(table[c][i] for c in PANEL_COLUMNS)
-        rejections.append(RejectedRow(i + 2, values, "; ".join(reasons)))
+        rejections.append(RejectedRow(table.lines[i], values, "; ".join(reasons)))
     return QuarterlyPanel(
         quarter, rejections=rejections, bank_ids=ids, columns=columns, rows=order[~bad[order]]
     )
@@ -201,8 +201,11 @@ def write_panel_csv(panel: QuarterlyPanel, path) -> None:
 
 
 def write_rejection_report(path, rejections: Sequence[RejectedRow]) -> None:
+    """One row per rejected row: its raw cells, its ``line`` in the panel CSV
+    and the ``reason``."""
     columns = [[r.values[j] for r in rejections] for j in range(len(PANEL_COLUMNS))]
-    write_csv(path, PANEL_COLUMNS + ("reason",), [*columns, [r.reason for r in rejections]])
+    lines, reasons = [r.line for r in rejections], [r.reason for r in rejections]
+    write_csv(path, PANEL_COLUMNS + ("line", "reason"), [*columns, lines, reasons])
 
 
 def close_system(panel: QuarterlyPanel) -> QuarterlyPanel:

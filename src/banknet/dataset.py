@@ -2,6 +2,7 @@
 
 Column order is metric-major then quarter and is fixed across every run:
 stpd, roe, roa, tier1_ratio, tier1_leverage, contagion_proxy, each q1..q4.
+``COLUMN_NAMES`` alone names a ``FeaturePanel``'s columns, in that order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ CONTAGION_COLUMNS = tuple(c for c in COLUMN_NAMES if c.startswith("contagion_pro
 @dataclass(frozen=True)
 class FeaturePanel:
     bank_ids: tuple[str, ...]
-    column_names: tuple[str, ...]
     x: np.ndarray
     y: np.ndarray
     exclusions: tuple[tuple[str, str], ...] = ()
@@ -44,10 +44,10 @@ class FeaturePanel:
         y = np.asarray(self.y, dtype=int).reshape(-1)
         if x.ndim != 2:
             raise ArityError(f"feature matrix must be 2-D, got shape {x.shape}")
-        if x.shape != (len(self.bank_ids), len(self.column_names)):
+        if x.shape != (len(self.bank_ids), len(COLUMN_NAMES)):
             raise ArityError(
                 f"feature matrix {x.shape} does not match {len(self.bank_ids)} "
-                f"banks x {len(self.column_names)} columns"
+                f"banks x {len(COLUMN_NAMES)} columns"
             )
         if y.shape[0] != x.shape[0]:
             raise ArityError(f"{y.shape[0]} labels for {x.shape[0]} rows")
@@ -122,7 +122,6 @@ def build_panel(
     bank_ids = tuple(compress(universe, kept))
     return FeaturePanel(
         bank_ids=bank_ids,
-        column_names=COLUMN_NAMES,
         x=np.column_stack(columns),
         y=np.array([labels.labels[b] for b in bank_ids], dtype=int),
         exclusions=exclusions,

@@ -10,7 +10,7 @@ and sign pattern the minimizer solves G_AA b_A = c_A - lambda s_A, and an
 active-set walk adjusts the support until the signs agree and every inactive
 column satisfies |c_j - G_jA b_A| <= lambda. A backtracking line search on
 the true penalized objective guards each step, and the fit stops when the
-KKT conditions of the real problem hold within ``tol`` (ConvergenceError
+real problem's KKT conditions hold within ``DEFAULT_TOL`` (ConvergenceError
 after ``max_steps`` steps). Inactive coefficients are exact zeros.
 
 Inference on the surviving columns comes from the same solver at lambda = 0
@@ -95,7 +95,7 @@ def _kkt_gap(score, beta, lam) -> float:
     return max(abs(float(score[0])), float(violation.max(initial=0.0)))
 
 
-def _solve_subproblem(gram, c, beta, lam, tol):
+def _solve_subproblem(gram, c, beta, lam):
     """Exact minimizer of 1/2 b'Gb - c'b + lam |b[1:]|_1 (beta[0], the
     intercept, unpenalized) by an active-set walk from ``beta``.
 
@@ -104,9 +104,9 @@ def _solve_subproblem(gram, c, beta, lam, tol):
     the walk moves from the current point towards it only as far as the
     first slope reaching zero and drops that column. Otherwise the solution
     is kept, and the inactive column with the largest |c_j - G_jA b_A| above
-    lam (beyond ``tol / 10``) joins A with the sign of that score. Every move
-    lowers the subproblem objective, so no support repeats (Osborne,
-    Presnell & Turlach 2000, IMA J. Numer. Anal. 20(3)).
+    lam (beyond ``DEFAULT_TOL / 10``) joins A with the sign of that score.
+    Every move lowers the subproblem objective, so no support repeats
+    (Osborne, Presnell & Turlach 2000, IMA J. Numer. Anal. 20(3)).
     """
     beta = beta.copy()
     signs = np.sign(beta)
@@ -136,7 +136,7 @@ def _solve_subproblem(gram, c, beta, lam, tol):
         score = c - gram @ beta
         violation = np.where(active, 0.0, np.abs(score) - lam)
         j = int(np.argmax(violation))
-        if violation[j] <= 0.1 * tol:
+        if violation[j] <= 0.1 * DEFAULT_TOL:
             return beta
         signs[j] = np.sign(score[j])
         active[j] = True
@@ -147,16 +147,15 @@ def fit_lasso(
     x,
     y,
     lam: float,
-    tol: float = DEFAULT_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
     warm_start: tuple[float, np.ndarray] | None = None,
 ) -> LogitFit:
     """Penalized fit by proximal Newton with an exact active-set solve of
     each quadratic model (see the module docstring).
 
-    Converged when the KKT conditions of the penalized problem hold within
-    ``tol``: the intercept score is 0, each active column's score equals
-    lam * sign(b_j) and each inactive column's lies in [-lam, lam].
+    Converged when the penalized problem's KKT conditions hold within
+    ``DEFAULT_TOL``: the intercept score is 0, each active column's score
+    equals lam * sign(b_j) and each inactive column's lies in [-lam, lam].
     ConvergenceError after ``max_steps`` Newton steps without that.
     ``warm_start`` takes an (intercept, coefficients) pair, e.g. the previous
     solution on a lambda path."""
@@ -181,16 +180,16 @@ def fit_lasso(
         mu = expit(eta)
         score = design.T @ (y - mu) / n
         gap = _kkt_gap(score, beta, lam)
-        if gap <= tol:
+        if gap <= DEFAULT_TOL:
             break
         if step == max_steps:
             raise ConvergenceError(
                 f"proximal Newton did not meet the KKT conditions within "
-                f"{max_steps} steps (gap {gap:.3e}, tol {tol:.1e})"
+                f"{max_steps} steps (gap {gap:.3e}, tol {DEFAULT_TOL:.1e})"
             )
         w = np.maximum(mu * (1.0 - mu), _WEIGHT_FLOOR)
         gram = (design.T * w) @ design / n
-        target = _solve_subproblem(gram, gram @ beta + score, beta, lam, tol)
+        target = _solve_subproblem(gram, gram @ beta + score, beta, lam)
         direction = target - beta
         # Armijo test against the decrease the linearized objective predicts
         # (negative); a rise within the objective's own rounding is no rise.

@@ -90,10 +90,6 @@ class MlpModel:
     config: MlpConfig
     tuning_record: tuple[dict, ...] = ()
 
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-
 
 def sigmoid_grad(z: np.ndarray) -> np.ndarray:
     """d sigmoid/dz = e^z / (1 + e^z)^2, evaluated overflow-free via |z|."""
@@ -422,7 +418,6 @@ def input_sensitivity(model: MlpModel, x_eval) -> np.ndarray:
 
 def save_model(model: MlpModel, path, extra: dict | None = None) -> None:
     payload = {
-        "layer_sizes": list(model.layer_sizes),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "config": asdict(model.config),
@@ -438,7 +433,8 @@ def load_model(path, n_inputs: int | None = None) -> MlpModel:
     object of ``MlpConfig`` fields that ``MlpConfig`` accepts, and its weights
     and biases must chain ``n_inputs`` inputs (when given; else the first
     matrix's rows) through the config's hidden layers to one output. Anything
-    else is a SchemaError naming ``path``."""
+    else is a SchemaError naming ``path``; keys it does not read (an older
+    file's layer sizes) are ignored."""
     payload = read_json(path)
     config = payload.get("config") if isinstance(payload, dict) else None
     if not (isinstance(config, dict) and set(config) <= {f.name for f in fields(MlpConfig)}):

@@ -24,6 +24,9 @@ contagion proxies live at ``proxy_csv(proxy_dir, quarter)``. The dataset's
 two split policies are both a ``take`` of the one joined panel, and its
 ``panel.csv`` alone names its columns. ``RunConfig`` checks a grid file with
 the candidates ``mlp.grid_configs`` builds, the ones ``mlp.tune`` trains.
+``stage_report`` counts fit.json's active set from its columns, and checks
+every input (JSON keys through ``_json_value``, as ``load_dataset_dir`` does)
+before it writes a file.
 
 Both classifiers are trained on the default indicator (1 = failed by the
 horizon, i.e. 1 - label), so reported coefficients and gradients are on the
@@ -39,6 +42,7 @@ import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -412,7 +416,7 @@ def stage_build_dataset(
     scaler = fit_scaler(final, splits.train)
 
     out = Path(out_dir)
-    header = ("bank_id",) + final.column_names + ("label",)
+    header = ("bank_id",) + COLUMN_NAMES + ("label",)
     write_csv(out / "panel.csv", header, [final.bank_ids, *final.x.T, final.y])
     sidecar = {
         "seed": seed,
@@ -434,17 +438,23 @@ def stage_build_dataset(
     }
 
 
-def _sidecar_list(path, sidecar, key: str, what: str, valid, size: int | None = None) -> list:
-    """The list at the dotted ``key`` of a dataset sidecar: non-empty, ``size``
-    entries long when given, every entry passing ``valid``. Anything else is a
-    SchemaError naming ``path``, the key and ``what`` the list must be."""
-    value = sidecar
+def _json_value(path, payload, key: str, what: str, valid):
+    """The value at the dotted ``key`` of a JSON payload read from ``path``,
+    if it passes ``valid``. Anything else, a payload that is no object
+    included, is a SchemaError naming ``path``, the key and ``what`` the value
+    must be."""
+    value = payload
     for part in key.split("."):
         value = value.get(part) if isinstance(value, dict) else None
-    sized = isinstance(value, list) and value and size in (None, len(value))
-    if not (sized and all(map(valid, value))):
+    if not valid(value):
         raise SchemaError(f"{path}: {key} must be {what}")
     return value
+
+
+def _list_of(valid, size: int | None = None):
+    """A check for a non-empty list, ``size`` entries long when given, of
+    entries that pass ``valid``."""
+    return lambda v: isinstance(v, list) and v and size in (None, len(v)) and all(map(valid, v))
 
 
 def _is_finite(value) -> bool:
@@ -470,24 +480,21 @@ def load_dataset_dir(data_dir):
     values = float_columns(path, table, COLUMN_NAMES)
     panel = FeaturePanel(
         bank_ids=table["bank_id"],
-        column_names=COLUMN_NAMES,
         # C-ordered like the rows; a transposed view sums in another order
         x=np.column_stack([values[c] for c in COLUMN_NAMES]),
         y=label_column(path, table, "label"),
     )
+    key = partial(_json_value, sidecar_path, sidecar)
     indices = "a non-empty list of row indices"
-    parts = [
-        _sidecar_list(sidecar_path, sidecar, f"splits.{part}", indices, lambda v: type(v) is int)
-        for part in SPLITS
-    ]
+    parts = [key(f"splits.{part}", indices, _list_of(lambda v: type(v) is int)) for part in SPLITS]
     if sorted(chain.from_iterable(parts)) != list(range(len(panel))):
         raise SchemaError(f"{sidecar_path}: splits must hold each row of {path} exactly once")
     width = len(COLUMN_NAMES)
     per_column = f"one finite number per column ({width})"
-    median = _sidecar_list(sidecar_path, sidecar, "scaler.median", per_column, _is_finite, width)
-    iqr = _sidecar_list(
-        sidecar_path, sidecar, "scaler.iqr", f"{per_column}, none negative",
-        lambda v: _is_finite(v) and v >= 0, width,
+    median = key("scaler.median", per_column, _list_of(_is_finite, width))
+    iqr = key(
+        "scaler.iqr", f"{per_column}, none negative",
+        _list_of(lambda v: _is_finite(v) and v >= 0, width),
     )
     splits = SplitAssignment(*(np.array(part, dtype=int) for part in parts))
     return panel, splits, RobustScalerParams(np.array(median, float), np.array(iqr, float))
@@ -518,12 +525,12 @@ def stage_train_mlp(data_dir, out_path, *, config: RunConfig = RunConfig()) -> d
 
 def stage_sensitivity(model_path, data_dir, out_csv) -> dict:
     scaled, _, splits = _scaled_dataset(data_dir)
-    model = mlp.load_model(model_path, len(scaled.column_names))
+    model = mlp.load_model(model_path, len(COLUMN_NAMES))
     gradients = mlp.input_sensitivity(model, scaled.x[splits.test])
-    write_csv(out_csv, ("column_name", "gradient"), [scaled.column_names, gradients])
+    write_csv(out_csv, ("column_name", "gradient"), [COLUMN_NAMES, gradients])
     return {
         "sample_count": len(splits.test),
-        "gradients": dict(zip(scaled.column_names, gradients.tolist())),
+        "gradients": dict(zip(COLUMN_NAMES, gradients.tolist())),
     }
 
 
@@ -540,7 +547,7 @@ def stage_logit(data_dir, out_path, *, config: RunConfig = RunConfig()) -> dict:
     oos = accuracy(predict_proba(refit, scaled.x[splits.test]), target[splits.test])
 
     columns = []
-    for j, name in enumerate(scaled.column_names):
+    for j, name in enumerate(COLUMN_NAMES):
         if j in lasso.active_set:
             columns.append(
                 {
@@ -559,7 +566,6 @@ def stage_logit(data_dir, out_path, *, config: RunConfig = RunConfig()) -> dict:
         "oos_accuracy": oos,
         "intercept": refit.intercept,
         "intercept_pvalue": refit.intercept_pvalue,
-        "active_set_size": len(lasso.active_set),
         "pvalue_note": "post-selection, not selection-adjusted",
         "columns": columns,
     }
@@ -568,7 +574,7 @@ def stage_logit(data_dir, out_path, *, config: RunConfig = RunConfig()) -> dict:
         "lambda": lam_value,
         "oos_accuracy": oos,
         "active_set_size": len(lasso.active_set),
-        "active_columns": [scaled.column_names[j] for j in lasso.active_set],
+        "active_columns": [COLUMN_NAMES[j] for j in lasso.active_set],
     }
 
 
@@ -586,38 +592,79 @@ def report_correlations(panel: FeaturePanel):
     corr[const, :] = 0.0
     corr[:, const] = 0.0
     np.fill_diagonal(corr, 1.0)
-    flags = [panel.column_names[i] for i in np.flatnonzero(const)]
+    flags = [COLUMN_NAMES[i] for i in np.flatnonzero(const)]
     return corr, flags
 
 
+def _is_accuracy(value) -> bool:
+    """A JSON number in [0, 1]."""
+    return _is_finite(value) and 0 <= value <= 1
+
+
+def _is_fit_column(entry) -> bool:
+    """A fit.json column: lasso-reduced, or a finite refit and lasso coefficient."""
+    coefficient = entry.get("coefficient")
+    finite = _is_finite(coefficient) and _is_finite(entry.get("lasso_coefficient"))
+    return coefficient == "lasso_reduced" or finite
+
+
+def _is_fit_columns(value) -> bool:
+    """fit.json's columns: one valid object per COLUMN_NAMES name, in order."""
+    objects = isinstance(value, list) and all(isinstance(c, dict) for c in value)
+    named = objects and [c.get("name") for c in value] == list(COLUMN_NAMES)
+    return named and all(map(_is_fit_column, value))
+
+
 def stage_report(data_dir, model_path, sensitivity_path, fit_path, out_dir) -> dict:
+    """Correlations of the dataset's columns and the run's summary.
+
+    Every input is checked before a file is written. The sensitivity CSV must
+    list ``COLUMN_NAMES`` in order, each with a finite gradient. ``fit.json``
+    must give one column per name, in order, each lasso-reduced or with a
+    finite coefficient and lasso coefficient, and a finite lambda of 0 or
+    more. Both JSON files must hold an ``oos_accuracy`` in [0, 1]. Anything
+    else is a SchemaError naming the file and the key.
+    """
     panel, _, _ = load_dataset_dir(data_dir)
-    config = mlp.load_model(model_path, len(panel.column_names)).config
-    model_payload = read_json(model_path)
-    fit_payload = read_json(fit_path)
+    config = mlp.load_model(model_path, len(COLUMN_NAMES)).config
+    accuracy_range = "a finite number in [0, 1]"
+    model_key = partial(_json_value, model_path, read_json(model_path))
+    mlp_accuracy = model_key("oos_accuracy", accuracy_range, _is_accuracy)
     table = read_csv(sensitivity_path, ("column_name", "gradient"))
+    if table["column_name"] != COLUMN_NAMES:
+        width = len(COLUMN_NAMES)
+        raise SchemaError(f"{sensitivity_path}: column_name must list the {width} dataset columns")
     gradients = float_columns(sensitivity_path, table, ("gradient",))["gradient"]
-    gradients = dict(zip(table["column_name"], gradients.tolist()))
+    if not np.isfinite(gradients).all():
+        raise SchemaError(f"{sensitivity_path}: gradient must be finite")
+    fit_key = partial(_json_value, fit_path, read_json(fit_path))
+    columns = fit_key(
+        "columns",
+        f"one object per dataset column ({len(COLUMN_NAMES)}), in order, each with a finite "
+        'coefficient and lasso_coefficient or a coefficient of "lasso_reduced"',
+        _is_fit_columns,
+    )
+    logit = {
+        "oos_accuracy": fit_key("oos_accuracy", accuracy_range, _is_accuracy),
+        "lambda": fit_key("lambda", "a finite number, 0 or more", lambda v: _is_finite(v) and v >= 0),
+        "active_set_size": sum(c["coefficient"] != "lasso_reduced" for c in columns),
+        "columns": columns,
+    }
 
     corr, flags = report_correlations(panel)
     out = Path(out_dir)
     corr_path = out / "correlations.csv"
-    write_csv(corr_path, ("column",) + panel.column_names, [panel.column_names, *corr.T])
+    write_csv(corr_path, ("column",) + COLUMN_NAMES, [COLUMN_NAMES, *corr.T])
 
     summary = {
         "mlp": {
             "hidden_layers": list(config.hidden_layers),
             "solver": config.solver,
             "learning_rate": config.learning_rate,
-            "oos_accuracy": model_payload.get("oos_accuracy"),
+            "oos_accuracy": mlp_accuracy,
         },
-        "sensitivity_gradients": gradients,
-        "logit": {
-            "oos_accuracy": fit_payload["oos_accuracy"],
-            "lambda": fit_payload["lambda"],
-            "active_set_size": fit_payload["active_set_size"],
-            "columns": fit_payload["columns"],
-        },
+        "sensitivity_gradients": dict(zip(COLUMN_NAMES, gradients.tolist())),
+        "logit": logit,
         "correlations_file": corr_path.name,
         "constant_columns": flags,
     }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from banknet.artifacts import (
+    Table,
     float_columns,
     label_column,
     read_csv,
@@ -121,6 +122,22 @@ class TestReadCsv:
         assert read_csv(path, ("x",)) == {"bank_id": ("A", "B"), "x": ("1", "2")}
         assert read_first_row(path, ("x",)) == {"bank_id": "A", "x": "1"}
 
+    def test_rows_keep_their_file_lines_across_blank_lines(self, tmp_path):
+        # A skipped blank line still counts: a message names the row's own line.
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"bank_id,x\r\n\r\nA,1\r\n\r\nB,oops\n\n")
+        table = read_csv(path, ("x",))
+        assert table.lines == (3, 5)
+        with pytest.raises(ParseError, match="row 5: non-numeric x='oops'") as excinfo:
+            float_columns(path, table, ("x",))
+        assert excinfo.value.row == 5
+
+    def test_label_after_a_blank_line_names_its_line(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("label\n0\n\n2\n")
+        with pytest.raises(ParseError, match="row 4: label='2' is not 0 or 1"):
+            label_column(path, read_csv(path, ("label",)), "label")
+
     def test_short_row_reads_empty_cells(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("bank_id,x,y\nA,1\nB,2,3\nC\n")
@@ -150,7 +167,7 @@ class TestFloatColumns:
     @pytest.mark.parametrize("cell", ["oops", ""])
     def test_first_bad_cell_row_by_row_is_parse_error(self, cell):
         # Row 3 (the second data row) fails in b before row 4 fails in a.
-        table = {"a": ("1", "2", "x"), "b": ("1", cell, "3")}
+        table = Table({"a": ("1", "2", "x"), "b": ("1", cell, "3")}, lines=(2, 3, 4))
         with pytest.raises(ParseError, match=f"t.csv: row 3: non-numeric b={cell!r}") as excinfo:
             float_columns("t.csv", table, ("a", "b"))
         assert excinfo.value.row == 3
@@ -165,7 +182,7 @@ class TestLabelColumn:
         "cell, message", [("x", "non-numeric label='x'"), ("2", "label='2' is not 0 or 1")]
     )
     def test_first_bad_cell_is_parse_error(self, cell, message):
-        table = {"label": ("0", "1", cell, "-1")}
+        table = Table({"label": ("0", "1", cell, "-1")}, lines=(2, 3, 4, 5))
         with pytest.raises(ParseError, match=f"t.csv: row 4: {message}") as excinfo:
             label_column("t.csv", table, "label")
         assert excinfo.value.row == 4

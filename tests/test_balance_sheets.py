@@ -98,6 +98,23 @@ class TestLoadPanel:
             load_panel(path, "2009Q1")
         assert excinfo.value.row == 3
 
+    def test_parse_error_after_a_blank_line_names_its_line(self, tmp_path):
+        # A blank line 3 is skipped but still counted: the bad cell is on line 5.
+        path = _write(tmp_path, [_row("A"), "", _row("C"), "B,2009Q1,oops,900,50,40,0,0,0,0,0"])
+        with pytest.raises(ParseError, match="row 5: non-numeric total_assets") as excinfo:
+            load_panel(path, "2009Q1")
+        assert excinfo.value.row == 5
+
+    def test_rejection_after_a_blank_line_reports_its_line(self, tmp_path):
+        path = _write(tmp_path, [_row("A"), "", _row("C"), _row("B", quarter="2008Q4")])
+        panel = load_panel(path, "2009Q1")
+        assert [r.line for r in panel.rejections] == [5]
+        report = tmp_path / "rejects.csv"
+        write_rejection_report(report, panel.rejections)
+        header, row = report.read_text().splitlines()
+        assert header.endswith(",line,reason") and row.startswith("B,2008Q4,")
+        assert row.split(",")[len(header.split(",")) - 2] == "5"
+
     def test_quarter_mismatch_is_rejected_not_dropped(self, tmp_path):
         path = _write(tmp_path, [_row("A"), _row("B", quarter="2008Q4")])
         panel = load_panel(path, "2009Q1")

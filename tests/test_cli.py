@@ -240,6 +240,17 @@ def put(*keys, value):
     return fault
 
 
+def drop(*keys):
+    """A fault for a JSON payload: the entry at ``keys`` is deleted."""
+
+    def fault(payload):
+        for key in keys[:-1]:
+            payload = payload[key]
+        del payload[keys[-1]]
+
+    return fault
+
+
 # By test id: a fault in a dataset's dataset.json, and what the error says.
 SIDECAR_FAULTS = {
     # A row past the end used to raise IndexError (exit 1) and -1 read the
@@ -275,6 +286,55 @@ MODEL_FAULTS = {
     "short-first-matrix": (lambda m: m["weights"][0].pop(), "chain layer sizes (24, 8, 16, 8, 1)"),
     "hidden-widths-differ": (put("config", "hidden_layers", value=[4, 4, 4]), "do not chain"),
     "missing-bias": (lambda m: m["biases"].pop(), "do not chain"),
+}
+
+NAN = float("nan")
+
+# By test id: a fault in a sensitivity.csv's data rows (one "name,gradient"
+# line each), and what the error says. Each used to exit 0 with a summary
+# that had lost, gained, reordered or overwritten gradients, or held NaN.
+SENSITIVITY_FAULTS = {
+    "missing-q4-row": (lambda rows: rows[:-1], "column_name must list the 24"),
+    "extra-row": (lambda rows: rows + ["bogus,0.5"], "column_name must list the 24"),
+    "repeated-name": (
+        lambda rows: [rows[0], rows[0].split(",")[0] + ",0.5", *rows[2:]],
+        "column_name must list the 24",
+    ),
+    "swapped-rows": (lambda rows: [rows[1], rows[0], *rows[2:]], "column_name must list the 24"),
+    "no-rows": (lambda rows: [], "column_name must list the 24"),
+    "nan-gradient": (
+        lambda rows: [rows[0].split(",")[0] + ",nan", *rows[1:]], "gradient must be finite"
+    ),
+}
+
+
+def first_active(fit):
+    """fit.json's first column the lasso kept."""
+    return next(c for c in fit["columns"] if c["coefficient"] != "lasso_reduced")
+
+
+# By test id: a fault in a fit.json, and what the error says; a fault changes
+# the payload in place or returns the one to write instead. Each used to exit
+# 0 with the fault copied into summary.json, or exit 1 or 3 (a bare KeyError)
+# after correlations.csv was written.
+FIT_FAULTS = {
+    "not-an-object": (lambda f: [f], "columns must be one object per dataset column (24)"),
+    "no-columns": (drop("columns"), "columns must be one object per dataset column"),
+    "empty-columns": (put("columns", value=[]), "columns must be one object per dataset column"),
+    "column-renamed": (put("columns", 0, "name", value="bogus"), "columns must be one object"),
+    "column-missing": (drop("columns", 23), "columns must be one object"),
+    "coefficient-string": (
+        lambda f: first_active(f).update(coefficient="big"), 'or a coefficient of "lasso_reduced"'
+    ),
+    "nan-coefficient": (lambda f: first_active(f).update(coefficient=NAN), "columns must be one"),
+    "no-lasso-coefficient": (
+        lambda f: first_active(f).__delitem__("lasso_coefficient"), "each with a finite coefficient"
+    ),
+    "accuracy-not-a-number": (put("oos_accuracy", value="high"), "oos_accuracy must be a finite"),
+    "accuracy-above-one": (put("oos_accuracy", value=1.5), "oos_accuracy must be a finite number"),
+    "no-accuracy": (drop("oos_accuracy"), "oos_accuracy must be a finite number in [0, 1]"),
+    "negative-lambda": (put("lambda", value=-1.0), "lambda must be a finite number, 0 or more"),
+    "null-lambda": (put("lambda", value=None), "lambda must be a finite number, 0 or more"),
 }
 
 
@@ -508,6 +568,52 @@ class TestRunCommand:
         out = tmp_path / "fit.json"
         assert main(["logit", "--data", str(data), "--out", str(out)]) == 0
         assert out.read_bytes() == (full_run / "fit.json").read_bytes()
+
+    def _report(self, full_run, tmp_path, **paths) -> int:
+        """``banknet report`` on the run's files, ``paths`` replacing some."""
+        files = {
+            "data": full_run / "dataset", "model": full_run / "model.json",
+            "sensitivity": full_run / "sensitivity.csv", "fit": full_run / "fit.json", **paths,
+        }
+        argv = [f"--{flag}={path}" for flag, path in files.items()]
+        return main(["report", *argv, "--out", str(tmp_path / "report")])
+
+    @pytest.mark.parametrize("fault, message", SENSITIVITY_FAULTS.values(), ids=SENSITIVITY_FAULTS)
+    def test_bad_sensitivity_rows_exit_three(self, full_run, tmp_path, capsys, fault, message):
+        sensitivity = tmp_path / "sensitivity.csv"
+        header, *rows = (full_run / "sensitivity.csv").read_text().splitlines()
+        sensitivity.write_text("\n".join([header, *fault(rows)]) + "\n")
+        assert self._report(full_run, tmp_path, sensitivity=sensitivity) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sensitivity}: ") and message in err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("fault, message", FIT_FAULTS.values(), ids=FIT_FAULTS)
+    def test_bad_fit_file_exits_three(self, full_run, tmp_path, capsys, fault, message):
+        fit = tmp_path / "fit.json"
+        payload = json.loads((full_run / "fit.json").read_text())
+        fit.write_text(json.dumps(fault(payload) or payload))
+        assert self._report(full_run, tmp_path, fit=fit) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fit}: ") and message in err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
+        "fault",
+        [drop("oos_accuracy"), *(put("oos_accuracy", value=v) for v in (None, "high", 1.5, NAN))],
+        ids=["missing", "null", "string", "above-one", "nan"],
+    )
+    def test_bad_model_accuracy_exits_three(self, full_run, tmp_path, capsys, fault):
+        # model.json's accuracy was read with .get: a missing one became null.
+        model = tmp_path / "model.json"
+        payload = json.loads((full_run / "model.json").read_text())
+        fault(payload)
+        model.write_text(json.dumps(payload))
+        assert self._report(full_run, tmp_path, model=model) == 3
+        message = "oos_accuracy must be a finite number in [0, 1]"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and message in err
+        assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("command", ["sensitivity", "report"])
     @pytest.mark.parametrize("fault, message", MODEL_FAULTS.values(), ids=MODEL_FAULTS)

@@ -49,10 +49,20 @@ def make_feature_panel(m, failed_count, seed=0):
     y[failed_count:] = 1
     return FeaturePanel(
         bank_ids=tuple(f"B{i:04d}" for i in range(m)),
-        column_names=COLUMN_NAMES,
         x=rng.normal(size=(m, 24)),
         y=y,
     )
+
+
+class TestFeaturePanel:
+    def test_builds_without_column_names(self):
+        # COLUMN_NAMES alone names the columns; the panel carries no copy.
+        panel = FeaturePanel(("a", "b"), np.zeros((2, 24)), np.array([0, 1]))
+        assert panel.x.shape == (2, len(COLUMN_NAMES))
+
+    def test_width_other_than_the_column_list_is_arity_error(self):
+        with pytest.raises(ArityError, match=r"\(2, 23\) does not match 2 banks x 24 columns"):
+            FeaturePanel(bank_ids=("a", "b"), x=np.zeros((2, 23)), y=np.array([0, 1]))
 
 
 class TestBuildPanel:
@@ -181,7 +191,6 @@ class TestScaler:
         x[:, 0] = [1, 2, 3, 4, 5]
         panel = FeaturePanel(
             bank_ids=tuple(str(i) for i in range(5)),
-            column_names=COLUMN_NAMES,
             x=x,
             y=np.ones(5, dtype=int),
         )
@@ -195,7 +204,6 @@ class TestScaler:
         x = np.full((4, 24), 7.0)
         panel = FeaturePanel(
             bank_ids=("a", "b", "c", "d"),
-            column_names=COLUMN_NAMES,
             x=x,
             y=np.ones(4, dtype=int),
         )
@@ -209,7 +217,6 @@ class TestScaler:
         x[:, 0] = [1, 2, 3, 4, 5]
         panel = FeaturePanel(
             bank_ids=tuple(str(i) for i in range(5)),
-            column_names=COLUMN_NAMES,
             x=x,
             y=np.ones(5, dtype=int),
         )
@@ -224,7 +231,6 @@ class TestScaler:
         x[30:] += 50.0  # a shifted "test" half
         panel = FeaturePanel(
             bank_ids=tuple(str(i) for i in range(60)),
-            column_names=COLUMN_NAMES,
             x=x,
             y=np.ones(60, dtype=int),
         )

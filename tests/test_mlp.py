@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import multiprocessing
 import os
 import subprocess
@@ -102,14 +103,14 @@ class TestTrain:
         x = x[:, :20]
         cfg = MlpConfig(hidden_layers=(4, 8, 4), epochs=3, batch_size=8, rng_seed=2)
         model = train(x, y, cfg)
-        assert model.layer_sizes[0] == 20
+        assert model.weights[0].shape[0] == 20
         _assert_same_parameters(model, reference_train(x, y, cfg))
         assert predict(model, x).shape == (40,)
         assert input_gradients(model, x).shape == (40, 20)
         idx = np.arange(40)
         splits = SplitAssignment(idx[:24], idx[24:32], idx[32:])
         grid = dict(structures=((4, 8, 4),), solvers=("sgd",), learning_rates=(0.05,))
-        assert tune(x, y, splits, base_config=cfg, **grid).layer_sizes[0] == 20
+        assert tune(x, y, splits, base_config=cfg, **grid).weights[0].shape[0] == 20
         with pytest.raises(DimensionError):
             train(x[:, 0], y, cfg)
         with pytest.raises(DimensionError):
@@ -689,3 +690,24 @@ class TestModelIO:
             np.testing.assert_array_equal(wa, wb)
         assert back.config == model.config
         np.testing.assert_array_equal(predict(model, x), predict(back, x))
+
+    def test_saved_model_restates_no_layer_sizes(self, tmp_path):
+        # The weights' shapes are the layer sizes; the file does not repeat them.
+        x, y = toy_clusters(m=40, seed=15)
+        path = tmp_path / "model.json"
+        save_model(train(x, y, MlpConfig(epochs=1, rng_seed=1)), path)
+        assert "layer_sizes" not in json.loads(path.read_text())
+
+    def test_a_stale_layer_sizes_key_is_ignored(self, tmp_path):
+        # An older file carries the key; a wrong one loads the same model,
+        # which saves back as the file without the key.
+        x, y = toy_clusters(m=40, seed=15)
+        model = train(x, y, MlpConfig(epochs=1, rng_seed=1))
+        old, again = tmp_path / "old.json", tmp_path / "again.json"
+        save_model(model, old, extra={"layer_sizes": [3, 2, 1]})
+        back = load_model(old, n_inputs=x.shape[1])
+        np.testing.assert_array_equal(predict(back, x), predict(model, x))
+        save_model(back, again)
+        payload = json.loads(old.read_text())
+        del payload["layer_sizes"]
+        assert json.loads(again.read_text()) == payload

@@ -133,7 +133,6 @@ class TestRunPipeline:
     def test_dataset_roundtrip(self, small_run):
         out, _ = small_run
         panel, splits, scaler = load_dataset_dir(out / "dataset")
-        assert panel.column_names == COLUMN_NAMES
         assert len(panel) == 160
         merged = np.concatenate([splits.train, splits.validation, splits.test])
         assert sorted(merged.tolist()) == list(range(160))
@@ -174,6 +173,16 @@ class TestRunPipeline:
         assert summary["logit"]["lambda"] == fit["lambda"]
         assert len(summary["sensitivity_gradients"]) == 24
 
+    def test_fit_json_restates_no_active_set_size(self, small_run):
+        # The report counts the active set from fit.json's own columns.
+        out, manifest = small_run
+        fit = json.loads((out / "fit.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        assert "active_set_size" not in fit
+        active = sum(c["coefficient"] != "lasso_reduced" for c in fit["columns"])
+        assert summary["logit"]["active_set_size"] == active
+        assert manifest["stages"]["logit"]["active_set_size"] == active
+
     def test_auto_lambda_reports_the_fit_that_won_validation(self, small_run, tmp_path, monkeypatch):
         out, _ = small_run
         panel, splits, scaler = load_dataset_dir(out / "dataset")
@@ -187,7 +196,7 @@ class TestRunPipeline:
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert fit["lambda"] == selected.lam
         lasso = {c["name"]: c["lasso_coefficient"] for c in fit["columns"] if "lasso_coefficient" in c}
-        assert lasso == {panel.column_names[j]: selected.coefficients[j] for j in selected.active_set}
+        assert lasso == {COLUMN_NAMES[j]: selected.coefficients[j] for j in selected.active_set}
         assert (tmp_path / "fit.json").read_bytes() == (out / "fit.json").read_bytes()
 
     def test_missing_quarter_file_fails_at_build_dataset(self, small_run, tmp_path):
@@ -508,7 +517,6 @@ class TestReportCorrelations:
     def _panel(self, x):
         return FeaturePanel(
             bank_ids=tuple(str(i) for i in range(x.shape[0])),
-            column_names=COLUMN_NAMES,
             x=x,
             y=np.ones(x.shape[0], dtype=int),
         )
