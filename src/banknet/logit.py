@@ -17,8 +17,8 @@ Inference on the surviving columns comes from the same solver at lambda = 0
 on those columns alone, stopping on the same KKT conditions: Wald standard
 errors from the inverse observed information at that optimum and two-sided
 normal-tail p-values, p = 2 * ndtr(-|z|) for z = b / se, with ndtr the
-standard normal CDF from ``scipy.special``. Those p-values are
-post-selection, not selection-adjusted.
+standard normal CDF of ``banknet.special`` (a port of Cephes' ``ndtr``).
+Those p-values are post-selection, not selection-adjusted.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .dataset import SplitAssignment, accuracy
 from .errors import ConvergenceError, DimensionError, SeparationError
+from .special import expit, ndtr
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_STEPS = 100

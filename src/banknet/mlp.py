@@ -32,11 +32,11 @@ from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, groupby, product, repeat
 
 import numpy as np
-from scipy.special import expit
 
 from .artifacts import read_json, write_json
 from .dataset import SplitAssignment, accuracy
 from .errors import DimensionError, DivergenceError, SchemaError
+from .special import expit
 
 DEFAULT_STRUCTURES = ((8, 16, 8), (4, 8, 16), (16, 8, 4))
 DEFAULT_SOLVERS = ("sgd", "adam", "rmsprop")

@@ -596,16 +596,25 @@ def report_correlations(panel: FeaturePanel):
     return corr, flags
 
 
-def _is_accuracy(value) -> bool:
-    """A JSON number in [0, 1]."""
+def _is_unit(value) -> bool:
+    """A JSON number in [0, 1]: an accuracy or a p-value."""
     return _is_finite(value) and 0 <= value <= 1
 
 
 def _is_fit_column(entry) -> bool:
-    """A fit.json column: lasso-reduced, or a finite refit and lasso coefficient."""
-    coefficient = entry.get("coefficient")
-    finite = _is_finite(coefficient) and _is_finite(entry.get("lasso_coefficient"))
-    return coefficient == "lasso_reduced" or finite
+    """A fit.json column: lasso-reduced with a null p-value, or a finite
+    refit and lasso coefficient, a p-value in [0, 1] and a finite standard
+    error of 0 or more."""
+    if entry.get("coefficient") == "lasso_reduced":
+        return entry.get("pvalue") is None and entry.get("standard_error") is None
+    se = entry.get("standard_error")
+    return (
+        _is_finite(entry.get("coefficient"))
+        and _is_finite(entry.get("lasso_coefficient"))
+        and _is_unit(entry.get("pvalue"))
+        and _is_finite(se)
+        and se >= 0
+    )
 
 
 def _is_fit_columns(value) -> bool:
@@ -620,16 +629,17 @@ def stage_report(data_dir, model_path, sensitivity_path, fit_path, out_dir) -> d
 
     Every input is checked before a file is written. The sensitivity CSV must
     list ``COLUMN_NAMES`` in order, each with a finite gradient. ``fit.json``
-    must give one column per name, in order, each lasso-reduced or with a
-    finite coefficient and lasso coefficient, and a finite lambda of 0 or
-    more. Both JSON files must hold an ``oos_accuracy`` in [0, 1]. Anything
-    else is a SchemaError naming the file and the key.
+    must give one column per name, in order, each lasso-reduced with a null
+    p-value or with a finite coefficient and lasso coefficient, a p-value in
+    [0, 1] and a finite standard error of 0 or more, and a finite lambda of 0
+    or more. Both JSON files must hold an ``oos_accuracy`` in [0, 1].
+    Anything else is a SchemaError naming the file and the key.
     """
     panel, _, _ = load_dataset_dir(data_dir)
     config = mlp.load_model(model_path, len(COLUMN_NAMES)).config
     accuracy_range = "a finite number in [0, 1]"
     model_key = partial(_json_value, model_path, read_json(model_path))
-    mlp_accuracy = model_key("oos_accuracy", accuracy_range, _is_accuracy)
+    mlp_accuracy = model_key("oos_accuracy", accuracy_range, _is_unit)
     table = read_csv(sensitivity_path, ("column_name", "gradient"))
     if table["column_name"] != COLUMN_NAMES:
         width = len(COLUMN_NAMES)
@@ -641,11 +651,12 @@ def stage_report(data_dir, model_path, sensitivity_path, fit_path, out_dir) -> d
     columns = fit_key(
         "columns",
         f"one object per dataset column ({len(COLUMN_NAMES)}), in order, each with a finite "
-        'coefficient and lasso_coefficient or a coefficient of "lasso_reduced"',
+        "coefficient and lasso_coefficient, a pvalue in [0, 1] and a finite standard_error "
+        'of 0 or more, or a coefficient of "lasso_reduced" and a null pvalue',
         _is_fit_columns,
     )
     logit = {
-        "oos_accuracy": fit_key("oos_accuracy", accuracy_range, _is_accuracy),
+        "oos_accuracy": fit_key("oos_accuracy", accuracy_range, _is_unit),
         "lambda": fit_key("lambda", "a finite number, 0 or more", lambda v: _is_finite(v) and v >= 0),
         "active_set_size": sum(c["coefficient"] != "lasso_reduced" for c in columns),
         "columns": columns,

@@ -12,7 +12,8 @@ updates the two scaling vectors. Each iterate is a rank-1 ``ExposureMatrix``
 that costs O(n) to hold, to propagate losses through and to dump
 (``write_matrix``, ``--dump-matrix``); the loop stops when its
 ``marginal_errors`` fall within the tolerance, and the last iterate is the
-result. A matrix given in full keeps only its nonzeros, borrower-major.
+result. A matrix given in full, or as its entries, keeps only its nonzeros,
+borrower-major, in three numpy arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .artifacts import create, read_csv, write_csv
 from .errors import DimensionError, DomainError, InfeasibilityError, SchemaError, name_some
@@ -37,21 +37,24 @@ _EPS = 1e-12
 class ExposureMatrix:
     """Bilateral loan matrix of ``bank_ids``; ``w[i, j]`` is the loan from i to j.
 
-    Nonzeros form, ``ExposureMatrix(bank_ids, w)``: a given n x n matrix,
-    dense or scipy sparse (the generator's hidden network, a literal
-    matrix), copied borrower-major as ``csc``, a ``scipy.sparse.csc_array``.
+    Nonzeros form, ``ExposureMatrix(bank_ids, w)`` for a given n x n matrix
+    or ``ExposureMatrix(bank_ids, edges=(lenders, borrowers, loans))`` for its
+    entries (the generator's hidden network): held borrower-major as
+    ``nonzeros = (indptr, lenders, loans)``, borrower j's lenders ascending
+    in ``lenders[indptr[j]:indptr[j + 1]]`` with their summed loans.
     Rank-1 form, ``ExposureMatrix(bank_ids, factors=(x, y))``: RAS's
     ``W = diag(x)(J - I)diag(y)``, held as its two scaling vectors. The form
-    not held is None. ``w``, read-only and cached, is the rank-1 form as an
-    n x n array, kept only for perfbench's dense reference and the tests.
+    not held is None; both hold read-only copies. ``w``, read-only and
+    cached, is the rank-1 form as an n x n array, kept only for perfbench's
+    dense reference and the tests.
     """
 
-    def __init__(self, bank_ids, w=None, *, factors=None):
-        if (w is None) == (factors is None):
-            raise TypeError("give exactly one of w and factors")
+    def __init__(self, bank_ids, w=None, *, edges=None, factors=None):
+        if sum(v is not None for v in (w, edges, factors)) != 1:
+            raise TypeError("give exactly one of w, edges and factors")
         self.bank_ids = tuple(bank_ids)
         n = len(self.bank_ids)
-        self.factors = self.csc = None
+        self.factors = self.nonzeros = None
         if factors is not None:
             self.factors = tuple(np.array(v, dtype=float) for v in factors)
             for v in self.factors:
@@ -59,14 +62,34 @@ class ExposureMatrix:
                     raise DimensionError(f"factor of shape {v.shape} for {n} bank_ids")
                 v.setflags(write=False)
             return
-        if not sparse.issparse(w):
+        if w is not None:
             w = np.asarray(w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DimensionError(f"exposure matrix must be square, got shape {w.shape}")
-        if w.shape[0] != n:
-            raise DimensionError(f"{n} bank_ids for a {w.shape[0]}x{w.shape[1]} matrix")
-        self.csc = sparse.csc_array(w, dtype=float, copy=True)
-        self.csc.sum_duplicates()  # and sorts each column's lenders
+            if w.ndim != 2 or w.shape[0] != w.shape[1]:
+                raise DimensionError(f"exposure matrix must be square, got shape {w.shape}")
+            if w.shape[0] != n:
+                raise DimensionError(f"{n} bank_ids for a {w.shape[0]}x{w.shape[1]} matrix")
+            lenders, borrowers = np.nonzero(w)
+            edges = (lenders, borrowers, w[lenders, borrowers])
+        lenders, borrowers = (np.asarray(v).astype(np.intp, casting="same_kind") for v in edges[:2])
+        loans = np.asarray(edges[2], dtype=float)
+        if lenders.ndim != 1 or not lenders.shape == borrowers.shape == loans.shape:
+            raise DimensionError(
+                f"edges of shapes {lenders.shape}, {borrowers.shape} and {loans.shape}"
+            )
+        ends = np.concatenate((lenders, borrowers))
+        if ends.size and (ends.min() < 0 or ends.max() >= n):
+            raise DimensionError(f"edge index outside 0..{n - 1} for {n} bank_ids")
+        cells = borrowers * n + lenders  # borrower-major
+        order = np.argsort(cells, kind="stable")
+        cells, loans = cells[order], loans[order]
+        starts = np.flatnonzero(np.diff(cells, prepend=-1))
+        borrowers, lenders = np.divmod(cells[starts], n)
+        loans = np.add.reduceat(loans, starts)  # sums duplicate cells
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(borrowers, minlength=n), out=indptr[1:])
+        self.nonzeros = (indptr, lenders, loans)
+        for v in self.nonzeros:
+            v.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -74,7 +97,7 @@ class ExposureMatrix:
 
     @cached_property
     def w(self) -> np.ndarray:
-        x, y = self.factors  # TypeError on the nonzeros form: read its csc
+        x, y = self.factors  # TypeError on the nonzeros form: read its nonzeros
         w = np.multiply.outer(x, y)
         np.fill_diagonal(w, 0.0)
         w.setflags(write=False)
@@ -84,7 +107,12 @@ class ExposureMatrix:
         """Row sums (each lender's interbank assets) and column sums (each
         borrower's interbank liabilities), in O(edges) or O(n)."""
         if self.factors is None:
-            return self.csc.sum(axis=1), self.csc.sum(axis=0)
+            indptr, lenders, loans = self.nonzeros
+            borrowers = np.repeat(np.arange(self.n), np.diff(indptr))
+            return (
+                np.bincount(lenders, weights=loans, minlength=self.n),
+                np.bincount(borrowers, weights=loans, minlength=self.n),
+            )
         x, y = self.factors
         return x * (y.sum() - y), y * (x.sum() - x)
 
@@ -117,10 +145,10 @@ class ExposureMatrix:
 
             return rank_one_step
 
-        n, indptr, lenders = self.n, self.csc.indptr, self.csc.indices
+        n, (indptr, lenders, loans) = self.n, self.nonzeros
         counts = np.diff(indptr)
         phi = np.repeat(e0, counts)
-        np.divide(self.csc.data, phi, out=phi)
+        np.divide(loans, phi, out=phi)
         # Column ranges of about 4n edges bound each call's temporaries.
         firsts = np.searchsorted(indptr, np.arange(0, phi.size, 4 * n), side="right") - 1
         cuts = np.unique(np.append(firsts, n))

@@ -9,10 +9,10 @@ cross-correlations). The hidden network's row/column sums are used verbatim
 as the panel's interbank aggregates, so the generated system is closed by
 construction and the pipeline has to reconstruct the bilaterals itself.
 
-The network is held as its edges, never as an n x n array: its n x n draws
-are made ``ROW_BLOCK`` rows at a time on the stream of one full draw, and
-every row and column sum adds its edges one by one in row-major order
-(``np.bincount``), starting from 0.0.
+The network is held as its edges, never as an n x n array: each n x n draw
+is made ``CHUNK`` cells at a time into one reused buffer, on the stream of
+one full draw, and every row and column sum adds its edges one by one in
+row-major order (``np.bincount``), starting from 0.0.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.special import expit
 
 from .artifacts import write_csv, write_json
 from .balance_sheets import (
@@ -44,13 +42,14 @@ from .debtrank import (
     propagate,
 )
 from .reconstruction import ExposureMatrix
+from .special import expit
 
 RATIO_SIGNAL = 1.3  # log-odds weight of the planted ratio latents
 # Share of defaults that are idiosyncratic (fraud, operational failure):
 # independent of every attribute, they guarantee the classes overlap and
 # keep oversampled panels from being perfectly separable.
 IDIOSYNCRATIC_FRACTION = 0.08
-ROW_BLOCK = 256  # rows of the hidden network's n x n draws held at a time
+CHUNK = 1 << 15  # cells of the hidden network's n x n draws held at a time
 
 
 @dataclass(frozen=True)
@@ -90,18 +89,25 @@ def _quarter_tags(spec: SyntheticSpec) -> list[str]:
     return tags
 
 
+def _chunks(fill, n: int, buf: np.ndarray):
+    """One n x n draw, ``buf.size`` cells at a time: yields each chunk's
+    first row-major position and ``buf`` (or its head) after
+    ``fill(out=chunk)`` wrote the chunk's values into it."""
+    for c0 in range(0, n * n, buf.size):
+        chunk = buf[: min(buf.size, n * n - c0)]
+        fill(out=chunk)
+        yield c0, chunk
+
+
 def _hidden_edges(rng: np.random.Generator, n: int, buf: np.ndarray) -> np.ndarray:
     """Directed Erdos-Renyi adjacency, zero diagonal, >= 2 lending partners,
-    as sorted row-major positions. The n x n uniforms are drawn a block of
-    rows at a time into ``buf``, the stream of one ``(n, n)`` draw."""
+    as sorted row-major positions ``i * n + j``, from one ``(n, n)`` uniform
+    draw on the stream."""
     p_edge = min(0.5, 20.0 / n)
-    parts = []
-    for r0 in range(0, n, ROW_BLOCK):
-        m = min(ROW_BLOCK, n - r0)
-        adj = rng.random(out=buf[:m]) < p_edge
-        adj[np.arange(m), np.arange(r0, r0 + m)] = False
-        parts.append(np.flatnonzero(adj) + r0 * n)
-    edges = np.concatenate(parts)
+    draws = _chunks(rng.random, n, buf)
+    edges = np.concatenate([np.flatnonzero(chunk < p_edge) + c0 for c0, chunk in draws])
+    edges = edges[edges % (n + 1) != 0]  # the diagonal sits at i * (n + 1)
+    parts = [edges]
     degree = np.bincount(edges // n, minlength=n)
     for i in np.flatnonzero(degree < 2):
         lo, hi = np.searchsorted(edges, (i * n, (i + 1) * n))
@@ -110,14 +116,14 @@ def _hidden_edges(rng: np.random.Generator, n: int, buf: np.ndarray) -> np.ndarr
     return np.sort(np.concatenate(parts))
 
 
-def _on_edges(draw, n: int, edges: np.ndarray) -> np.ndarray:
-    """The values at ``edges`` (sorted row-major positions ``i * n + j``) of
-    an n x n draw made ``ROW_BLOCK`` rows at a time: ``draw(m)`` returns the
-    next m rows."""
-    cuts = np.searchsorted(edges, [*range(0, n * n, ROW_BLOCK * n), n * n])
+def _on_edges(fill, n: int, edges: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The values at ``edges`` (sorted row-major positions) of an n x n draw
+    made through ``buf``; ``fill(out=out)`` writes the draw's next
+    ``out.size`` values."""
+    cuts = np.searchsorted(edges, [*range(0, n * n, buf.size), n * n])
     values = np.empty(edges.size)
-    for r0, k0, k1 in zip(range(0, n, ROW_BLOCK), cuts, cuts[1:]):
-        values[k0:k1] = draw(min(ROW_BLOCK, n - r0)).ravel()[edges[k0:k1] - r0 * n]
+    for (c0, chunk), k0, k1 in zip(_chunks(fill, n, buf), cuts, cuts[1:]):
+        values[k0:k1] = chunk[edges[k0:k1] - c0]
     return values
 
 
@@ -158,10 +164,13 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
     t1r_latent = np.clip(0.14 + 0.03 * quality + rng.normal(0, 0.015, n), 0.02, None)
     t1l_latent = np.clip(0.095 + 0.02 * quality + rng.normal(0, 0.008, n), 0.01, None)
 
-    buf = np.empty((min(ROW_BLOCK, n), n))  # one block of rows, reused
+    buf = np.empty(min(CHUNK, n * n))  # every n x n draw passes through it
     edges = _hidden_edges(rng, n, buf)
     rows, cols = np.divmod(edges, n)
-    base_weights = _on_edges(lambda m: rng.lognormal(0.0, 0.5, (m, n)), n, edges)
+    # rng.lognormal(0.0, 0.5) on every cell is C's exp(0.0 + 0.5 * z) of a
+    # standard normal z; math.exp is C's exp (np.exp rounds differently).
+    z = _on_edges(rng.standard_normal, n, edges, buf)
+    base_weights = np.fromiter(map(math.exp, 0.0 + 0.5 * z), float, z.size)
 
     panels = []
     growth = np.ones(n)
@@ -176,7 +185,7 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
         # quarterly contagion columns are correlated but not collinear.
         iba_q = np.clip(iba * np.exp(rng.normal(0.0, 0.35, n)), 1e-4, 0.25)
         # w = base_weights * exp(0.4 z), z standard normal over all n x n cells.
-        z = _on_edges(lambda m: rng.standard_normal(out=buf[:m]), n, edges)
+        z = _on_edges(rng.standard_normal, n, edges, buf)
         w = np.exp(z * 0.4) * base_weights
         rs = np.bincount(rows, weights=w, minlength=n)
         w *= (iba_q * ta / rs)[rows]
@@ -199,8 +208,7 @@ def generate(spec: SyntheticSpec) -> SyntheticResult:
 
     # Ground-truth contagion damage: run the propagation on the hidden
     # bilaterals of the last quarter (the pipeline only ever sees aggregates).
-    hidden = sparse.coo_array((w, (rows, cols)), shape=(n, n))
-    state = init_state(ExposureMatrix(bank_ids=ids, w=hidden), equity)
+    state = init_state(ExposureMatrix(bank_ids=ids, edges=(rows, cols, w)), equity)
     run = propagate(apply_shock(state, ShockSpec.uniform(ids, spec.shock_fraction)))
     damage = -run.proxy  # percent equity lost to contagion, >= 0
     z_damage = _standardize(damage)

@@ -18,7 +18,6 @@ from dataclasses import replace
 from itertools import product
 
 import numpy as np
-from scipy.special import expit
 from scipy.stats import norm
 
 from banknet import synthetic
@@ -34,6 +33,7 @@ from banknet.mlp import (
     MlpModel,
     predict,
 )
+from banknet.special import expit
 
 
 def debtrank_reference(w, e0, post_shock, beta, alpha, max_periods=10_000):

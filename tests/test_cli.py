@@ -330,6 +330,27 @@ FIT_FAULTS = {
     "no-lasso-coefficient": (
         lambda f: first_active(f).__delitem__("lasso_coefficient"), "each with a finite coefficient"
     ),
+    **{
+        f"pvalue-{label}": (
+            lambda f, v=v: first_active(f).update(pvalue=v), "a pvalue in [0, 1] and a finite"
+        )
+        for label, v in (("string", "tiny"), ("above-one", 1.5), ("negative", -0.1), ("null", None))
+    },
+    **{
+        f"standard-error-{label}": (
+            lambda f, v=v: first_active(f).update(standard_error=v), "finite standard_error of 0"
+        )
+        for label, v in (("string", "small"), ("negative", -1.0), ("infinite", float("inf")))
+    },
+    "no-standard-error": (
+        lambda f: first_active(f).__delitem__("standard_error"), "finite standard_error of 0"
+    ),
+    "pvalue-on-a-reduced-column": (
+        lambda f: next(c for c in f["columns"] if c["coefficient"] == "lasso_reduced").update(
+            pvalue=0.5
+        ),
+        '"lasso_reduced" and a null pvalue',
+    ),
     "accuracy-not-a-number": (put("oos_accuracy", value="high"), "oos_accuracy must be a finite"),
     "accuracy-above-one": (put("oos_accuracy", value=1.5), "oos_accuracy must be a finite number"),
     "no-accuracy": (drop("oos_accuracy"), "oos_accuracy must be a finite number in [0, 1]"),

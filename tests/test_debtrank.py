@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from banknet.balance_sheets import NUMERIC_COLUMNS, QuarterlyPanel, live_subsystem
 from banknet.debtrank import (
@@ -209,11 +208,12 @@ class TestPropagate:
         # B defaults during the run, so the run's own equity reaches zero.
         state = init_state(em([[0, 0], [500, 0]], ids=("A", "B")), [1000.0, 50.0])
         shocked = apply_shock(state, ShockSpec("equity_fraction", {"A": 0.5}))
-        w_before = shocked.exposures.csc.toarray()
+        w_before = [v.copy() for v in shocked.exposures.nonzeros]
         e_before = shocked.e_curr.copy()
         run = propagate(shocked)
         assert run.defaults_cascaded == 1
-        np.testing.assert_array_equal(shocked.exposures.csc.toarray(), w_before)
+        for got, want in zip(shocked.exposures.nonzeros, w_before):
+            np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(shocked.e_curr, e_before)
         assert shocked.e0.tolist() == [1000.0, 50.0]
 
@@ -338,8 +338,8 @@ class TestNonzerosForm:
     def test_sparse_and_dense_input_give_the_same_trajectory(self):
         ids, w, e0 = self._network(seed=4, n=600, density=0.03)
         rows, cols = np.nonzero(w)
-        hidden = sparse.coo_array((w[rows, cols], (rows, cols)), shape=w.shape)
-        _, from_sparse = self._trajectory(ExposureMatrix(ids, hidden), e0, 0.2)
+        hidden = ExposureMatrix(ids, edges=(rows, cols, w[rows, cols]))
+        _, from_sparse = self._trajectory(hidden, e0, 0.2)
         _, from_dense = self._trajectory(ExposureMatrix(ids, w), e0, 0.2)
         np.testing.assert_array_equal(from_sparse, from_dense)
 
@@ -482,8 +482,8 @@ class TestAllocations:
         lenders = np.repeat(np.arange(self.N), 20)
         borrowers = (lenders + rng.integers(1, self.N, lenders.size)) % self.N  # no self-loan
         loans = rng.uniform(1.0, 10.0, lenders.size)
-        w = sparse.coo_array((loans, (lenders, borrowers)), shape=(self.N, self.N))
-        exposures = ExposureMatrix(tuple(map(str, range(self.N))), w)
+        ids = tuple(map(str, range(self.N)))
+        exposures = ExposureMatrix(ids, edges=(lenders, borrowers, loans))
         ia = np.bincount(lenders, weights=loans, minlength=self.N)
         il = np.bincount(borrowers, weights=loans, minlength=self.N)
         peak, (row, col) = self._peak_matrices(lambda: marginal_errors(exposures, ia, il))
@@ -600,7 +600,7 @@ class TestFactoredPath:
         exposures, _ = live_network(sub)
         write_matrix(tmp_path / "w.bin", exposures)
         back = read_matrix(tmp_path / "w.bin")
-        assert back.csc is None and back.bank_ids == exposures.bank_ids
+        assert back.nonzeros is None and back.bank_ids == exposures.bank_ids
         for got, want in zip(back.factors, exposures.factors):
             assert got.tobytes() == want.tobytes()
         equity = sub.equity()
@@ -705,7 +705,7 @@ def test_a_100k_bank_dump_is_its_two_factors(tmp_path):
     write_matrix(path, sim.exposures)
     assert path.stat().st_size == 16 + 16 * n
     back = read_matrix(path)
-    assert back.csc is None and back.bank_ids == sim.run.bank_ids
+    assert back.nonzeros is None and back.bank_ids == sim.run.bank_ids
     for got, want in zip(back.factors, sim.exposures.factors):
         assert got.tobytes() == want.tobytes()
     shock = ShockSpec.uniform(back.bank_ids, DEFAULT_SHOCK_FRACTION)

@@ -570,19 +570,30 @@ class TestPool:
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
-    def test_cli_loads_no_scipy_stats(self):
-        # The Wald p-values come from scipy.special, so no banknet process
-        # pays for scipy.stats or the scipy.optimize and scipy.linalg it pulls in.
+    def test_cli_loads_no_scipy_stats(self, tmp_path):
+        # banknet runs on numpy alone: neither importing the CLI nor a whole
+        # run on a one-point grid loads scipy or any of its modules.
+        grid = tmp_path / "grid.json"
+        point = {"structures": [[8, 16, 8]], "solvers": ["adam"], "learning_rates": [0.05]}
+        grid.write_text(json.dumps(point))
+        (tmp_path / "run.ini").write_text(
+            "[inputs]\nn_banks = 200\ndefault_rate = 0.3\n\n[dataset]\ntotal = 160\n\n"
+            f"[mlp]\nepochs = 2\nbatch_size = 16\ngrid = {grid}\n"
+        )
         script = (
             "import sys\n"
             "import banknet.cli\n"
-            "loaded = [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.linalg')"
-            " if m in sys.modules]\n"
-            "assert not loaded, loaded\n"
+            "def scipy():\n"
+            "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not scipy(), scipy()\n"
+            "assert banknet.cli.main(['run', '--config', 'run.ini', '--out', 'out']) == 0\n"
+            "assert not scipy(), scipy()\n"
         )
         src = str(Path(mlp.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        subprocess.run([sys.executable, "-c", script], check=True, env=env)
+        argv = [sys.executable, "-c", script]
+        subprocess.run(argv, check=True, env=env, cwd=tmp_path, stdout=subprocess.DEVNULL)
+        assert (tmp_path / "out" / "run_manifest.json").exists()
 
 
 class TestSensitivity:

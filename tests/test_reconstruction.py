@@ -278,7 +278,30 @@ def test_caller_arrays_are_copied():
     matrices = [ExposureMatrix(("a", "b"), w) for w in (base, frozen_view)]
     base[0, 1] = 99.0
     for em in matrices:
-        assert em.csc[0, 1] == 1.0
+        indptr, lenders, loans = em.nonzeros
+        assert (indptr.tolist(), lenders.tolist(), loans.tolist()) == ([0, 1, 2], [1, 0], [2.0, 1.0])
+
+
+def test_edges_are_held_borrower_major_with_duplicates_summed():
+    lenders, borrowers = [2, 0, 1, 0, 2], [1, 1, 0, 1, 0]
+    em = ExposureMatrix(("a", "b", "c"), edges=(lenders, borrowers, [1.0, 2.0, 3.0, 4.0, 5.0]))
+    indptr, held_lenders, loans = em.nonzeros
+    assert indptr.tolist() == [0, 2, 4, 4]
+    assert held_lenders.tolist() == [1, 2, 0, 2]
+    assert loans.tolist() == [3.0, 5.0, 6.0, 1.0]
+    rows, cols = em.marginals()
+    assert (rows.tolist(), cols.tolist()) == ([6.0, 3.0, 6.0], [8.0, 7.0, 0.0])
+    dense = ExposureMatrix(("a", "b", "c"), [[0.0, 6.0, 0.0], [3.0, 0.0, 0.0], [5.0, 1.0, 0.0]])
+    for got, want in zip(dense.nonzeros, em.nonzeros):
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "edges", [([0], [2], [1.0]), ([-1], [0], [1.0]), ([0, 1], [1], [1.0]), ([[0]], [[1]], [[1.0]])]
+)
+def test_edges_outside_the_banks_are_dimension_errors(edges):
+    with pytest.raises(DimensionError):
+        ExposureMatrix(("a", "b"), edges=edges)
 
 
 def test_a_nonzeros_form_has_no_dense_view():
@@ -297,7 +320,7 @@ class TestMatrixDump:
         assert int.from_bytes(raw[8:16], "little") == 3
         assert raw[16:] == np.concatenate(em.factors).astype("<f8").tobytes()
         back = read_matrix(path)
-        assert back.bank_ids == ("x", "y", "z") and back.csc is None
+        assert back.bank_ids == ("x", "y", "z") and back.nonzeros is None
         for got, want in zip(back.factors, em.factors):
             assert got.tobytes() == want.tobytes()
 

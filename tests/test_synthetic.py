@@ -5,6 +5,7 @@ import pytest
 
 from banknet.balance_sheets import NUMERIC_COLUMNS, close_system, load_panel
 from banknet.debtrank import DEFAULT_SHOCK_FRACTION
+from banknet import synthetic
 from banknet.synthetic import SyntheticSpec, SyntheticResult, generate, write_outputs
 
 from .oracles import synthetic_reference
@@ -126,7 +127,7 @@ class TestDenseReference:
 
     # n = 10 at seeds 1, 13 and 48 tops a lender up to two partners (at 48 the
     # pick changes if its existing partner stays a candidate); 257 and 513
-    # banks end in a partial block of rows.
+    # banks end in a partial chunk of cells.
     @pytest.mark.parametrize(
         "n_banks, seed", [(10, 1), (10, 13), (10, 48), (257, 0), (513, 0), (1000, 42)]
     )
@@ -145,9 +146,22 @@ class TestDenseReference:
         assert list(result.labels.labels.values()) == (~failed).astype(int).tolist()
 
 
+@pytest.mark.parametrize("chunk", [7, 4097])
+def test_the_draw_chunk_does_not_change_the_output(monkeypatch, chunk):
+    # 7 cells split rows and edges mid-way; 4097 leaves a partial last chunk.
+    spec = SyntheticSpec(n_banks=90, default_rate=0.1, rng_seed=8)
+    want = generate(spec)
+    monkeypatch.setattr(synthetic, "CHUNK", chunk)
+    got = generate(spec)
+    for a, b in zip(got.panels, want.panels, strict=True):
+        for name in NUMERIC_COLUMNS:
+            assert a.columns[name].tobytes() == b.columns[name].tobytes(), name
+    assert got.labels == want.labels and got.ground_truth == want.ground_truth
+
+
 def test_generate_forms_no_n_by_n_array():
     # Traced peak of a whole generate in units of one n x n float64 matrix:
-    # one block of rows for the draws, and vectors of edges.
+    # one chunk of cells for the draws, and vectors of edges.
     n = 2000
     tracemalloc.start()
     try:
